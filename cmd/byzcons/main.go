@@ -312,9 +312,29 @@ func cluster(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, inputs [][]by
 	}
 
 	encoded := clusterRes.Wire.BytesSent * 8
-	fmt.Fprintf(w, "wire: frames=%d encodedBytes=%d encodedBits/meteredBits=%.2f\n",
-		clusterRes.Wire.FramesSent, clusterRes.Wire.BytesSent, float64(encoded)/float64(clusterRes.Bits))
+	fmt.Fprintf(w, "wire: frames=%d writes=%d frames/write=%s encodedBytes=%d encodedBits/meteredBits=%.2f\n",
+		clusterRes.Wire.FramesSent, clusterRes.Wire.Writes, framesPerWrite(clusterRes.Wire),
+		clusterRes.Wire.BytesSent, float64(encoded)/float64(clusterRes.Bits))
 	return nil
+}
+
+// framesPerWrite renders the transport's coalescing factor: frames accepted
+// per socket write issued. The in-process bus issues no writes.
+func framesPerWrite(ws byzcons.WireStats) string {
+	if ws.Writes == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2f", float64(ws.FramesSent)/float64(ws.Writes))
+}
+
+// printWire prints a serve summary's transport line; the simulator moves no
+// encoded bytes and prints none.
+func printWire(printf func(string, ...any), ws byzcons.WireStats, values int) {
+	if ws.BytesSent == 0 {
+		return
+	}
+	printf("wire: frames=%d writes=%d frames/write=%s conns=%d encodedBytes=%d encoded=%.1f bytes/value reconnects=%d peerFlaps=%d",
+		ws.FramesSent, ws.Writes, framesPerWrite(ws), ws.Conns, ws.BytesSent, float64(ws.BytesSent)/float64(values), ws.Reconnects, ws.PeerFlaps)
 }
 
 // serveOpts bundles the serve-mode knobs.
@@ -537,10 +557,7 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 		printf("decision latency: p50=%v p99=%v max=%v over %d decisions",
 			time.Duration(d.P50), time.Duration(d.P99), time.Duration(d.Max), d.Count)
 	}
-	if ws.BytesSent > 0 {
-		printf("wire: frames=%d conns=%d encodedBytes=%d encoded=%.1f bytes/value reconnects=%d peerFlaps=%d",
-			ws.FramesSent, ws.Conns, ws.BytesSent, float64(ws.BytesSent)/float64(opts.values), ws.Reconnects, ws.PeerFlaps)
-	}
+	printWire(printf, ws, opts.values)
 	return nil
 }
 
@@ -657,10 +674,7 @@ func serveFleet(lines chan string, printf func(string, ...any), cfg byzcons.Conf
 		printf("decision latency: p50=%v p99=%v max=%v over %d decisions (worst shard percentiles)",
 			time.Duration(d.P50), time.Duration(d.P99), time.Duration(d.Max), d.Count)
 	}
-	if ws.BytesSent > 0 {
-		printf("wire: frames=%d conns=%d encodedBytes=%d encoded=%.1f bytes/value reconnects=%d peerFlaps=%d",
-			ws.FramesSent, ws.Conns, ws.BytesSent, float64(ws.BytesSent)/float64(opts.values), ws.Reconnects, ws.PeerFlaps)
-	}
+	printWire(printf, ws, opts.values)
 	return nil
 }
 

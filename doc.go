@@ -234,10 +234,12 @@
 // coding phases run truly in parallel, and the networked runtime delivers
 // frames synchronously in the transport's context with one wakeup per
 // completed round, so windowed throughput holds up even on a single core
-// where speculation buys no parallelism. On TCP the send path is zero-copy
-// and batched: frames are encoded once behind prefix headroom
-// (transport.PrefixedSender) and concurrent frames to one peer coalesce
-// into a single vectored write. A Session's transport mesh persists across
+// where speculation buys no parallelism. On TCP the send path is
+// asynchronous and batched: Send copies the frame into the destination
+// peer's buffer and returns, and a writer puts everything the node's
+// instances, fibers and shards queued for that peer on the socket in one
+// write (WireStats.FramesSent / Writes is the measured coalescing factor).
+// A Session's transport mesh persists across
 // flush cycles, so the per-flush TCP connection setup cost is gone
 // (BenchmarkTransportThroughput compares fresh-mesh and reused-mesh
 // modes). BENCH_PR8.json records the measured grid — per-phase timing per

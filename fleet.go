@@ -198,6 +198,7 @@ func openFleet(cfg FleetConfig, reg *obs.Registry, tracer *obs.Tracer, factory t
 		reg.Func("transport_reconnects", func() int64 { return cluster.WireStats().Reconnects })
 		reg.Func("transport_peer_flaps", func() int64 { return cluster.WireStats().PeerFlaps })
 		reg.Func("transport_frames_sent", func() int64 { return cluster.WireStats().FramesSent })
+		reg.Func("transport_writes", func() int64 { return cluster.WireStats().Writes })
 		reg.Func("transport_bytes_sent", func() int64 { return cluster.WireStats().BytesSent })
 	}
 

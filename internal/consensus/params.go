@@ -169,6 +169,12 @@ func (par Params) normalized(L int) (Params, error) {
 	} else if par.T < 0 || 3*par.T >= par.N {
 		return par, fmt.Errorf("consensus: need 0 <= t < n/3, got n=%d t=%d", par.N, par.T)
 	}
+	// Phase king tolerates fewer faults than the consensus around it;
+	// without this check the mismatch surfaces only inside the first run,
+	// when bsb.NewPhaseKing refuses the parameters.
+	if par.BSB == bsb.PhaseKing && par.N <= 4*par.T {
+		return par, fmt.Errorf("consensus: phase-king broadcast needs n > 4t, got n=%d t=%d", par.N, par.T)
+	}
 	if par.SymBits == 0 {
 		if par.N > 255 {
 			par.SymBits = 16

@@ -407,16 +407,6 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 		roundWait = c.Obs.Histogram("node_round_wait_ns")
 		inboxDepth = c.Obs.Gauge("node_inbox_depth")
 	}
-	// Capability-detect the transport's zero-copy write path once per node.
-	// The TCP mesh offers it; the bus (which moves frames by reference) and
-	// wrapping transports like FaultyFactory (which must intercept every
-	// send) surface only the base Endpoint and fall back to plain Send.
-	sendPref := make([]func(int, []byte) error, cfg.N)
-	for i, ep := range eps {
-		if ps, ok := ep.(transport.PrefixedSender); ok {
-			sendPref[i] = ps.SendPrefixed
-		}
-	}
 	runtimes := make([][]*runtime, b) // [instance][node]
 	for k := 0; k < b; k++ {
 		instSeed := sim.InstanceSeed(cfg.Seed, k)
@@ -442,7 +432,6 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 				onStall:         func(peer int) { router.observeStall(shard, peer) },
 				degrade:         degrade,
 				send:            eps[i].Send,
-				sendPrefixed:    sendPref[i],
 				recycleSendBufs: !eps[i].Retains(),
 				roundWait:       roundWait,
 				inboxDepth:      inboxDepth,

@@ -104,13 +104,6 @@ type options struct {
 	// of aborting the run. 0 keeps the strict fail-fast behaviour.
 	degrade int
 	send    func(to int, data []byte) error
-	// sendPrefixed, when non-nil, is the transport's zero-copy write path
-	// (transport.PrefixedSender): frames are encoded once into a headroomed
-	// buffer that becomes the wire image, with the length prefix back-filled
-	// by the transport — no assembly copy per send, and one Sync template
-	// buffer serves every peer. Nil when the transport lacks the capability
-	// (the bus, which retains sent slices; wrapped endpoints).
-	sendPrefixed func(to int, data []byte) error
 	// recycleSendBufs enables pooling of encoded frame buffers; set only
 	// when the transport does not retain sent slices (Endpoint.Retains).
 	recycleSendBufs bool
@@ -319,36 +312,18 @@ func (rt *runtime) Sync(p, stream int, step sim.StepID, val any, bits int64, tag
 	sum := wire.StepSum(string(step))
 	// Every peer receives the identical frame (same header, same single
 	// contribution payload): encode it once and replicate the bytes, instead
-	// of walking the payload encoder n-1 times. On the zero-copy path even
-	// the replication disappears — each prefixed send completes before the
-	// next starts, so the one template buffer serves all n-1 peers (the
-	// back-filled length prefix is identical every time).
+	// of walking the payload encoder n-1 times.
 	f := wire.Frame{Kind: wire.StepSync, Instance: o.wireInst, Stream: stream, StepSum: sum, Payloads: []any{val}}
-	if o.sendPrefixed != nil {
-		tmpl, err := f.Append(transport.GetPrefixedBuf())
-		if err != nil {
-			rt.abortf("step %q: %v", step, err)
-		}
-		for j := 0; j < o.n; j++ {
-			if j != o.id {
-				if err := o.sendPrefixed(j, tmpl); err != nil && !rt.sendTolerated(err) {
-					rt.abortf("step %q: send to node %d: %v", step, j, err)
-				}
-			}
-		}
-		transport.PutBuf(tmpl)
-	} else {
-		tmpl, err := f.Append(transport.GetBuf())
-		if err != nil {
-			rt.abortf("step %q: %v", step, err)
-		}
-		for j := 0; j < o.n; j++ {
-			if j != o.id {
-				rt.sendRaw(j, step, append(transport.GetBuf(), tmpl...))
-			}
-		}
-		transport.PutBuf(tmpl)
+	tmpl, err := f.Append(transport.GetBuf())
+	if err != nil {
+		rt.abortf("step %q: %v", step, err)
 	}
+	for j := 0; j < o.n; j++ {
+		if j != o.id {
+			rt.sendRaw(j, step, append(transport.GetBuf(), tmpl...))
+		}
+	}
+	transport.PutBuf(tmpl)
 	var waitT0 time.Time
 	if o.countRounds && o.roundWait != nil {
 		waitT0 = time.Now()
@@ -418,27 +393,13 @@ func putByTo(p *[][]any) {
 
 // sendFrame encodes and transmits one step frame, aborting the run on
 // unencodable payloads (a protocol bug) or transport failure. Frame buffers
-// come from the transport's shared pool: on the zero-copy path the frame is
-// encoded behind the transport's prefix headroom and the buffer itself goes
-// on the wire (the prefixed send completes synchronously, so the buffer is
-// recycled right after); when the transport copies the bytes (plain TCP
-// Send), the sender recycles its buffer right after Send; when it moves the
-// slice by reference (bus), ownership travels with the frame and the
-// receiving router recycles it after decoding — in every case the lock-step
-// hot path allocates no frame buffers once the pool is warm.
+// come from the transport's shared pool: when the transport copies the bytes
+// (TCP, into the peer's batch buffer), the sender recycles its buffer right
+// after Send; when it moves the slice by reference (bus), ownership travels
+// with the frame and the receiving router recycles it after decoding — in
+// both cases the lock-step hot path allocates no frame buffers once the pool
+// is warm.
 func (rt *runtime) sendFrame(to int, step sim.StepID, f *wire.Frame) {
-	if rt.opts.sendPrefixed != nil {
-		data, err := f.Append(transport.GetPrefixedBuf())
-		if err != nil {
-			rt.abortf("step %q: %v", step, err)
-		}
-		err = rt.opts.sendPrefixed(to, data)
-		transport.PutBuf(data)
-		if err != nil && !rt.sendTolerated(err) {
-			rt.abortf("step %q: send to node %d: %v", step, to, err)
-		}
-		return
-	}
 	data, err := f.Append(transport.GetBuf())
 	if err != nil {
 		rt.abortf("step %q: %v", step, err)

@@ -432,9 +432,16 @@ func (h delayHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h delayHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)        { *h = append(*h, x.(*delayedFrame)) }
-func (h *delayHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; old[n-1] = nil; *h = old[:n-1]; return it }
+func (h delayHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *delayHeap) Push(x any)   { *h = append(*h, x.(*delayedFrame)) }
+func (h *delayHeap) Pop() any {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return it
+}
 
 // enqueueDelayedLocked queues a frame for delayed delivery and makes sure a
 // drainer is running. Caller holds ep.mu.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,10 +45,10 @@ type TCPOptions struct {
 	// The zero value enables recovery with defaults; Retry.Disabled restores
 	// the old any-loss-is-permanent behaviour.
 	Retry RetryPolicy
-	// Obs, when set, receives sampled write timing: every 16th batch's
-	// synchronous vectored socket write lands in the transport_write_ns
-	// histogram. Sampling keeps the hot send path to one counter increment
-	// per batch; nil disables timing entirely.
+	// Obs, when set, receives sampled write timing: every 16th socket write
+	// of a peer's batch writer lands in the transport_write_ns histogram.
+	// Sampling keeps the write path to one counter increment per batch; nil
+	// disables timing entirely.
 	Obs *obs.Registry
 }
 
@@ -65,35 +66,23 @@ func (o TCPOptions) setupTimeout() time.Duration {
 	return o.SetupTimeout
 }
 
-// sendBatch is one vectored write's worth of frames to a single peer: the
-// wire slices (length prefix already back-filled in place) of every frame
-// that coalesced while the previous batch was on the socket. The flusher
-// writes the whole batch with one writev and closes done; every sender whose
-// frame rode in the batch reads the shared outcome after the close.
-type sendBatch struct {
-	bufs      net.Buffers
-	bytes     int64
-	frames    int64
-	done      chan struct{}
-	err       error
-	transient bool
-}
+// batchYieldBytes is the batch size below which a writer started by Send
+// yields the processor once before it flushes. A round's frames to one peer
+// are a few dozen bytes each and arrive from several goroutines (pipelined
+// instances, Window fibers, shards); the yield lets the ones that are
+// runnable right now add theirs, so the round costs one socket write per
+// peer instead of one per frame. A batch already this large is written at
+// once — a second write would be needed soon anyway.
+const batchYieldBytes = 4 << 10
 
-// peerOut is one peer's write combiner. Concurrent senders to the same peer
-// (pipelined instances, a window of speculative fibers) append their frames
-// to the current batch under mu; the first of them becomes the flusher and
-// loops batch swaps through the socket, so the others pay one channel wait
-// instead of queueing on a write lock — and the kernel sees one writev per
-// batch instead of one write per frame. The single-flusher invariant also
-// serializes socket writes per peer, replacing the old per-peer write mutex.
-// The trailing pad keeps adjacent peers' combiners off one cache line:
-// senders to different peers are independent and must not false-share.
-type peerOut struct {
-	mu       sync.Mutex
-	cur      *sendBatch
-	flushing bool
-	_        [64]byte
-}
+// maxRetainedBuf caps the capacity of a batch buffer a connection keeps for
+// reuse, so one large frame does not pin its size on every connection for the
+// mesh's whole life (two buffers on each of n(n-1) connections).
+const maxRetainedBuf = 16 << 10
+
+// closeDrainTimeout bounds how long Close waits for frames already accepted
+// to reach the sockets: a peer that stopped reading cannot hang Close.
+const closeDrainTimeout = time.Second
 
 // ConnDropper is implemented by endpoints whose live peer connections can be
 // severed on demand — the fault-injection hook chaos tests use to simulate a
@@ -107,10 +96,34 @@ type ConnDropper interface {
 	DropConn(peer int) bool
 }
 
-// connBox wraps one live peer connection so the slot can be swapped
-// atomically: readers compare their own box against the slot to tell a
-// superseded connection's teardown from the current one's.
-type connBox struct{ c net.Conn }
+// connBox is one live peer connection and its batch buffers. The slot holding
+// it is swapped atomically: readers and writers compare their own box against
+// the slot to tell a superseded connection's teardown from the current one's.
+//
+// Send appends length-prefixed frames to pending under mu and returns; the
+// first frame into an empty buffer queues the connection for one of the
+// endpoint's writers (see tcpEndpoint.writer), which swaps pending against
+// spare and issues one Write per swap until pending stays empty. The buffers
+// belong to the connection: they are dropped with it on loss and a fresh
+// connection starts with none, so a batch is never resumed mid-frame on
+// another socket.
+type connBox struct {
+	peer int
+	c    net.Conn
+
+	mu      sync.Mutex
+	idle    sync.Cond // signalled when the connection has been flushed; L is &mu
+	pending []byte    // frames accepted, not yet handed to the socket
+	spare   []byte    // the written-out buffer, kept for the next swap
+	writing bool      // queued for a writer, or being flushed by one
+	dead    bool      // lost or closing: accepts no more frames
+}
+
+func newConnBox(peer int, c net.Conn) *connBox {
+	b := &connBox{peer: peer, c: c}
+	b.idle.L = &b.mu
+	return b
+}
 
 // peerLife is one peer channel's lifecycle state (guarded by tcpEndpoint.mu):
 // the current failure (nil = healthy), whether it is permanent (protocol
@@ -125,12 +138,12 @@ type peerLife struct {
 
 // tcpEndpoint is one node's end of a fully connected TCP mesh: one
 // connection per peer, a reader goroutine per connection feeding the shared
-// receive queue, and a per-peer write combiner that coalesces pipelined
-// instances' concurrent frames into vectored writes. With recovery enabled the endpoint also keeps its listener
-// open for the mesh's whole life: the dialing side of a dropped pair
-// re-dials with backoff, the accepting side re-handshakes fresh dials, and
-// the slot's atomic connection box makes the swap safe against the old
-// connection's reader.
+// receive queue, and on-demand writers that put everything the node queued
+// for one peer on the socket in one write (see connBox). With recovery
+// enabled the endpoint also keeps its listener open for the mesh's whole
+// life: the dialing side of a dropped pair re-dials with backoff, the
+// accepting side re-handshakes fresh dials, and the slot's atomic connection
+// box makes the swap safe against the old connection's reader and writer.
 type tcpEndpoint struct {
 	id    int
 	n     int
@@ -144,7 +157,6 @@ type tcpEndpoint struct {
 	// the recv queue (see PushCapable).
 	sink   atomic.Value
 	conns  []atomic.Pointer[connBox] // indexed by peer id; nil slot = down (or self)
-	out    []peerOut                 // per-peer write combiners (see peerOut)
 	closed atomic.Bool
 	stop   chan struct{} // closed by Close; interrupts re-dial backoff sleeps
 	// dialCtx is canceled by Close so a re-dial blocked inside connect(2)
@@ -158,8 +170,18 @@ type tcpEndpoint struct {
 	mu    sync.Mutex
 	peers []peerLife
 
+	// ready holds the connections with frames pending and no writer yet;
+	// free counts the writer goroutines that are not inside a socket write
+	// and so will come back for it (see writer). Both guarded by outMu.
+	outMu sync.Mutex
+	ready []*connBox
+	free  int
+
+	// framesSent and bytesSent count frames as Send accepts them, so Stats
+	// is exact once senders are quiescent; writes counts socket writes.
 	framesSent atomic.Int64
 	bytesSent  atomic.Int64
+	writes     atomic.Int64
 	framesRecv atomic.Int64
 	bytesRecv  atomic.Int64
 	// connsOpened counts established peer connections (n-1 at mesh dial
@@ -170,10 +192,9 @@ type tcpEndpoint struct {
 	reconnects  atomic.Int64
 	flaps       atomic.Int64
 
-	// writeLat, when non-nil, records every 16th frame's socket write time
-	// (see TCPOptions.Obs); sendSeq is the shared sampling counter.
+	// writeLat, when non-nil, records every 16th socket write's duration
+	// (see TCPOptions.Obs).
 	writeLat *obs.Histogram
-	sendSeq  atomic.Int64
 }
 
 // SetSink implements PushCapable.
@@ -182,123 +203,145 @@ func (ep *tcpEndpoint) SetSink(s Sink) { ep.sink.Store(&s) }
 func (ep *tcpEndpoint) NodeID() int { return ep.id }
 func (ep *tcpEndpoint) N() int      { return ep.n }
 
-// Retains implements Endpoint: both send paths complete their socket write
-// (or copy, for plain Send) before returning, so callers may recycle the
-// slice.
+// Retains implements Endpoint: Send copies the frame into the peer's batch
+// buffer before returning, so callers may recycle the slice.
 func (ep *tcpEndpoint) Retains() bool { return false }
 
+// Send queues data for the peer as one length-prefixed frame and returns; the
+// connection's writer puts it on the socket, batched with whatever else was
+// queued for that peer meanwhile. A nil return therefore means accepted, not
+// written: a later write failure surfaces as a PeerDown, exactly like a loss
+// the reader notices. Send to a peer whose channel is down fails at once.
 func (ep *tcpEndpoint) Send(to int, data []byte) error {
-	if err := ep.checkDest(to); err != nil {
-		return err
-	}
-	// Plain Send owns no headroom, so the frame is copied once into a pooled
-	// prefixed buffer and rides the same combiner as SendPrefixed. The write
-	// completes before sendPrefixed returns, freeing the buffer immediately.
-	buf := append(GetPrefixedBuf(), data...)
-	err := ep.sendPrefixed(to, buf)
-	PutBuf(buf)
-	return err
-}
-
-// SendPrefixed implements PrefixedSender: data[SendHeadroom:] goes on the
-// wire as one frame with its uvarint length back-filled into the headroom —
-// the caller's encode buffer is the wire image, no assembly copy. The call
-// returns once the frame's batch has been written, so the buffer is the
-// caller's again (broadcasters reuse one buffer across peers).
-func (ep *tcpEndpoint) SendPrefixed(to int, data []byte) error {
-	if err := ep.checkDest(to); err != nil {
-		return err
-	}
-	if len(data) < SendHeadroom {
-		return fmt.Errorf("transport: prefixed buffer %d bytes, below %d-byte headroom", len(data), SendHeadroom)
-	}
-	return ep.sendPrefixed(to, data)
-}
-
-func (ep *tcpEndpoint) checkDest(to int) error {
 	if ep.closed.Load() {
 		return ErrClosed
 	}
 	if to < 0 || to >= ep.n || to == ep.id {
 		return fmt.Errorf("transport: bad destination %d from node %d", to, ep.id)
 	}
-	return nil
-}
-
-// sendPrefixed back-fills the length prefix and runs the frame through the
-// peer's write combiner: the frame joins the batch currently accumulating,
-// and the caller either becomes the flusher (first in) or waits for the
-// batch's shared write outcome.
-func (ep *tcpEndpoint) sendPrefixed(to int, data []byte) error {
-	size := uint64(len(data) - SendHeadroom)
-	start := SendHeadroom - uvarintLen(size)
-	binary.PutUvarint(data[start:], size)
-	wire := data[start:]
-
-	po := &ep.out[to]
-	po.mu.Lock()
-	b := po.cur
-	if b == nil {
-		b = &sendBatch{done: make(chan struct{})}
-		po.cur = b
+	box := ep.conns[to].Load()
+	if box == nil {
+		return ep.downErr(to)
 	}
-	b.bufs = append(b.bufs, wire)
-	b.bytes += int64(len(wire))
-	b.frames++
-	if po.flushing {
-		// A flusher is on the socket; it will pick this batch up next.
-		po.mu.Unlock()
-		<-b.done
-	} else {
-		po.flushing = true
-		for po.cur != nil {
-			cur := po.cur
-			po.cur = nil
-			po.mu.Unlock()
-			ep.writeBatch(to, cur)
-			po.mu.Lock()
-		}
-		po.flushing = false
-		po.mu.Unlock()
-	}
-	if b.err != nil {
+	box.mu.Lock()
+	if box.dead {
+		// Lost or closed between the slot load and the lock.
+		box.mu.Unlock()
 		if ep.closed.Load() {
 			return ErrClosed
 		}
-		return &PeerError{Peer: to, Err: b.err, Transient: b.transient}
+		return ep.downErr(to)
+	}
+	if backlog, limit := len(box.pending), 2*ep.opt.maxFrame(); backlog > limit {
+		// The peer stopped reading: its writer sits in a blocked Write while
+		// frames pile up behind it. Dropping the connection frees the buffer
+		// and the writer; the flap budget demotes a repeat offender.
+		box.mu.Unlock()
+		err := fmt.Errorf("send backlog of %d bytes exceeds limit %d", backlog, limit)
+		ep.connLost(to, box, err, true)
+		return &PeerError{Peer: to, Err: err, Transient: true}
+	}
+	before := len(box.pending)
+	box.pending = binary.AppendUvarint(box.pending, uint64(len(data)))
+	box.pending = append(box.pending, data...)
+	ep.framesSent.Add(1)
+	ep.bytesSent.Add(int64(len(box.pending) - before))
+	queue := !box.writing
+	box.writing = true
+	yield := len(box.pending) < batchYieldBytes
+	box.mu.Unlock()
+	if queue {
+		ep.outMu.Lock()
+		ep.ready = append(ep.ready, box)
+		start := ep.free == 0
+		if start {
+			ep.free++
+		}
+		ep.outMu.Unlock()
+		if start {
+			go ep.writer(yield)
+		}
 	}
 	return nil
 }
 
-// writeBatch puts one coalesced batch on the peer's socket with a single
-// vectored write and publishes the shared outcome. Only the peer's single
-// flusher calls it, so writes stay serialized per connection.
-func (ep *tcpEndpoint) writeBatch(to int, b *sendBatch) {
-	defer close(b.done)
-	box := ep.conns[to].Load()
-	if box == nil {
-		b.err, b.transient = ep.downErr(to)
-		return
+// writer flushes queued connections, one after the other, until none is
+// queued, then exits: an idle endpoint parks no goroutine. Normally one writer
+// serves all of a node's peers, so a round costs one goroutine start per node,
+// not per peer. What keeps a peer that stopped reading from holding up the
+// others is the hand-over in flush: a writer about to enter a Write that may
+// block first makes sure another one is free to take the queue.
+func (ep *tcpEndpoint) writer(yield bool) {
+	if yield {
+		runtime.Gosched()
 	}
-	timed := ep.writeLat != nil && ep.sendSeq.Add(1)&15 == 0
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
+	for {
+		ep.outMu.Lock()
+		last := len(ep.ready) - 1
+		if last < 0 {
+			ep.free--
+			ep.outMu.Unlock()
+			return
+		}
+		box := ep.ready[last]
+		ep.ready[last] = nil
+		ep.ready = ep.ready[:last]
+		ep.outMu.Unlock()
+		ep.flush(box)
 	}
-	if _, err := b.bufs.WriteTo(box.c); err != nil {
-		b.err, b.transient = err, true
-		return
-	}
-	if timed {
-		ep.writeLat.Record(int64(time.Since(t0)))
-	}
-	ep.framesSent.Add(b.frames)
-	ep.bytesSent.Add(b.bytes)
 }
 
-// downErr returns the recorded failure behind an empty connection slot and
-// whether it is still considered transient (a reconnect may be in flight).
-func (ep *tcpEndpoint) downErr(peer int) (error, bool) {
+// flush writes out whatever is pending on one connection, one Write per
+// buffer swap, until nothing is. A failed write goes through connLost like a
+// failed read, so whichever side notices a loss first attributes it, once.
+func (ep *tcpEndpoint) flush(box *connBox) {
+	box.mu.Lock()
+	for len(box.pending) > 0 {
+		buf := box.pending
+		box.pending, box.spare = box.spare[:0], nil
+		box.mu.Unlock()
+
+		// This goroutine is not free while it is in the socket. If that
+		// leaves nobody for the connections still queued, start their writer.
+		ep.outMu.Lock()
+		ep.free--
+		start := ep.free == 0 && len(ep.ready) > 0
+		if start {
+			ep.free++
+		}
+		ep.outMu.Unlock()
+		if start {
+			go ep.writer(false)
+		}
+		timed := ep.writes.Add(1)&15 == 0 && ep.writeLat != nil
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		_, err := box.c.Write(buf)
+		if timed && err == nil {
+			ep.writeLat.Record(int64(time.Since(t0)))
+		}
+		ep.outMu.Lock()
+		ep.free++
+		ep.outMu.Unlock()
+		if err != nil {
+			ep.connLost(box.peer, box, fmt.Errorf("write failed: %w", err), true)
+		}
+
+		box.mu.Lock()
+		if cap(buf) <= maxRetainedBuf {
+			box.spare = buf[:0]
+		}
+	}
+	box.writing = false
+	box.idle.Broadcast()
+	box.mu.Unlock()
+}
+
+// downErr returns the recorded failure behind an empty connection slot,
+// transient while a reconnect may still be in flight.
+func (ep *tcpEndpoint) downErr(peer int) error {
 	ep.mu.Lock()
 	err := ep.peers[peer].down
 	permanent := ep.peers[peer].permanent
@@ -306,7 +349,7 @@ func (ep *tcpEndpoint) downErr(peer int) (error, bool) {
 	if err == nil {
 		err = fmt.Errorf("peer %d channel down", peer)
 	}
-	return err, !permanent
+	return &PeerError{Peer: peer, Err: err, Transient: !permanent}
 }
 
 func (ep *tcpEndpoint) Recv() (Frame, error) {
@@ -337,14 +380,26 @@ func (ep *tcpEndpoint) Close() error {
 	if ep.ln != nil {
 		ep.ln.Close()
 	}
-	// Connections are closed without going through the write combiners: a
-	// flusher blocked in a vectored write is unblocked exactly by the socket
-	// close, after which it publishes the failure to its batch's waiters.
-	// The atomic slot swap keeps this race-clean.
+	// Frames Send accepted before this point still go out: a node that
+	// finished its run closes while peers one step behind wait for its last
+	// frames. Each connection stops accepting, its writer drains under a
+	// shared write deadline, and only then is the socket closed. The slots
+	// are emptied first, so a writer or reader failing from here on finds
+	// its connection superseded and reports nothing.
+	deadline := time.Now().Add(closeDrainTimeout)
 	for i := range ep.conns {
-		if box := ep.conns[i].Swap(nil); box != nil {
-			box.c.Close()
+		box := ep.conns[i].Swap(nil)
+		if box == nil {
+			continue
 		}
+		box.c.SetWriteDeadline(deadline)
+		box.mu.Lock()
+		box.dead = true
+		for box.writing {
+			box.idle.Wait()
+		}
+		box.mu.Unlock()
+		box.c.Close()
 	}
 	ep.recv.close()
 	// Flush any connLost critical section in flight: once this mutex cycles,
@@ -364,6 +419,7 @@ func (ep *tcpEndpoint) Stats() Stats {
 	return Stats{
 		FramesSent: ep.framesSent.Load(),
 		BytesSent:  ep.bytesSent.Load(),
+		Writes:     ep.writes.Load(),
 		FramesRecv: ep.framesRecv.Load(),
 		BytesRecv:  ep.bytesRecv.Load(),
 		Conns:      ep.connsOpened.Load(),
@@ -415,15 +471,21 @@ func (ep *tcpEndpoint) readFrom(peer int, box *connBox) {
 	}
 }
 
-// connLost tears one peer connection down and records the failure: the slot
-// is cleared only if it still holds this reader's connection (a reconnect
-// may already have superseded it, in which case the loss is stale and
-// silent), the flap is accounted against the peer's budget, the sink or
-// queue is notified, and — for a transient loss on the dialing side of the
-// pair, with retry enabled — a re-dial loop is started.
+// connLost tears one peer connection down and records the failure. The
+// connection's reader and writer both report here: the slot is cleared only
+// if it still holds this connection (the other of the two, or a reconnect,
+// may already have replaced it, in which case the loss is stale and silent),
+// frames still pending on it are discarded, the flap is accounted against
+// the peer's budget, the sink or queue is notified, and — for a transient
+// loss on the dialing side of the pair, with retry enabled — a re-dial loop
+// is started.
 func (ep *tcpEndpoint) connLost(peer int, box *connBox, err error, transient bool) {
 	current := ep.conns[peer].CompareAndSwap(box, nil)
 	box.c.Close()
+	box.mu.Lock()
+	box.dead = true
+	box.pending = nil
+	box.mu.Unlock()
 	if !current || ep.closed.Load() {
 		// Superseded by a newer connection, or a deliberate local Close — in
 		// neither case is this a live peer failure.
@@ -507,7 +569,7 @@ func (ep *tcpEndpoint) install(peer int, conn net.Conn) bool {
 	ep.peers[peer].down = nil
 	ep.peers[peer].redialing = false
 	ep.mu.Unlock()
-	box := &connBox{c: conn}
+	box := newConnBox(peer, conn)
 	if old := ep.conns[peer].Swap(box); old != nil {
 		// A half-open leftover: the remote noticed the loss and re-dialed
 		// before our reader did. Closing it here makes that reader's
@@ -637,7 +699,6 @@ func NewTCPMesh(n int, opt TCPOptions) ([]Endpoint, error) {
 			id: i, n: n, opt: opt, addrs: addrs,
 			recv:       newQueue(),
 			conns:      make([]atomic.Pointer[connBox], n),
-			out:        make([]peerOut, n),
 			peers:      make([]peerLife, n),
 			stop:       make(chan struct{}),
 			dialCtx:    dialCtx,
@@ -707,7 +768,7 @@ func meshNode(ep *tcpEndpoint, ln net.Listener, addrs []string, deadline time.Ti
 			conn.Close()
 			return fmt.Errorf("transport: node %d hello to node %d: %w", i, j, err)
 		}
-		ep.conns[j].Store(&connBox{c: conn})
+		ep.conns[j].Store(newConnBox(j, conn))
 	}
 	type lnDeadline interface{ SetDeadline(time.Time) error }
 	if d, ok := ln.(lnDeadline); ok {
@@ -727,7 +788,7 @@ func meshNode(ep *tcpEndpoint, ln net.Listener, addrs []string, deadline time.Ti
 			conn.Close()
 			return fmt.Errorf("transport: node %d got hello from unexpected peer %d", i, from)
 		}
-		ep.conns[from].Store(&connBox{c: conn})
+		ep.conns[from].Store(newConnBox(from, conn))
 	}
 	return nil
 }

@@ -5,7 +5,8 @@
 //
 // Two implementations are provided: an in-process channel bus (the fast path
 // for tests and benchmarks) and a TCP mesh (length-prefixed frames over one
-// connection per peer pair). Both present the same Endpoint interface, so
+// connection per peer pair, with everything a node queues for one peer
+// batched into one socket write). Both present the same Endpoint interface, so
 // the node runtime, the consensus engine and the cluster command are
 // transport-agnostic; the single-host simulator (internal/sim) remains the
 // third backend, sharing the protocol code through sim.Backend rather than
@@ -22,7 +23,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -165,37 +165,6 @@ type PushCapable interface {
 	SetSink(s Sink)
 }
 
-// SendHeadroom is the number of bytes a prefixed send buffer reserves ahead
-// of the frame for the transport's length prefix (the largest uvarint). A
-// sender that encodes its frame into a GetPrefixedBuf buffer lets a
-// PrefixedSender back-fill the prefix into the headroom and hand the single
-// buffer to the socket — no second copy to assemble prefix+frame.
-const SendHeadroom = binary.MaxVarintLen64
-
-// PrefixedSender is the zero-copy write path implemented by endpoints that
-// frame with a length prefix (the TCP mesh). SendPrefixed transmits
-// data[SendHeadroom:] as one frame, back-filling the uvarint length into the
-// headroom so the caller's buffer is the wire image. The call is synchronous:
-// when it returns the bytes have been written (possibly coalesced with other
-// concurrent frames to the same peer into one vectored write), so the caller
-// may recycle or reuse the buffer — including sending the same buffer to
-// several peers in turn, the broadcast fast path. The headroom bytes are
-// clobbered by the prefix; everything from SendHeadroom on is read-only.
-//
-// Transports that move frames by reference (the bus) cannot offer this
-// contract and simply do not implement the interface; capability detection
-// at the consumer falls back to Send.
-type PrefixedSender interface {
-	SendPrefixed(to int, data []byte) error
-}
-
-// GetPrefixedBuf returns a pooled buffer whose first SendHeadroom bytes are
-// reserved for a PrefixedSender's length prefix; append frame bytes after
-// them. Return it with PutBuf when done.
-func GetPrefixedBuf() []byte {
-	return append(GetBuf(), make([]byte, SendHeadroom)...)
-}
-
 // bufPool recycles frame byte buffers across the send and receive sides of
 // the in-process hot path: a sender (or TCP connection reader) obtains a
 // buffer with GetBuf, and the consuming sink returns it with PutBuf once
@@ -225,6 +194,11 @@ type Stats struct {
 	BytesSent  int64
 	FramesRecv int64
 	BytesRecv  int64
+	// Writes counts the socket writes the endpoint issued (0 for the
+	// in-process bus, which has no sockets). The TCP mesh batches everything
+	// queued for one peer into one write, so FramesSent / Writes is the
+	// measured coalescing factor.
+	Writes int64
 	// Conns counts the peer connections the endpoint established (n-1 per
 	// TCP endpoint at mesh dial time; 0 for the in-process bus, which has no
 	// connections). A consumer holding one mesh across many flush cycles
@@ -247,6 +221,7 @@ func (s *Stats) Add(other Stats) {
 	s.BytesSent += other.BytesSent
 	s.FramesRecv += other.FramesRecv
 	s.BytesRecv += other.BytesRecv
+	s.Writes += other.Writes
 	s.Conns += other.Conns
 	s.Reconnects += other.Reconnects
 	s.PeerFlaps += other.PeerFlaps
@@ -263,13 +238,14 @@ type Endpoint interface {
 	// Send transmits data to the given peer. When Retains reports true the
 	// slice must not be modified after Send returns nil (the implementation
 	// keeps a reference); when it reports false the implementation has
-	// copied or written the bytes by the time Send returns and the caller
-	// may recycle the buffer.
+	// copied the bytes by the time Send returns and the caller may recycle
+	// the buffer. A nil return means the frame was accepted for delivery; a
+	// channel that breaks afterwards is reported through Recv or the Sink.
 	Send(to int, data []byte) error
 	// Retains reports whether Send keeps a reference to the data slice
 	// (true for the in-process bus, which moves frames by reference; false
-	// for TCP, which copies into the socket). Callers use it to gate
-	// send-buffer pooling.
+	// for TCP, which copies into the peer's batch buffer). Callers use it to
+	// gate send-buffer pooling.
 	Retains() bool
 	// Recv blocks for the next received frame. It returns a *PeerError when
 	// a peer channel breaks or misbehaves, and ErrClosed after Close once

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -413,6 +414,99 @@ func TestSessionOnFlushHook(t *testing.T) {
 	defer mu.Unlock()
 	if len(hooked) != 2 || hooked[0] != 0 || hooked[1] != 1 {
 		t.Errorf("OnFlush saw cycles %v, want [0 1]", hooked)
+	}
+}
+
+// TestSessionTCPCoalescesOnOneCore pins the batch writer where it matters
+// most: on one core a loopback write never yields, so frames coalesce only if
+// the transport defers the write until the node's other instances have queued
+// theirs. Four pipelined instances must share socket writes — at least two
+// frames per write on average — and the decisions must stay bit-identical to
+// the simulator's. Deliberately not parallel: GOMAXPROCS is process-wide.
+func TestSessionTCPCoalescesOnOneCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const cycles, perCycle = 3, 8 * 4
+
+	run := func(tk byzcons.TransportKind) ([]byzcons.Decision, byzcons.WireStats) {
+		s, err := byzcons.Open(byzcons.SessionConfig{
+			Config:      byzcons.Config{N: 7, T: 2, Seed: 33},
+			Transport:   tk,
+			BatchValues: 8,
+			Instances:   4,
+			Policy:      byzcons.FlushPolicy{MaxValues: perCycle, MaxBytes: -1, MaxDelay: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		var decisions []byzcons.Decision
+		for c := 0; c < cycles; c++ {
+			pendings := make([]*byzcons.Pending, perCycle)
+			for i := range pendings {
+				val := bytes.Repeat([]byte{byte(0x50 + c), byte(i)}, 32)
+				if pendings[i], err = s.ProposeAsync(ctx, val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range pendings {
+				d := p.Wait(ctx)
+				if d.Err != nil {
+					t.Fatalf("%v cycle %d: %v", tk, c, d.Err)
+				}
+				decisions = append(decisions, d)
+			}
+		}
+		if st := s.Stats(); st.Cycles < cycles {
+			t.Errorf("%v session ran %d cycles, want >= %d", tk, st.Cycles, cycles)
+		}
+		return decisions, s.WireStats()
+	}
+
+	tcpDecisions, ws := run(byzcons.TransportTCP)
+	simDecisions, _ := run(byzcons.TransportSim)
+	for i := range tcpDecisions {
+		td, sd := tcpDecisions[i], simDecisions[i]
+		if !bytes.Equal(td.Value, sd.Value) || td.Batch != sd.Batch || td.Defaulted != sd.Defaulted {
+			t.Errorf("decision %d diverges across backends: tcp %+v, sim %+v", i, td, sd)
+		}
+	}
+	if ws.Writes == 0 || ws.FramesSent < 2*ws.Writes {
+		t.Errorf("%d frames went out in %d socket writes (%.2f frames/write), want >= 2",
+			ws.FramesSent, ws.Writes, float64(ws.FramesSent)/float64(max(ws.Writes, 1)))
+	}
+}
+
+// TestPhaseKingResilienceRejectedUpFront: phase king needs n > 4t, a tighter
+// bound than the consensus around it. n=7, t=2 used to open and then fail
+// every proposal inside the first cycle; every entry point must refuse it
+// before running anything, and n=7, t=1 must still open and decide.
+func TestPhaseKingResilienceRejectedUpFront(t *testing.T) {
+	t.Parallel()
+	bad := byzcons.Config{N: 7, T: 2, Broadcast: byzcons.BroadcastPhaseKing}
+	if _, err := byzcons.Open(byzcons.SessionConfig{Config: bad}); err == nil || !strings.Contains(err.Error(), "n > 4t") {
+		t.Errorf("Open(n=7, t=2, phase king) = %v, want the n > 4t error", err)
+	}
+	if _, err := byzcons.OpenFleet(byzcons.FleetConfig{SessionConfig: byzcons.SessionConfig{Config: bad}, Shards: 2}); err == nil || !strings.Contains(err.Error(), "n > 4t") {
+		t.Errorf("OpenFleet(n=7, t=2, phase king) = %v, want the n > 4t error", err)
+	}
+	inputs := make([][]byte, 7)
+	for i := range inputs {
+		inputs[i] = []byte{0xA5}
+	}
+	if _, err := byzcons.Consensus(bad, inputs, 8, byzcons.Scenario{}); err == nil || !strings.Contains(err.Error(), "n > 4t") {
+		t.Errorf("Consensus(n=7, t=2, phase king) = %v, want the n > 4t error", err)
+	}
+
+	good := byzcons.Config{N: 7, T: 1, Broadcast: byzcons.BroadcastPhaseKing}
+	s, err := byzcons.Open(byzcons.SessionConfig{Config: good})
+	if err != nil {
+		t.Fatalf("Open(n=7, t=1, phase king): %v", err)
+	}
+	defer s.Close()
+	if d, err := s.Propose(context.Background(), []byte("phase king")); err != nil || d.Err != nil || string(d.Value) != "phase king" {
+		t.Errorf("n=7, t=1 decision = %+v, %v", d, err)
 	}
 }
 
