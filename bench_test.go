@@ -137,21 +137,22 @@ func BenchmarkBroadcastKinds(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceAmortization measures the tentpole batching claim: at
-// fixed n and t, amortized communication bits per submitted value fall
+// BenchmarkSessionAmortization measures the tentpole batching claim: at
+// fixed n and t, amortized communication bits per proposed value fall
 // toward the paper's O(n) per-bit bound as the batch size grows, because one
 // long L-bit input shares each generation's Broadcast_Single_Bit overhead
 // among all values of the batch. The bits/value metric is the one to watch.
-func BenchmarkServiceAmortization(b *testing.B) {
+func BenchmarkSessionAmortization(b *testing.B) {
 	const workload, valBytes = 64, 64
 	for _, batch := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			var bits int64
 			for i := 0; i < b.N; i++ {
-				svc, err := byzcons.NewService(byzcons.ServiceConfig{
+				s, err := byzcons.Open(byzcons.SessionConfig{
 					Config:      byzcons.Config{N: 7, T: 2, Seed: 1},
 					BatchValues: batch,
 					Instances:   4,
+					Policy:      manualPolicy(),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -160,11 +161,11 @@ func BenchmarkServiceAmortization(b *testing.B) {
 				val := make([]byte, valBytes)
 				for j := range pendings {
 					val[0] = byte(j)
-					if pendings[j], err = svc.Submit(val); err != nil {
+					if pendings[j], err = s.ProposeAsync(context.Background(), val); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if _, err := svc.Flush(); err != nil {
+				if _, err := s.Flush(); err != nil {
 					b.Fatal(err)
 				}
 				for _, p := range pendings {
@@ -172,8 +173,8 @@ func BenchmarkServiceAmortization(b *testing.B) {
 						b.Fatal(d.Err)
 					}
 				}
-				bits = svc.Stats().Bits
-				svc.Close()
+				bits = s.Stats().Bits
+				s.Close()
 			}
 			b.ReportMetric(float64(bits)/workload, "bits/value")
 			b.ReportMetric(float64(workload)*float64(b.N)/b.Elapsed().Seconds(), "values/s")
@@ -181,18 +182,19 @@ func BenchmarkServiceAmortization(b *testing.B) {
 	}
 }
 
-// BenchmarkServicePipelining compares wall-clock and pipelined round counts
+// BenchmarkSessionPipelining compares wall-clock and pipelined round counts
 // of the same workload run with 1 vs several concurrent instances.
-func BenchmarkServicePipelining(b *testing.B) {
+func BenchmarkSessionPipelining(b *testing.B) {
 	const workload, batch = 32, 4
 	for _, instances := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("instances%d", instances), func(b *testing.B) {
 			var rounds int64
 			for i := 0; i < b.N; i++ {
-				svc, err := byzcons.NewService(byzcons.ServiceConfig{
+				s, err := byzcons.Open(byzcons.SessionConfig{
 					Config:      byzcons.Config{N: 7, T: 2, Seed: 1},
 					BatchValues: batch,
 					Instances:   instances,
+					Policy:      manualPolicy(),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -200,11 +202,11 @@ func BenchmarkServicePipelining(b *testing.B) {
 				pendings := make([]*byzcons.Pending, workload)
 				val := make([]byte, 64)
 				for j := range pendings {
-					if pendings[j], err = svc.Submit(val); err != nil {
+					if pendings[j], err = s.ProposeAsync(context.Background(), val); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if _, err := svc.Flush(); err != nil {
+				if _, err := s.Flush(); err != nil {
 					b.Fatal(err)
 				}
 				for _, p := range pendings {
@@ -212,8 +214,8 @@ func BenchmarkServicePipelining(b *testing.B) {
 						b.Fatal(d.Err)
 					}
 				}
-				rounds = svc.Stats().Rounds
-				svc.Close()
+				rounds = s.Stats().Rounds
+				s.Close()
 			}
 			b.ReportMetric(float64(rounds), "rounds")
 		})

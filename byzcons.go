@@ -83,7 +83,7 @@ type Config struct {
 // counts, the resilience bound (t < n/3, or t < n/2 under BroadcastProb),
 // symbol width, lanes and pipeline window are all checked up front. The
 // error-returning surface replaces failures that previously surfaced only
-// mid-run; Open, NewService, Consensus, Broadcast and ClusterConsensus all
+// mid-run; Open, OpenFleet, Consensus, Broadcast and ClusterConsensus all
 // route through it.
 func (c Config) Validate() error {
 	return c.consensusParams().Validate()

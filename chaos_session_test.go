@@ -12,15 +12,15 @@ import (
 	"byzcons"
 )
 
-// chaosWaves opens a session under the given chaos spec and drives exactly
-// one flush cycle per wave (manual policy, Drain per wave), returning the
-// decisions in proposal order, the per-cycle reports in commit order, and
-// the fired fault log.
-func chaosWaves(t *testing.T, spec string, waves, perWave int) ([]byzcons.Decision, []byzcons.FlushReport, []byzcons.ChaosRecord) {
+// chaosWaves opens a session — or, with asFleet, a one-shard fleet — under
+// the given chaos spec and drives exactly one flush cycle per wave (manual
+// policy, Drain per wave), returning the decisions in proposal order, the
+// per-cycle reports in commit order, and the fired fault log.
+func chaosWaves(t *testing.T, spec string, waves, perWave int, asFleet bool) ([]byzcons.Decision, []byzcons.FlushReport, []byzcons.ChaosRecord) {
 	t.Helper()
 	var mu sync.Mutex
 	var reports []byzcons.FlushReport
-	s, err := byzcons.Open(byzcons.SessionConfig{
+	cfg := byzcons.SessionConfig{
 		Config:      byzcons.Config{N: 4, T: 1, Seed: 33},
 		Transport:   byzcons.TransportBus,
 		Chaos:       spec,
@@ -31,7 +31,28 @@ func chaosWaves(t *testing.T, spec string, waves, perWave int) ([]byzcons.Decisi
 			reports = append(reports, rep)
 			mu.Unlock()
 		},
-	})
+	}
+	// What the two surfaces share, plus their one difference: the propose call.
+	var s interface {
+		Drain(context.Context) error
+		ChaosLog() []byzcons.ChaosRecord
+		Close() error
+	}
+	var propose func(context.Context, []byte) (*byzcons.Pending, error)
+	var err error
+	if asFleet {
+		var f *byzcons.Fleet
+		if f, err = byzcons.OpenFleet(byzcons.FleetConfig{SessionConfig: cfg, Shards: 1}); err == nil {
+			s, propose = f, func(ctx context.Context, v []byte) (*byzcons.Pending, error) {
+				return f.ProposeAsync(ctx, []byte("any key"), v)
+			}
+		}
+	} else {
+		var ss *byzcons.Session
+		if ss, err = byzcons.Open(cfg); err == nil {
+			s, propose = ss, ss.ProposeAsync
+		}
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +65,7 @@ func chaosWaves(t *testing.T, spec string, waves, perWave int) ([]byzcons.Decisi
 		pendings := make([]*byzcons.Pending, perWave)
 		for i := range pendings {
 			val := bytes.Repeat([]byte{byte(0x40 + w), byte(i)}, 8)
-			if pendings[i], err = s.ProposeAsync(ctx, val); err != nil {
+			if pendings[i], err = propose(ctx, val); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -67,7 +88,9 @@ func chaosWaves(t *testing.T, spec string, waves, perWave int) ([]byzcons.Decisi
 
 // TestSessionChaosReplayableTimeline is the determinism acceptance test for
 // the chaos layer: two sessions opened with the same (seed, schedule) and
-// the same workload fire identical fault logs and decide identical bits.
+// the same workload fire identical fault logs and decide identical bits —
+// and so does a one-shard fleet, whose schedule anchors on shard 0's cycle
+// clock through the same construction path.
 // The schedule isolates node 3 for exactly cycle 1 — that cycle completes
 // degraded with the isolation attributed, and the surrounding cycles are
 // clean.
@@ -76,8 +99,9 @@ func TestSessionChaosReplayableTimeline(t *testing.T) {
 	const spec = "7:partition(3)@c1;healall@c2"
 	const waves, perWave = 3, 4
 
-	dec1, reps1, log1 := chaosWaves(t, spec, waves, perWave)
-	dec2, reps2, log2 := chaosWaves(t, spec, waves, perWave)
+	dec1, reps1, log1 := chaosWaves(t, spec, waves, perWave, false)
+	dec2, reps2, log2 := chaosWaves(t, spec, waves, perWave, false)
+	decF, repsF, logF := chaosWaves(t, spec, waves, perWave, true)
 
 	if len(log1) != 2 {
 		t.Fatalf("fired %d chaos events, want the full schedule (2): %+v", len(log1), log1)
@@ -90,14 +114,19 @@ func TestSessionChaosReplayableTimeline(t *testing.T) {
 	if !reflect.DeepEqual(log1, log2) {
 		t.Errorf("same (seed, schedule) fired different fault logs:\n  %+v\n  %+v", log1, log2)
 	}
+	if !reflect.DeepEqual(log1, logF) {
+		t.Errorf("one-shard fleet fired a different fault log than the session:\n  %+v\n  %+v", log1, logF)
+	}
 
-	if len(dec1) != len(dec2) {
-		t.Fatalf("decision counts diverge: %d vs %d", len(dec1), len(dec2))
+	if len(dec1) != len(dec2) || len(dec1) != len(decF) {
+		t.Fatalf("decision counts diverge: %d vs %d vs fleet %d", len(dec1), len(dec2), len(decF))
 	}
 	for i := range dec1 {
-		if !bytes.Equal(dec1[i].Value, dec2[i].Value) || dec1[i].Batch != dec2[i].Batch ||
-			dec1[i].Defaulted != dec2[i].Defaulted {
-			t.Errorf("decision %d diverges across replays: %+v vs %+v", i, dec1[i], dec2[i])
+		for _, other := range []byzcons.Decision{dec2[i], decF[i]} {
+			if !bytes.Equal(dec1[i].Value, other.Value) || dec1[i].Batch != other.Batch ||
+				dec1[i].Defaulted != other.Defaulted {
+				t.Errorf("decision %d diverges across replays: %+v vs %+v", i, dec1[i], other)
+			}
 		}
 	}
 
@@ -123,9 +152,11 @@ func TestSessionChaosReplayableTimeline(t *testing.T) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(reps1[1].PeersDown, reps2[1].PeersDown) ||
-		!reflect.DeepEqual(reps1[1].DegradedPeers, reps2[1].DegradedPeers) {
-		t.Errorf("degraded-cycle attribution diverges across replays: %+v vs %+v", reps1[1], reps2[1])
+	for _, other := range [][]byzcons.FlushReport{reps2, repsF} {
+		if len(other) != waves || !reflect.DeepEqual(reps1[1].PeersDown, other[1].PeersDown) ||
+			!reflect.DeepEqual(reps1[1].DegradedPeers, other[1].DegradedPeers) {
+			t.Errorf("degraded-cycle attribution diverges across replays: %+v vs %+v", reps1[1], other)
+		}
 	}
 }
 
@@ -139,7 +170,7 @@ func TestSessionChaosRotatingFlapPeersDown(t *testing.T) {
 	const spec = "5:cut(0,1)@c1;heal(0,1)@c2;cut(1,2)@c2;heal(1,2)@c3;cut(2,3)@c3;heal(2,3)@c4"
 	const waves, perWave = 5, 2
 
-	_, reps, log := chaosWaves(t, spec, waves, perWave)
+	_, reps, log := chaosWaves(t, spec, waves, perWave, false)
 	if len(log) != 6 {
 		t.Fatalf("fired %d chaos events, want the full schedule (6): %+v", len(log), log)
 	}

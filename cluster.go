@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"time"
 
 	"byzcons/internal/consensus"
 	"byzcons/internal/node"
@@ -135,7 +136,10 @@ func ClusterConsensus(cfg Config, inputs [][]byte, L int, sc Scenario, kind Tran
 	if factory == nil {
 		run = sim.Run(runCfg, body)
 	} else {
-		c := node.NewCluster(factory)
+		c, err := dialCluster(factory, cfg.N, 1, 0, nil, nil)
+		if err != nil {
+			return nil, err
+		}
 		run = c.Run(runCfg, body)
 		wireStats = c.WireStats()
 		// A one-shot run owns its cluster: tear the persistent mesh down so
@@ -150,6 +154,20 @@ func ClusterConsensus(cfg Config, inputs [][]byte, L int, sc Scenario, kind Tran
 		return nil, err
 	}
 	return &ClusterResult{Result: res, Transport: kind.String(), Wire: wireStats}, nil
+}
+
+// dialCluster builds the networked cluster behind a deployment, or behind a
+// one-shot ClusterConsensus run, and dials its mesh for n nodes.
+func dialCluster(factory transport.Factory, n, shards int, stall time.Duration, reg *obs.Registry, tracer *obs.Tracer) (*node.Cluster, error) {
+	c := node.NewCluster(factory)
+	c.Shards = shards
+	c.StallTimeout = stall
+	c.Obs = reg
+	c.Tracer = tracer
+	if err := c.Connect(n); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // verifyDecision is the post-decision cross-check round: each node

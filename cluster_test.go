@@ -138,36 +138,37 @@ func TestClusterBusMatchesTCP(t *testing.T) {
 	}
 }
 
-// TestServiceOverNetworkedBackends runs the batched Service end to end over
-// both networked transports: client values in, per-client decisions out,
-// across real encoded frames, with wire accounting exposed.
-func TestServiceOverNetworkedBackends(t *testing.T) {
+// TestSessionOverNetworkedBackends runs a manually flushed Session end to end
+// over both networked transports: client values in, per-client decisions
+// out, across real encoded frames, with wire accounting exposed.
+func TestSessionOverNetworkedBackends(t *testing.T) {
 	t.Parallel()
 	for _, tk := range []byzcons.TransportKind{byzcons.TransportBus, byzcons.TransportTCP} {
 		tk := tk
 		t.Run(tk.String(), func(t *testing.T) {
 			t.Parallel()
-			svc, err := byzcons.NewService(byzcons.ServiceConfig{
+			s, err := byzcons.Open(byzcons.SessionConfig{
 				Config:      byzcons.Config{N: 4, T: 1, Seed: 5},
 				Scenario:    byzcons.Scenario{Faulty: []int{1}, Behavior: byzcons.Equivocator{}},
 				Transport:   tk,
 				BatchValues: 4,
 				Instances:   2,
+				Policy:      manualPolicy(),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer svc.Close()
+			defer s.Close()
 			const values = 12
 			pendings := make([]*byzcons.Pending, values)
 			want := make([][]byte, values)
 			for i := range pendings {
 				want[i] = []byte{byte(i), byte(i + 1), byte(i + 2)}
-				if pendings[i], err = svc.Submit(want[i]); err != nil {
+				if pendings[i], err = s.ProposeAsync(context.Background(), want[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := svc.Flush(); err != nil {
+			if _, err := s.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			for i, p := range pendings {
@@ -179,35 +180,35 @@ func TestServiceOverNetworkedBackends(t *testing.T) {
 					t.Errorf("value %d decided %x, want %x", i, d.Value, want[i])
 				}
 			}
-			if ws := svc.WireStats(); ws.BytesSent == 0 || ws.FramesSent == 0 {
+			if ws := s.WireStats(); ws.BytesSent == 0 || ws.FramesSent == 0 {
 				t.Errorf("no wire accounting for %v backend: %+v", tk, ws)
 			}
 		})
 	}
 }
 
-// TestServiceSimBackendUnchanged pins that the default service is still the
+// TestSessionSimBackendUnchanged pins that the default session is still the
 // simulator: no wire traffic, same decisions as before this subsystem.
-func TestServiceSimBackendUnchanged(t *testing.T) {
+func TestSessionSimBackendUnchanged(t *testing.T) {
 	t.Parallel()
-	svc, err := byzcons.NewService(byzcons.ServiceConfig{
-		Config: byzcons.Config{N: 4, T: 1, Seed: 5}, BatchValues: 4,
+	s, err := byzcons.Open(byzcons.SessionConfig{
+		Config: byzcons.Config{N: 4, T: 1, Seed: 5}, BatchValues: 4, Policy: manualPolicy(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
-	p, err := svc.Submit([]byte("hello"))
+	defer s.Close()
+	p, err := s.ProposeAsync(context.Background(), []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Flush(); err != nil {
+	if _, err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if d := p.Wait(context.Background()); d.Err != nil || !bytes.Equal(d.Value, []byte("hello")) {
 		t.Fatalf("decision = %+v", d)
 	}
-	if ws := svc.WireStats(); ws != (byzcons.WireStats{}) {
+	if ws := s.WireStats(); ws != (byzcons.WireStats{}) {
 		t.Errorf("simulator backend accounted wire traffic: %+v", ws)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,7 +13,14 @@ import (
 	"byzcons"
 )
 
-// startDebugServer serves the session's live observability surface on addr:
+// debugSource is what the debug endpoint reads of a deployment; a Session
+// and a Fleet both provide it.
+type debugSource interface {
+	WriteMetrics(io.Writer) error
+	TraceEvents() []byzcons.TraceEvent
+}
+
+// startDebugServer serves the deployment's live observability surface on addr:
 //
 //	/metrics     text exposition of every runtime metric ("name value")
 //	/events      the protocol trace ring as JSONL, oldest event first
@@ -21,7 +29,7 @@ import (
 //
 // It returns the running server and the bound address (addr may end in :0).
 // The caller owns the server's lifetime; Close tears the listener down.
-func startDebugServer(addr string, s *byzcons.Session) (*http.Server, string, error) {
+func startDebugServer(addr string, s debugSource) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("debugaddr: %w", err)

@@ -358,17 +358,31 @@ type serveOpts struct {
 	chaos string
 	// shards, when > 1, serves a key-partitioned Fleet instead of a single
 	// Session: values route to shards by key hash and each shard's flush
-	// cycles run concurrently over the one shared mesh.
+	// cycles run concurrently over the one shared mesh. A chaos schedule
+	// needs exactly one shard (FleetConfig.Validate says why).
 	shards int
 }
 
-// serve drives the streaming Session over a synthetic ingest workload:
-// `ingest` client goroutines propose values concurrently, flush cycles are
-// triggered by the background policy (a full cycle of batches, or maxDelay
-// for a trickle), per-cycle reports stream live, and the mesh of a networked
-// transport is dialed exactly once for the whole run. With sweep it instead
-// repeats the workload at doubling batch sizes to show the amortization
-// curve.
+// served is what serve uses of either surface — a Session, or a Fleet when
+// -shards > 1 — beyond proposing, reading the report stream and Stats, whose
+// shapes differ between the two.
+type served interface {
+	debugSource
+	Drain(context.Context) error
+	Close() error
+	WireStats() byzcons.WireStats
+	MeshDials() int
+	Snapshot() byzcons.MetricsSnapshot
+	ChaosLog() []byzcons.ChaosRecord
+}
+
+// serve drives the streaming Session — or, with shards > 1, a key-partitioned
+// Fleet — over a synthetic ingest workload: `ingest` client goroutines
+// propose values concurrently, flush cycles are triggered by the background
+// policy (a full cycle of batches, or maxDelay for a trickle), per-cycle
+// reports stream live, and the mesh of a networked transport is dialed
+// exactly once for the whole run. With sweep it instead repeats the workload
+// at doubling batch sizes to show the amortization curve.
 //
 // All output funnels through one printer goroutine: the per-cycle report
 // stream commits asynchronously with the ingest loop and the summary, and a
@@ -400,59 +414,91 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 	printf := func(format string, a ...any) { lines <- fmt.Sprintf(format, a...) }
 	defer func() { close(lines); <-printed }()
 
-	if opts.shards > 1 {
-		printf("mode=serve transport=%v n=%d t=%d shards=%d workload=%d values x %d bytes ingest=%d",
-			tk, cfg.N, cfg.T, opts.shards, opts.values, opts.valBytes, opts.ingest)
-		switch {
-		case opts.sweep:
-			return fmt.Errorf("serve: -sweep and -shards are mutually exclusive")
-		case opts.chaos != "":
-			return fmt.Errorf("serve: -chaos schedules are cycle-anchored and ambiguous across shards; use it without -shards")
-		case opts.debugAddr != "":
-			return fmt.Errorf("serve: the debug endpoint is per-session; use it without -shards")
-		}
-		return serveFleet(lines, printf, cfg, sc, tk, retry, opts, workload)
+	sharded := opts.shards > 1
+	shardsNote := ""
+	if sharded {
+		shardsNote = fmt.Sprintf(" shards=%d", opts.shards)
 	}
-
-	printf("mode=serve transport=%v n=%d t=%d workload=%d values x %d bytes ingest=%d",
-		tk, cfg.N, cfg.T, opts.values, opts.valBytes, opts.ingest)
+	printf("mode=serve transport=%v n=%d t=%d%s workload=%d values x %d bytes ingest=%d",
+		tk, cfg.N, cfg.T, shardsNote, opts.values, opts.valBytes, opts.ingest)
 
 	if opts.sweep {
+		if sharded {
+			return fmt.Errorf("serve: -sweep and -shards are mutually exclusive")
+		}
 		return serveSweep(printf, cfg, sc, tk, opts.values, opts.batch, opts.instances, workload)
 	}
 
-	scfg := byzcons.SessionConfig{
-		Config:      cfg,
-		Scenario:    sc,
-		Transport:   tk,
-		PeerRetry:   retry,
-		Chaos:       opts.chaos,
-		BatchValues: opts.batch,
-		Instances:   opts.instances,
-		Policy:      byzcons.FlushPolicy{MaxValues: opts.batch * opts.instances, MaxDelay: opts.maxDelay},
+	fcfg := byzcons.FleetConfig{
+		SessionConfig: byzcons.SessionConfig{
+			Config:      cfg,
+			Scenario:    sc,
+			Transport:   tk,
+			PeerRetry:   retry,
+			Chaos:       opts.chaos,
+			BatchValues: opts.batch,
+			Instances:   opts.instances,
+			Policy:      byzcons.FlushPolicy{MaxValues: opts.batch * opts.instances, MaxDelay: opts.maxDelay},
+		},
+		Shards: opts.shards,
 	}
-	var traceOut *os.File
 	if opts.traceFile != "" {
-		f, err := os.Create(opts.traceFile)
+		traceOut, err := os.Create(opts.traceFile)
 		if err != nil {
 			return fmt.Errorf("tracefile: %w", err)
 		}
-		traceOut = f
 		defer traceOut.Close()
-		scfg.TraceSink = traceOut
+		fcfg.TraceSink = traceOut
 	}
-	if opts.debugAddr != "" && scfg.TraceRing == 0 {
+	if opts.debugAddr != "" {
 		// The /events page reads the ring; give it one even without a file.
-		scfg.TraceRing = 4096
+		fcfg.TraceRing = 4096
 	}
-	s, err := byzcons.Open(scfg)
-	if err != nil {
-		return err
+
+	// The two surfaces differ in the propose call (a fleet routes by key:
+	// value i proposes under "key-i", so the value→shard mapping is the
+	// partitioner's, not the client's), in the report stream's element type
+	// and in the shape of Stats; everything else below is shared.
+	var (
+		d       served
+		propose func(ctx context.Context, i int, val []byte) (byzcons.Decision, error)
+		reports func(emit func(shard int, rep byzcons.FlushReport))
+		stats   func() byzcons.FleetStats
+	)
+	if sharded {
+		f, err := byzcons.OpenFleet(fcfg)
+		if err != nil {
+			return err
+		}
+		d, stats = f, f.Stats
+		propose = func(ctx context.Context, i int, val []byte) (byzcons.Decision, error) {
+			return f.Propose(ctx, []byte(fmt.Sprintf("key-%d", i)), val)
+		}
+		reports = func(emit func(int, byzcons.FlushReport)) {
+			for rep := range f.Reports() {
+				emit(rep.Shard, rep.FlushReport)
+			}
+		}
+	} else {
+		s, err := byzcons.Open(fcfg.SessionConfig)
+		if err != nil {
+			return err
+		}
+		d = s
+		stats = func() byzcons.FleetStats { return byzcons.FleetStats{Shards: 1, Aggregate: s.Stats()} }
+		propose = func(ctx context.Context, _ int, val []byte) (byzcons.Decision, error) {
+			return s.Propose(ctx, val)
+		}
+		reports = func(emit func(int, byzcons.FlushReport)) {
+			for rep := range s.Reports() {
+				emit(0, rep)
+			}
+		}
 	}
-	defer s.Close()
+	defer d.Close()
 
 	if opts.debugAddr != "" {
-		srv, addr, err := startDebugServer(opts.debugAddr, s)
+		srv, addr, err := startDebugServer(opts.debugAddr, d)
 		if err != nil {
 			return err
 		}
@@ -460,27 +506,32 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 		printf("debug endpoint: http://%s (/metrics /events /debug/vars /debug/pprof)", addr)
 	}
 
-	// Live per-cycle reporting off the Reports stream; the goroutine exits
-	// when Close retires the stream.
-	var reports sync.WaitGroup
-	reports.Add(1)
+	// Live per-cycle reporting off the Reports stream (on a fleet each line
+	// names the shard whose policy fired the cycle); the goroutine exits when
+	// Close retires the stream.
+	var reporting sync.WaitGroup
+	reporting.Add(1)
 	go func() {
-		defer reports.Done()
-		printf("%6s %8s %8s %10s %10s %12s %10s",
-			"cycle", "batches", "values", "bits", "prounds", "bits/value", "cycleMs")
-		for rep := range s.Reports() {
+		defer reporting.Done()
+		shardCol := func(v any) string {
+			if !sharded {
+				return ""
+			}
+			return fmt.Sprintf("%6v ", v)
+		}
+		printf("%s%6s %8s %8s %10s %10s %12s %10s",
+			shardCol("shard"), "cycle", "batches", "values", "bits", "prounds", "bits/value", "cycleMs")
+		reports(func(shard int, rep byzcons.FlushReport) {
 			var prounds int64
 			for _, bs := range rep.Batches {
-				if bs.PipelinedRounds > prounds {
-					prounds = bs.PipelinedRounds
-				}
+				prounds = max(prounds, bs.PipelinedRounds)
 			}
 			perValue := 0.0
 			if rep.Values > 0 {
 				perValue = float64(rep.Bits) / float64(rep.Values)
 			}
-			line := fmt.Sprintf("%6d %8d %8d %10d %10d %12.1f %10.2f",
-				rep.Cycle, len(rep.Batches), rep.Values, rep.Bits, prounds, perValue,
+			line := fmt.Sprintf("%s%6d %8d %8d %10d %10d %12.1f %10.2f",
+				shardCol(shard), rep.Cycle, len(rep.Batches), rep.Values, rep.Bits, prounds, perValue,
 				float64(rep.Timing.Cycle)/float64(time.Millisecond))
 			if len(rep.PeersDown) > 0 {
 				line += fmt.Sprintf("  peersDown=%v", rep.PeersDown)
@@ -489,11 +540,11 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 				line += fmt.Sprintf("  degraded=%v", rep.DegradedPeers)
 			}
 			lines <- line
-		}
+		})
 	}()
 	// Once the stream retires, no goroutine but this one writes lines.
-	defer reports.Wait()
-	defer s.Close()
+	defer reporting.Wait()
+	defer d.Close()
 
 	// The ingest loop: each client goroutine proposes its share of the
 	// workload and blocks per proposal, like a real submitter would.
@@ -506,13 +557,13 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 			defer clients.Done()
 			for i := g; i < opts.values; i += opts.ingest {
 				val := workload(i)
-				d, err := s.Propose(ctx, val)
+				dec, err := propose(ctx, i, val)
 				if err != nil {
 					errs <- fmt.Errorf("serve: value %d: %w", i, err)
 					return
 				}
-				if !bytes.Equal(d.Value, val) {
-					errs <- fmt.Errorf("serve: value %d decided %x, want %x", i, d.Value, val)
+				if !bytes.Equal(dec.Value, val) {
+					errs <- fmt.Errorf("serve: value %d decided %x, want %x", i, dec.Value, val)
 					return
 				}
 			}
@@ -523,20 +574,20 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 	for err := range errs {
 		return err
 	}
-	if err := s.Drain(ctx); err != nil {
+	if err := d.Drain(ctx); err != nil {
 		return err
 	}
 	if opts.linger > 0 {
 		printf("workload drained; lingering %v for the debug endpoint", opts.linger)
 		time.Sleep(opts.linger)
 	}
-	st := s.Stats()
-	ws := s.WireStats()
-	dials := s.MeshDials()
-	snap := s.Snapshot()
-	chaosLog := s.ChaosLog()
-	s.Close() // retire the Reports stream before the summary
-	reports.Wait()
+	st := stats()
+	ws := d.WireStats()
+	dials := d.MeshDials()
+	snap := d.Snapshot()
+	chaosLog := d.ChaosLog()
+	d.Close() // retire the Reports stream before the summary
+	reporting.Wait()
 
 	for _, rec := range chaosLog {
 		line := fmt.Sprintf("chaos[%d] %s fired@c%d", rec.Index, rec.Event, rec.Cycle)
@@ -549,130 +600,17 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 		printf("%s", line)
 	}
 
-	printf("decided=%d defaulted=%d batches=%d cycles=%d meshDials=%d",
-		st.Decided, st.Defaulted, st.Batches, st.Cycles, dials)
-	printf("pipelined rounds=%d totalBits=%d amortized=%.1f bits/value",
-		st.Rounds, st.Bits, float64(st.Bits)/float64(opts.values))
-	if d := snap.Histograms["engine_decision_ns"]; d.Count > 0 {
-		printf("decision latency: p50=%v p99=%v max=%v over %d decisions",
-			time.Duration(d.P50), time.Duration(d.P99), time.Duration(d.Max), d.Count)
-	}
-	printWire(printf, ws, opts.values)
-	return nil
-}
-
-// serveFleet drives a sharded Fleet over the same synthetic ingest workload:
-// every value carries a key, keys hash-partition across the shards, and each
-// shard's flush cycles trigger independently — so the per-cycle report
-// stream shows cycles from different shards interleaving over the one mesh.
-func serveFleet(lines chan string, printf func(string, ...any), cfg byzcons.Config, sc byzcons.Scenario,
-	tk byzcons.TransportKind, retry byzcons.PeerRetry, opts serveOpts, workload func(int) []byte) error {
-	fcfg := byzcons.FleetConfig{
-		SessionConfig: byzcons.SessionConfig{
-			Config:      cfg,
-			Scenario:    sc,
-			Transport:   tk,
-			PeerRetry:   retry,
-			BatchValues: opts.batch,
-			Instances:   opts.instances,
-			Policy:      byzcons.FlushPolicy{MaxValues: opts.batch * opts.instances, MaxDelay: opts.maxDelay},
-		},
-		Shards: opts.shards,
-	}
-	var traceOut *os.File
-	if opts.traceFile != "" {
-		f, err := os.Create(opts.traceFile)
-		if err != nil {
-			return fmt.Errorf("tracefile: %w", err)
-		}
-		traceOut = f
-		defer traceOut.Close()
-		fcfg.TraceSink = traceOut
-	}
-	f, err := byzcons.OpenFleet(fcfg)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	// Live per-cycle reporting, shard-tagged: each line names the shard whose
-	// policy fired the cycle.
-	var reports sync.WaitGroup
-	reports.Add(1)
-	go func() {
-		defer reports.Done()
-		printf("%6s %6s %8s %8s %10s %12s %10s",
-			"shard", "cycle", "batches", "values", "bits", "bits/value", "cycleMs")
-		for rep := range f.Reports() {
-			perValue := 0.0
-			if rep.Values > 0 {
-				perValue = float64(rep.Bits) / float64(rep.Values)
-			}
-			line := fmt.Sprintf("%6d %6d %8d %8d %10d %12.1f %10.2f",
-				rep.Shard, rep.Cycle, len(rep.Batches), rep.Values, rep.Bits, perValue,
-				float64(rep.Timing.Cycle)/float64(time.Millisecond))
-			if len(rep.PeersDown) > 0 {
-				line += fmt.Sprintf("  peersDown=%v", rep.PeersDown)
-			}
-			if rep.Degraded {
-				line += fmt.Sprintf("  degraded=%v", rep.DegradedPeers)
-			}
-			lines <- line
-		}
-	}()
-	defer reports.Wait()
-	defer f.Close()
-
-	// Keyed ingest: value i proposes under key "key-i", so the value→shard
-	// mapping is the partitioner's, not the client's.
-	ctx := context.Background()
-	errs := make(chan error, opts.ingest)
-	var clients sync.WaitGroup
-	for g := 0; g < opts.ingest; g++ {
-		clients.Add(1)
-		go func(g int) {
-			defer clients.Done()
-			for i := g; i < opts.values; i += opts.ingest {
-				val := workload(i)
-				key := []byte(fmt.Sprintf("key-%d", i))
-				d, err := f.Propose(ctx, key, val)
-				if err != nil {
-					errs <- fmt.Errorf("serve: value %d: %w", i, err)
-					return
-				}
-				if !bytes.Equal(d.Value, val) {
-					errs <- fmt.Errorf("serve: value %d decided %x, want %x", i, d.Value, val)
-					return
-				}
-			}
-		}(g)
-	}
-	clients.Wait()
-	close(errs)
-	for err := range errs {
-		return err
-	}
-	if err := f.Drain(ctx); err != nil {
-		return err
-	}
-	st := f.Stats()
-	ws := f.WireStats()
-	dials := f.MeshDials()
-	snap := f.Snapshot()
-	f.Close() // retire the Reports stream before the summary
-	reports.Wait()
-
 	agg := st.Aggregate
-	printf("decided=%d defaulted=%d batches=%d cycles=%d shards=%d meshDials=%d",
-		agg.Decided, agg.Defaulted, agg.Batches, agg.Cycles, st.Shards, dials)
+	printf("decided=%d defaulted=%d batches=%d cycles=%d%s meshDials=%d",
+		agg.Decided, agg.Defaulted, agg.Batches, agg.Cycles, shardsNote, dials)
 	for s, ss := range st.PerShard {
 		printf("shard %d: decided=%d batches=%d cycles=%d bits=%d", s, ss.Decided, ss.Batches, ss.Cycles, ss.Bits)
 	}
 	printf("pipelined rounds=%d totalBits=%d amortized=%.1f bits/value",
 		agg.Rounds, agg.Bits, float64(agg.Bits)/float64(opts.values))
-	if d := snap.Histograms["engine_decision_ns"]; d.Count > 0 {
-		printf("decision latency: p50=%v p99=%v max=%v over %d decisions (worst shard percentiles)",
-			time.Duration(d.P50), time.Duration(d.P99), time.Duration(d.Max), d.Count)
+	if h := snap.Histograms["engine_decision_ns"]; h.Count > 0 {
+		printf("decision latency: p50=%v p99=%v max=%v over %d decisions",
+			time.Duration(h.P50), time.Duration(h.P99), time.Duration(h.Max), h.Count)
 	}
 	printWire(printf, ws, opts.values)
 	return nil

@@ -81,8 +81,9 @@
 //
 // ProposeAsync returns a *Pending immediately (it never blocks on consensus
 // progress); Pending.Wait(ctx) honors cancellation and deadlines, and a
-// cancelled wait does not lose the proposal. The older Submit/Flush Service
-// remains as a deprecated shim over the same engine.
+// cancelled wait does not lose the proposal. With every FlushPolicy trigger
+// disabled (negative values) nothing runs until Flush or Drain — the manual
+// batch pump.
 //
 // # Observability
 //
@@ -185,19 +186,22 @@
 //	f.Drain(ctx)
 //	f.Close()
 //
-// Observability aggregates across the fleet: Fleet.Snapshot merges every
-// shard's registry (counters and gauges sum; histogram quantiles take the
-// worst shard) over the shared transport metrics, ShardSnapshot(s) returns
+// A Session is a one-shard Fleet: both handles embed the same deployment,
+// so Flush, Drain, Close and the observability surface are one
+// implementation. Observability aggregates across the fleet: Snapshot
+// merges every shard's registry (counters and gauges sum; histograms add
+// their buckets, so merged quantiles are those of all shards' samples) over
+// the shared transport metrics, ShardSnapshot(s) returns
 // one shard's view, and FleetStats carries both the per-shard and summed
 // engine stats. Peer failures are physical and shared — a dead channel is
 // dead for every shard — but attribution is per shard: each shard's
 // FlushReports name only the failures its own cycles observed, so a fault
 // injected while one shard flushes degrades that shard's cycle alone.
-// Degrade and PeerRetry compose with fleets; Chaos schedules do not
-// (cycle anchors are ambiguous across S independent cycle clocks) and are
-// rejected at OpenFleet. The serve mode of cmd/byzcons drives a keyed
-// ingest workload across a fleet via -shards; cmd/benchpr4 -shards
-// measures the shard grid into BENCH_PR10.json.
+// Degrade and PeerRetry compose with fleets; a Chaos schedule anchors on
+// shard 0's cycle clock and is accepted only with one shard (the anchor is
+// ambiguous across S independent cycle clocks). The serve mode of
+// cmd/byzcons drives a keyed ingest workload across a fleet via -shards;
+// the benchmark in bench/ reports fleet.s2_over_s1.
 //
 // # Pipelined generations
 //
@@ -225,9 +229,7 @@
 // (consistency check) over the scalar log/exp reference at generation
 // widths, with zero steady-state allocations — and, for stripes of 16+
 // lanes, a word-sliced tier that packs 8 (c <= 8) or 4 (c <= 16) symbols
-// per uint64 and sweeps whole words per table lookup. Wide stripes fan
-// their lane ranges out across a worker pool sized from GOMAXPROCS at call
-// time, so the same binary uses the cores it is given. The pipeline
+// per uint64 and sweeps whole words per table lookup. The pipeline
 // scheduler is self-driving (a finishing generation fiber commits the
 // cascade and its goroutine continues as the next launch), fibers read
 // their inputs and pack their outputs off the scheduler lock so Window > 1
@@ -242,10 +244,10 @@
 // A Session's transport mesh persists across
 // flush cycles, so the per-flush TCP connection setup cost is gone
 // (BenchmarkTransportThroughput compares fresh-mesh and reused-mesh
-// modes). BENCH_PR8.json records the measured grid — per-phase timing per
-// row, swept across a GOMAXPROCS axis (cmd/benchpr4 -cpus) with the host's
-// CPU count recorded so oversubscribed rows are legible; profile any
-// workload with cmd/byzcons -cpuprofile/-memprofile/-exectrace.
+// modes). The benchmark in bench/ (go run -C bench .; BENCHMARK.json names
+// its workloads and metrics) is the measured record — end-to-end numbers
+// plus a per-layer breakdown per workload; profile any workload with
+// cmd/byzcons -cpuprofile/-memprofile/-exectrace.
 //
 // See DESIGN.md for the system inventory and layering (§11 for the coding
 // core, §15 for the multi-core execution model); the reproduction of the

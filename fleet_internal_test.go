@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"byzcons/internal/obs"
 	"byzcons/internal/transport"
 )
 
@@ -43,7 +42,7 @@ func TestFleetCrossShardFaultIsolation(t *testing.T) {
 	// The fleet under test runs over a fault-injection wrapper of the bus;
 	// the twin runs the same workload on the simulator backend.
 	faulty := &transport.FaultyFactory{Inner: transport.BusFactory{}, Seed: 1}
-	fleet, err := openFleet(cfg, obs.NewRegistry(), nil, faulty)
+	fleet, err := openFleet(cfg, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}

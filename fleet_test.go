@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -285,7 +286,8 @@ func TestFleetSharedMeshTCP(t *testing.T) {
 }
 
 // TestFleetConfigValidation pins the fleet-specific validation: shard-count
-// bounds and the chaos rejection.
+// bounds and the chaos rule (a schedule anchors on shard 0's cycle clock, so
+// it needs exactly one shard).
 func TestFleetConfigValidation(t *testing.T) {
 	t.Parallel()
 	base := byzcons.SessionConfig{Config: byzcons.Config{N: 4, T: 1}}
@@ -301,8 +303,12 @@ func TestFleetConfigValidation(t *testing.T) {
 	chaosCfg := base
 	chaosCfg.Transport = byzcons.TransportBus
 	chaosCfg.Chaos = "7:cut(1,3)@c1"
-	if err := (byzcons.FleetConfig{SessionConfig: chaosCfg, Shards: 2}).Validate(); err == nil {
-		t.Error("Chaos on a fleet must be rejected")
+	if err := (byzcons.FleetConfig{SessionConfig: chaosCfg, Shards: 2}).Validate(); err == nil ||
+		!strings.Contains(err.Error(), "Chaos is not supported on a Fleet (cycle-anchored schedules are ambiguous across shards)") {
+		t.Errorf("Chaos on a 2-shard fleet: Validate = %v, want the cycle-anchor rejection", err)
+	}
+	if err := (byzcons.FleetConfig{SessionConfig: chaosCfg, Shards: 1}).Validate(); err != nil {
+		t.Errorf("Chaos on a one-shard fleet must validate: %v", err)
 	}
 	// Aggregate observability surfaces exist on a fresh fleet.
 	f, err := byzcons.OpenFleet(byzcons.FleetConfig{SessionConfig: base, Shards: 2})

@@ -298,8 +298,10 @@ func maxDur(a, b time.Duration) time.Duration {
 	return b
 }
 
-// merge folds a per-cycle report into an aggregate.
-func (r *Report) merge(c Report) {
+// Merge folds another report into an aggregate: a cycle into a Flush's
+// summary, or one shard's summary into a fleet's. Counts sum, peer lists
+// union, timing follows Timing.merge, and the first error wins.
+func (r *Report) Merge(c Report) {
 	r.Batches = append(r.Batches, c.Batches...)
 	r.Values += c.Values
 	r.Bits += c.Bits
@@ -722,7 +724,7 @@ func (e *Engine) flushAll() (*Report, error) {
 		e.mu.Unlock()
 
 		rep := e.runCycle(cycleID, batchIDs, cycle)
-		agg.merge(rep)
+		agg.Merge(rep)
 		if rep.Err != nil && firstErr == nil {
 			firstErr = rep.Err
 		}

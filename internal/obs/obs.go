@@ -108,7 +108,9 @@ func (h *Histogram) Record(v int64) {
 }
 
 // HistSnapshot is a point-in-time summary of a Histogram. P50/P90/P99 are
-// log-bucket upper bounds (≤2x overestimates); Max is exact.
+// log-bucket upper bounds (≤2x overestimates); Max is exact. The bucket
+// counts ride along unexported so snapshots of the same metric from several
+// registries merge into real quantiles (Snapshot.Merge).
 type HistSnapshot struct {
 	Count int64 `json:"count"`
 	Sum   int64 `json:"sum"`
@@ -116,6 +118,8 @@ type HistSnapshot struct {
 	P50   int64 `json:"p50"`
 	P90   int64 `json:"p90"`
 	P99   int64 `json:"p99"`
+
+	buckets [histBuckets]int64
 }
 
 // Snapshot summarizes the histogram. It is safe to call while other
@@ -126,17 +130,20 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
 	}
-	var counts [histBuckets]int64
-	var total int64
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
+	s := HistSnapshot{Sum: h.sum.Load(), Max: h.max.Load()}
+	for i := range s.buckets {
+		s.buckets[i] = h.buckets[i].Load()
+		s.Count += s.buckets[i]
 	}
-	s := HistSnapshot{Count: total, Sum: h.sum.Load(), Max: h.max.Load()}
-	s.P50 = quantile(&counts, total, 50)
-	s.P90 = quantile(&counts, total, 90)
-	s.P99 = quantile(&counts, total, 99)
+	s.setQuantiles()
 	return s
+}
+
+// setQuantiles derives P50/P90/P99 from the bucket counts and Count.
+func (s *HistSnapshot) setQuantiles() {
+	s.P50 = quantile(&s.buckets, s.Count, 50)
+	s.P90 = quantile(&s.buckets, s.Count, 90)
+	s.P99 = quantile(&s.buckets, s.Count, 99)
 }
 
 // quantile returns the upper bound of the bucket containing the q-th
@@ -309,12 +316,11 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return r.Snapshot().WriteText(w)
 }
 
-// Merge folds other into s: counters and gauges sum, histogram counts and
-// sums add, and max and the quantile estimates keep the larger value —
-// quantiles do not compose across histograms, so the worst source is the
-// honest summary (the same convention engine.Timing.merge uses across
-// cycles). Merging lets a sharded service aggregate its per-shard
-// registries into one view.
+// Merge folds other into s: counters and gauges sum, and histograms add
+// their log-scale buckets, counts and sums, keep the larger max, and
+// recompute the quantiles from the summed buckets — the merged P50/P90/P99
+// are what one histogram fed every source's samples would report. Merging
+// lets a sharded service aggregate its per-shard registries into one view.
 func (s Snapshot) Merge(other Snapshot) {
 	for k, v := range other.Counters {
 		s.Counters[k] += v
@@ -326,19 +332,13 @@ func (s Snapshot) Merge(other Snapshot) {
 		d := s.Histograms[k]
 		d.Count += h.Count
 		d.Sum += h.Sum
-		d.Max = maxI64(d.Max, h.Max)
-		d.P50 = maxI64(d.P50, h.P50)
-		d.P90 = maxI64(d.P90, h.P90)
-		d.P99 = maxI64(d.P99, h.P99)
+		d.Max = max(d.Max, h.Max)
+		for i, c := range h.buckets {
+			d.buckets[i] += c
+		}
+		d.setQuantiles()
 		s.Histograms[k] = d
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WriteText writes the snapshot in the registry's text exposition format:

@@ -158,6 +158,39 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 	}
 }
 
+// TestSnapshotMergeQuantiles pins that merged histograms report real
+// quantiles: two registries fed disjoint ranges merge to what one registry
+// fed both reports. Taking the larger of the two sources' quantiles (what
+// Merge once did) puts the merged p50 at the slow source's millisecond.
+func TestSnapshotMergeQuantiles(t *testing.T) {
+	fast, slow, both := NewRegistry(), NewRegistry(), NewRegistry()
+	for i := int64(0); i < 1000; i++ {
+		fast.Histogram("decision_ns").Record(1000 + i%24)
+		both.Histogram("decision_ns").Record(1000 + i%24)
+	}
+	for i := int64(0); i < 10; i++ {
+		slow.Histogram("decision_ns").Record(1_000_000 + i)
+		both.Histogram("decision_ns").Record(1_000_000 + i)
+	}
+	merged := fast.Snapshot()
+	merged.Merge(slow.Snapshot())
+	got, want := merged.Histograms["decision_ns"], both.Snapshot().Histograms["decision_ns"]
+	if got != want {
+		t.Errorf("merged histogram = %+v, want the single-registry %+v", got, want)
+	}
+	if slowP50 := slow.Snapshot().Histograms["decision_ns"].P50; got.P50 >= slowP50 || got.P99 >= slowP50 {
+		t.Errorf("merged p50=%d p99=%d must stay in the fast range (1000 of 1010 samples), below the slow source's p50=%d",
+			got.P50, got.P99, slowP50)
+	}
+	// A metric only one source has arrives intact.
+	slow.Histogram("write_ns").Record(77)
+	merged = fast.Snapshot()
+	merged.Merge(slow.Snapshot())
+	if got, want := merged.Histograms["write_ns"], slow.Snapshot().Histograms["write_ns"]; got != want {
+		t.Errorf("one-sided merge = %+v, want %+v", got, want)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()

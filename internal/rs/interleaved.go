@@ -3,7 +3,6 @@ package rs
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"byzcons/internal/gf"
 )
@@ -22,10 +21,8 @@ import (
 // matrix-form (matrix.go) as contiguous M-symbol sweeps over the lane slabs
 // instead of per-lane, per-symbol scalar arithmetic — gf.MulTab sym sweeps
 // for narrow stripes, the packed word-sliced kernels of word.go from
-// wordMinLanes up — and stripes wide enough to matter additionally fan their
-// lane range out across the bounded worker pool (pool.go). The scalar
-// per-lane path is kept as the reference oracle and as the fallback for
-// codes outside the matrix path's domain.
+// wordMinLanes up. The scalar per-lane path is kept as the reference oracle
+// and as the fallback for codes outside the matrix path's domain.
 type Interleaved struct {
 	C *Code
 	M int // number of lanes
@@ -114,46 +111,51 @@ func (ic *Interleaved) EncodeStripe(data, stripe []gf.Sym) []gf.Sym {
 // transpose scratch (length K*M), on the word tier for wide stripes and the
 // gf.MulTab sym sweeps for narrow ones.
 func (ic *Interleaved) encodeStripeWith(data, stripe, coefT []gf.Sym) {
-	// Dispatch branches (rather than binding a method value) so the
-	// narrow-stripe path stays allocation-free: a method value captures the
-	// receiver in a heap closure on every call.
-	word := ic.wordsOK(ic.M)
-	if parallelLanes(ic.M) {
-		forLanes(ic.M, func(lo, hi int) {
-			if word {
-				ic.encodeWordRange(data, stripe, coefT, lo, hi)
-			} else {
-				ic.encodeRange(data, stripe, coefT, lo, hi)
-			}
-		})
-	} else if word {
-		ic.encodeWordRange(data, stripe, coefT, 0, ic.M)
+	if ic.wordsOK(ic.M) {
+		ic.encodeWords(data, stripe, coefT)
 	} else {
-		ic.encodeRange(data, stripe, coefT, 0, ic.M)
+		ic.encodeSyms(data, stripe, coefT)
 	}
 }
 
-// encodeRange runs the matrix-form encode over the lane sub-range [lo, hi):
-// transpose the lane-major data into coefficient-major slabs (coefT[i*M+l]
-// is lane l's coefficient i), then sweep the encode matrix.
-func (ic *Interleaved) encodeRange(data, stripe, coefT []gf.Sym, lo, hi int) {
-	k, n, m := ic.C.K, ic.C.N, ic.M
-	for l := lo; l < hi; l++ {
+// transposeIn rewrites the lane-major data into coefficient-major slabs:
+// coefT[i*M+l] is lane l's coefficient i.
+func (ic *Interleaved) transposeIn(data, coefT []gf.Sym) {
+	k, m := ic.C.K, ic.M
+	for l := 0; l < m; l++ {
 		for i := 0; i < k; i++ {
 			coefT[i*m+l] = data[l*k+i]
 		}
 	}
+}
+
+// transposeOut is the inverse of transposeIn: coefficient-major slabs back
+// into lane-major order.
+func (ic *Interleaved) transposeOut(coefT, out []gf.Sym) {
+	k, m := ic.C.K, ic.M
+	for l := 0; l < m; l++ {
+		for i := 0; i < k; i++ {
+			out[l*k+i] = coefT[i*m+l]
+		}
+	}
+}
+
+// encodeSyms runs the matrix-form encode on the sym tier: transpose the data
+// into coefficient slabs, then sweep the encode matrix.
+func (ic *Interleaved) encodeSyms(data, stripe, coefT []gf.Sym) {
+	k, n, m := ic.C.K, ic.C.N, ic.M
+	ic.transposeIn(data, coefT)
 	for j := 0; j < n; j++ {
-		dst := stripe[j*m+lo : j*m+hi]
-		copy(dst, coefT[lo:hi]) // coefficient 0: weight x_j^0 = 1
+		dst := stripe[j*m : (j+1)*m]
+		copy(dst, coefT[:m]) // coefficient 0: weight x_j^0 = 1
 		if j == 0 {
 			for i := 1; i < k; i++ {
-				gf.AddSlice(coefT[i*m+lo:i*m+hi], dst) // x_0 = 1
+				gf.AddSlice(coefT[i*m:(i+1)*m], dst) // x_0 = 1
 			}
 			continue
 		}
 		for i := 1; i < k; i++ {
-			ic.C.enc[i*n+j].MulSliceXor(coefT[i*m+lo:i*m+hi], dst)
+			ic.C.enc[i*n+j].MulSliceXor(coefT[i*m:(i+1)*m], dst)
 		}
 	}
 }
@@ -223,38 +225,24 @@ func (ic *Interleaved) DecodeInto(positions []int, words [][]gf.Sym, out []gf.Sy
 	}
 	coefp := getSyms(k * m)
 	defer symPool.Put(coefp)
-	coefT := *coefp
-	word := ic.wordsOK(m)
-	if parallelLanes(m) {
-		forLanes(m, func(lo, hi int) {
-			if word {
-				ic.interpolateWordRange(st, words, out, coefT, lo, hi)
-			} else {
-				ic.interpolateRange(st, words, out, coefT, lo, hi)
-			}
-		})
-	} else if word {
-		ic.interpolateWordRange(st, words, out, coefT, 0, m)
+	if ic.wordsOK(m) {
+		ic.interpolateWords(st, words, *coefp)
 	} else {
-		ic.interpolateRange(st, words, out, coefT, 0, m)
+		ic.interpolateSyms(st, words, *coefp)
 	}
+	ic.transposeOut(*coefp, out)
 	return nil
 }
 
-// interpolateRange runs the K×K interpolation sweeps over the lane sub-range
-// [lo, hi) and transposes the coefficient slabs back into lane-major order.
-func (ic *Interleaved) interpolateRange(st *subsetTabs, words [][]gf.Sym, out, coefT []gf.Sym, lo, hi int) {
+// interpolateSyms runs the K×K interpolation sweeps on the sym tier, leaving
+// the recovered coefficient slabs in coefT.
+func (ic *Interleaved) interpolateSyms(st *subsetTabs, words [][]gf.Sym, coefT []gf.Sym) {
 	k, m := ic.C.K, ic.M
 	for i := 0; i < k; i++ {
-		slab := coefT[i*m+lo : i*m+hi]
-		st.dec[i*k].MulSlice(words[0][lo:hi], slab)
+		slab := coefT[i*m : (i+1)*m]
+		st.dec[i*k].MulSlice(words[0], slab)
 		for mi := 1; mi < k; mi++ {
-			st.dec[i*k+mi].MulSliceXor(words[mi][lo:hi], slab)
-		}
-	}
-	for l := lo; l < hi; l++ {
-		for i := 0; i < k; i++ {
-			out[l*k+i] = coefT[i*m+l]
+			st.dec[i*k+mi].MulSliceXor(words[mi], slab)
 		}
 	}
 }
@@ -266,46 +254,25 @@ func (ic *Interleaved) checkSurplus(st *subsetTabs, words [][]gf.Sym) bool {
 	if len(words) == ic.C.K {
 		return true
 	}
-	word := ic.wordsOK(ic.M)
-	if !parallelLanes(ic.M) {
-		if word {
-			return ic.checkWordRange(st, words, nil, 0, ic.M)
-		}
-		return ic.checkRange(st, words, nil, 0, ic.M)
+	if ic.wordsOK(ic.M) {
+		return ic.checkSurplusWords(st, words)
 	}
-	var bad atomic.Bool
-	forLanes(ic.M, func(lo, hi int) {
-		ok := false
-		if word {
-			ok = ic.checkWordRange(st, words, &bad, lo, hi)
-		} else {
-			ok = ic.checkRange(st, words, &bad, lo, hi)
-		}
-		if !ok {
-			bad.Store(true)
-		}
-	})
-	return !bad.Load()
+	return ic.checkSurplusSyms(st, words)
 }
 
-// checkRange verifies the surplus rows over the lane sub-range [lo, hi);
-// stop, when non-nil, lets parallel chunks short-circuit on a peer's
-// mismatch.
-func (ic *Interleaved) checkRange(st *subsetTabs, words [][]gf.Sym, stop *atomic.Bool, lo, hi int) bool {
+// checkSurplusSyms verifies the surplus rows on the sym tier.
+func (ic *Interleaved) checkSurplusSyms(st *subsetTabs, words [][]gf.Sym) bool {
 	k := ic.C.K
 	surplus := len(words) - k
-	predp := getSyms(hi - lo)
+	predp := getSyms(ic.M)
 	defer symPool.Put(predp)
 	pred := *predp
 	for si := 0; si < surplus; si++ {
-		if stop != nil && stop.Load() {
-			return false
-		}
-		st.chk[si*k].MulSlice(words[0][lo:hi], pred)
+		st.chk[si*k].MulSlice(words[0], pred)
 		for mi := 1; mi < k; mi++ {
-			st.chk[si*k+mi].MulSliceXor(words[mi][lo:hi], pred)
+			st.chk[si*k+mi].MulSliceXor(words[mi], pred)
 		}
-		got := words[k+si][lo:hi]
+		got := words[k+si]
 		for i := range pred {
 			if pred[i] != got[i] {
 				return false

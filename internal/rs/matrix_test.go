@@ -8,13 +8,13 @@ import (
 	"byzcons/internal/gf"
 )
 
-// TestMatrixParallelLanes drives the lane worker pool by shrinking the chunk
-// threshold, checking that fanned-out encode/decode/consistent results are
-// identical to the inline ones (disjoint lane chunks, shared tables).
-func TestMatrixParallelLanes(t *testing.T) {
-	old := laneChunk
-	laneChunk = 8
-	defer func() { laneChunk = old }()
+// TestMatrixSymPathMatchesScalar holds a wide stripe on the gf.MulTab sym
+// tier (the word tier would otherwise take it from wordMinLanes up) and
+// checks its encode/decode/consistent results against the scalar oracle.
+func TestMatrixSymPathMatchesScalar(t *testing.T) {
+	old := wordMinLanes
+	wordMinLanes = 1 << 30
+	defer func() { wordMinLanes = old }()
 
 	field, err := gf.New(8)
 	if err != nil {
@@ -24,7 +24,7 @@ func TestMatrixParallelLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m = 100 // >= 2*laneChunk: parallel path
+	const m = 100
 	ic, err := NewInterleaved(code, m)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestMatrixParallelLanes(t *testing.T) {
 	ic.encodeScalar(data, ref)
 	for i := range stripe {
 		if stripe[i] != ref[i] {
-			t.Fatalf("parallel encode diverges from scalar at %d", i)
+			t.Fatalf("sym-tier encode diverges from scalar at %d", i)
 		}
 	}
 
@@ -54,20 +54,20 @@ func TestMatrixParallelLanes(t *testing.T) {
 	}
 	for i := range data {
 		if out[i] != data[i] {
-			t.Fatalf("parallel decode mismatch at %d", i)
+			t.Fatalf("sym-tier decode mismatch at %d", i)
 		}
 	}
 	if !ic.Consistent(pos, words) {
-		t.Fatal("parallel consistent rejected a clean stripe")
+		t.Fatal("sym-tier consistent rejected a clean stripe")
 	}
 	tampered := append([]gf.Sym(nil), words[2]...)
 	tampered[m-1] ^= 1
 	words[2] = tampered
 	if ic.Consistent(pos, words) {
-		t.Fatal("parallel consistent missed a corrupted lane")
+		t.Fatal("sym-tier consistent missed a corrupted lane")
 	}
 	if err := ic.DecodeInto(pos, words, out); err != ErrInconsistent {
-		t.Fatalf("parallel decode of corrupted stripe: got %v, want ErrInconsistent", err)
+		t.Fatalf("sym-tier decode of corrupted stripe: got %v, want ErrInconsistent", err)
 	}
 }
 

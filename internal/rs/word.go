@@ -2,7 +2,6 @@ package rs
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"byzcons/internal/gf"
 )
@@ -42,26 +41,20 @@ func getWords(n int) *[]uint64 {
 	return p
 }
 
-// encodeWordRange runs the matrix-form encode over the lane sub-range
-// [lo, hi) in the packed word domain: transpose the lane-major data into
-// coefficient-major slabs, pack each slab once, sweep the word-table encode
-// matrix per position, and unpack each position's row into the stripe.
-// Chunks are self-contained (chunk-local packing), so parallel lane ranges
-// need no word-boundary alignment.
-func (ic *Interleaved) encodeWordRange(data, stripe, coefT []gf.Sym, lo, hi int) {
+// encodeWords runs the matrix-form encode in the packed word domain:
+// transpose the lane-major data into coefficient-major slabs, pack each slab
+// once, sweep the word-table encode matrix per position, and unpack each
+// position's row into the stripe.
+func (ic *Interleaved) encodeWords(data, stripe, coefT []gf.Sym) {
 	k, n, m, c := ic.C.K, ic.C.N, ic.M, ic.C.F.C()
-	for l := lo; l < hi; l++ {
-		for i := 0; i < k; i++ {
-			coefT[i*m+l] = data[l*k+i]
-		}
-	}
-	mw := gf.PackedLen(c, hi-lo)
+	ic.transposeIn(data, coefT)
+	mw := gf.PackedLen(c, m)
 	wsp := getWords((k + 1) * mw)
 	defer wordPool.Put(wsp)
 	ws := *wsp
 	pc, row := ws[:k*mw], ws[k*mw:]
 	for i := 0; i < k; i++ {
-		gf.Pack(c, coefT[i*m+lo:i*m+hi], pc[i*mw:(i+1)*mw])
+		gf.Pack(c, coefT[i*m:(i+1)*m], pc[i*mw:(i+1)*mw])
 	}
 	for j := 0; j < n; j++ {
 		copy(row, pc[:mw]) // coefficient 0: weight x_j^0 = 1
@@ -74,63 +67,52 @@ func (ic *Interleaved) encodeWordRange(data, stripe, coefT []gf.Sym, lo, hi int)
 				ic.C.encW[i*n+j].MulWordsXor(pc[i*mw:(i+1)*mw], row)
 			}
 		}
-		gf.Unpack(c, row, stripe[j*m+lo:j*m+hi])
+		gf.Unpack(c, row, stripe[j*m:(j+1)*m])
 	}
 }
 
-// interpolateWordRange runs the K×K interpolation over the lane sub-range
-// [lo, hi) in the packed word domain and transposes the recovered
-// coefficient slabs back into lane-major order.
-func (ic *Interleaved) interpolateWordRange(st *subsetTabs, words [][]gf.Sym, out, coefT []gf.Sym, lo, hi int) {
+// interpolateWords runs the K×K interpolation in the packed word domain,
+// leaving the recovered coefficient slabs in coefT.
+func (ic *Interleaved) interpolateWords(st *subsetTabs, words [][]gf.Sym, coefT []gf.Sym) {
 	k, m, c := ic.C.K, ic.M, ic.C.F.C()
-	mw := gf.PackedLen(c, hi-lo)
+	mw := gf.PackedLen(c, m)
 	wsp := getWords((k + 1) * mw)
 	defer wordPool.Put(wsp)
 	ws := *wsp
 	pw, row := ws[:k*mw], ws[k*mw:]
 	for mi := 0; mi < k; mi++ {
-		gf.Pack(c, words[mi][lo:hi], pw[mi*mw:(mi+1)*mw])
+		gf.Pack(c, words[mi], pw[mi*mw:(mi+1)*mw])
 	}
 	for i := 0; i < k; i++ {
 		st.decW[i*k].MulWords(pw[:mw], row)
 		for mi := 1; mi < k; mi++ {
 			st.decW[i*k+mi].MulWordsXor(pw[mi*mw:(mi+1)*mw], row)
 		}
-		gf.Unpack(c, row, coefT[i*m+lo:i*m+hi])
-	}
-	for l := lo; l < hi; l++ {
-		for i := 0; i < k; i++ {
-			out[l*k+i] = coefT[i*m+l]
-		}
+		gf.Unpack(c, row, coefT[i*m:(i+1)*m])
 	}
 }
 
-// checkWordRange verifies the surplus rows over the lane sub-range [lo, hi)
-// in the packed word domain: the K chosen words pack once, each surplus
-// position's prediction is swept packed, and the comparison runs word
-// against word (both sides zero-pad their tails identically, so padded
-// words compare equal). stop, when non-nil, lets parallel chunks
-// short-circuit on a peer's mismatch.
-func (ic *Interleaved) checkWordRange(st *subsetTabs, words [][]gf.Sym, stop *atomic.Bool, lo, hi int) bool {
+// checkSurplusWords verifies the surplus rows in the packed word domain: the
+// K chosen words pack once, each surplus position's prediction is swept
+// packed, and the comparison runs word against word (both sides zero-pad
+// their tails identically, so padded words compare equal).
+func (ic *Interleaved) checkSurplusWords(st *subsetTabs, words [][]gf.Sym) bool {
 	k, c := ic.C.K, ic.C.F.C()
 	surplus := len(words) - k
-	mw := gf.PackedLen(c, hi-lo)
+	mw := gf.PackedLen(c, ic.M)
 	wsp := getWords((k + 2) * mw)
 	defer wordPool.Put(wsp)
 	ws := *wsp
 	pw, pred, got := ws[:k*mw], ws[k*mw:(k+1)*mw], ws[(k+1)*mw:]
 	for mi := 0; mi < k; mi++ {
-		gf.Pack(c, words[mi][lo:hi], pw[mi*mw:(mi+1)*mw])
+		gf.Pack(c, words[mi], pw[mi*mw:(mi+1)*mw])
 	}
 	for si := 0; si < surplus; si++ {
-		if stop != nil && stop.Load() {
-			return false
-		}
 		st.chkW[si*k].MulWords(pw[:mw], pred)
 		for mi := 1; mi < k; mi++ {
 			st.chkW[si*k+mi].MulWordsXor(pw[mi*mw:(mi+1)*mw], pred)
 		}
-		gf.Pack(c, words[k+si][lo:hi], got)
+		gf.Pack(c, words[k+si], got)
 		for w := range pred {
 			if pred[w] != got[w] {
 				return false

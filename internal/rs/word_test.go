@@ -82,14 +82,14 @@ func TestWordPathMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestWordPathParallelLanes combines the word tier with the lane worker pool
-// (chunk threshold shrunk so ranges fan out) and checks chunked word results
-// against the scalar oracle — chunk-local packing must keep ragged chunk
-// boundaries exact.
-func TestWordPathParallelLanes(t *testing.T) {
-	oldMin, oldChunk := wordMinLanes, laneChunk
-	wordMinLanes, laneChunk = 1, 8
-	defer func() { wordMinLanes, laneChunk = oldMin, oldChunk }()
+// TestWordPathRaggedStripe runs the word tier on a lane count that is not a
+// multiple of the packing factor and checks encode, decode and the tamper
+// check against the scalar oracle — the zero-padded final word must stay
+// exact.
+func TestWordPathRaggedStripe(t *testing.T) {
+	oldMin := wordMinLanes
+	wordMinLanes = 1
+	defer func() { wordMinLanes = oldMin }()
 
 	field, err := gf.New(8)
 	if err != nil {
@@ -99,7 +99,7 @@ func TestWordPathParallelLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m = 101 // parallel chunks of 8 lanes with a ragged final chunk
+	const m = 101 // 12 full packed words and a 5-lane tail
 	ic, err := NewInterleaved(code, m)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestWordPathParallelLanes(t *testing.T) {
 	ic.encodeScalar(data, ref)
 	for i := range stripe {
 		if stripe[i] != ref[i] {
-			t.Fatalf("parallel word encode diverges from scalar at %d", i)
+			t.Fatalf("ragged word encode diverges from scalar at %d", i)
 		}
 	}
 	pos := []int{1, 2, 4, 5, 6}
@@ -128,13 +128,13 @@ func TestWordPathParallelLanes(t *testing.T) {
 	}
 	for i := range data {
 		if out[i] != data[i] {
-			t.Fatalf("parallel word decode mismatch at %d", i)
+			t.Fatalf("ragged word decode mismatch at %d", i)
 		}
 	}
 	tampered := append([]gf.Sym(nil), words[3]...)
 	tampered[m-1] ^= 0x40
 	words[3] = tampered
 	if ic.Consistent(pos, words) {
-		t.Fatal("parallel word consistent missed a corrupted lane")
+		t.Fatal("ragged word consistent missed a corrupted lane")
 	}
 }

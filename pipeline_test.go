@@ -127,32 +127,33 @@ func TestPipelineWindowOneClusterUnchanged(t *testing.T) {
 	}
 }
 
-// TestServiceWindowedPipeline runs the batched Service with a pipelined
-// window over the bus backend: per-client decisions must be unchanged and
-// the per-batch pipelined round count must beat the sequential run of the
-// same workload.
-func TestServiceWindowedPipeline(t *testing.T) {
+// TestSessionWindowedPipeline runs a manually flushed Session with a
+// pipelined window over the bus backend: per-client decisions must be
+// unchanged and the per-batch pipelined round count must beat the sequential
+// run of the same workload.
+func TestSessionWindowedPipeline(t *testing.T) {
 	t.Parallel()
 	run := func(window int) (values [][]byte, pipeRounds int64) {
-		svc, err := byzcons.NewService(byzcons.ServiceConfig{
+		s, err := byzcons.Open(byzcons.SessionConfig{
 			Config:      byzcons.Config{N: 4, T: 1, Window: window, Seed: 5},
 			Transport:   byzcons.TransportBus,
 			BatchValues: 16,
 			Instances:   1,
+			Policy:      manualPolicy(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer svc.Close()
+		defer s.Close()
 		const count = 16
 		pendings := make([]*byzcons.Pending, count)
 		for i := range pendings {
 			v := bytes.Repeat([]byte{byte(i + 1)}, 64)
-			if pendings[i], err = svc.Submit(v); err != nil {
+			if pendings[i], err = s.ProposeAsync(context.Background(), v); err != nil {
 				t.Fatal(err)
 			}
 		}
-		report, err := svc.Flush()
+		report, err := s.Flush()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestServiceWindowedPipeline(t *testing.T) {
 	seqVals, seqRounds := run(1)
 	pipeVals, pipeRounds := run(8)
 	if !reflect.DeepEqual(seqVals, pipeVals) {
-		t.Error("windowed service decisions diverge from sequential")
+		t.Error("windowed session decisions diverge from sequential")
 	}
 	if pipeRounds >= seqRounds {
 		t.Errorf("window 8 pipelined rounds %d not below sequential %d", pipeRounds, seqRounds)

@@ -8,7 +8,6 @@ import (
 
 	"byzcons/internal/chaos"
 	"byzcons/internal/engine"
-	"byzcons/internal/node"
 	"byzcons/internal/obs"
 	"byzcons/internal/transport"
 )
@@ -26,8 +25,7 @@ var ErrClosed = engine.ErrClosed
 // particular the MaxDelay backstop stays armed (at DefaultMaxDelay) even
 // when only a size trigger was set explicitly — a trickle of proposals
 // below the size threshold must still decide. Disabling all three triggers
-// makes the session fully manual (Flush/Drain/Close only) — the deprecated
-// Service shim runs in that mode.
+// makes the session fully manual (Flush/Drain/Close only).
 type FlushPolicy struct {
 	// MaxValues flushes once at least this many proposals are queued
 	// (0 = one full cycle: BatchValues × Instances; negative = disabled).
@@ -283,12 +281,11 @@ func (cfg SessionConfig) Validate() error {
 //	...
 //	s.Drain(ctx) // flush stragglers and wait
 //	s.Close()    // fail anything still queued with ErrClosed
+//
+// A Session is a deployment of one consensus group; Flush, Drain, Close and
+// the observability surface are the ones a Fleet has.
 type Session struct {
-	eng     *engine.Engine
-	cluster *node.Cluster // nil when backed by the simulator
-	reg     *obs.Registry
-	tracer  *obs.Tracer   // nil unless tracing was configured
-	chaos   *chaos.Engine // nil unless a chaos schedule was configured
+	*deployment
 }
 
 // Open validates cfg, dials the transport mesh (networked backends dial
@@ -298,95 +295,11 @@ func Open(cfg SessionConfig) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	reg := obs.NewRegistry()
-	var tracer *obs.Tracer
-	if cfg.TraceRing > 0 || cfg.TraceSink != nil {
-		ring := cfg.TraceRing
-		if ring == 0 {
-			ring = obs.DefaultTraceRing
-		}
-		tracer = obs.NewTracer(ring, cfg.TraceSink)
-		tracer.SetEnabled(true)
-		reg.Func("trace_dropped", tracer.Dropped)
-	}
-	factory, err := cfg.Transport.factoryFor(cfg.PeerRetry.policy(), reg)
+	d, err := open(cfg, 1, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The chaos layer wraps the transport factory before the mesh is dialed:
-	// the schedule's events drive the wrapper's injection surface (and the
-	// cluster's crash API), and its seed drives every injected jitter stream.
-	var sched chaos.Schedule
-	var faulty *transport.FaultyFactory
-	if cfg.Chaos != "" {
-		if sched, err = chaos.Parse(cfg.Chaos); err != nil {
-			return nil, fmt.Errorf("byzcons: %w", err)
-		}
-		faulty = &transport.FaultyFactory{Inner: factory, Seed: sched.Seed}
-		factory = faulty
-	}
-	var cluster *node.Cluster
-	var runner engine.Runner
-	if factory != nil {
-		cluster = node.NewCluster(factory)
-		cluster.StallTimeout = cfg.PeerRetry.StallTimeout
-		cluster.Obs = reg
-		cluster.Tracer = tracer
-		if err := cluster.Connect(cfg.N); err != nil {
-			return nil, err
-		}
-		runner = cluster
-		// Read-through gauges over the mesh's cumulative wire accounting,
-		// so one /metrics scrape carries the transport alongside the engine.
-		reg.Func("transport_conns", func() int64 { return cluster.WireStats().Conns })
-		reg.Func("transport_reconnects", func() int64 { return cluster.WireStats().Reconnects })
-		reg.Func("transport_peer_flaps", func() int64 { return cluster.WireStats().PeerFlaps })
-		reg.Func("transport_frames_sent", func() int64 { return cluster.WireStats().FramesSent })
-		reg.Func("transport_writes", func() int64 { return cluster.WireStats().Writes })
-		reg.Func("transport_bytes_sent", func() int64 { return cluster.WireStats().BytesSent })
-	}
-	// FlushReport = engine.Report, so the OnFlush hook passes through; with a
-	// chaos schedule the cycle clock chains behind it — the user sees the
-	// cycle's report before the next cycle's faults fire.
-	onCycle := cfg.OnFlush
-	var chaosEng *chaos.Engine
-	if faulty != nil {
-		chaosEng = chaos.New(sched, faulty, cluster, tracer)
-		user := cfg.OnFlush
-		onCycle = func(r FlushReport) {
-			if user != nil {
-				user(r)
-			}
-			chaosEng.OnCycle(r.Cycle)
-		}
-	}
-	eng, err := engine.New(engine.Config{
-		Consensus:    cfg.consensusParams(),
-		Runner:       runner,
-		Seed:         cfg.Seed,
-		Faulty:       cfg.Scenario.Faulty,
-		Adversary:    cfg.Scenario.Behavior,
-		Degrade:      cfg.Degrade || chaosEng != nil,
-		BatchValues:  cfg.BatchValues,
-		BatchBytes:   cfg.BatchBytes,
-		Instances:    cfg.Instances,
-		Policy:       cfg.Policy.normalized(cfg.BatchValues, cfg.Instances),
-		ReportBuffer: cfg.ReportBuffer,
-		OnCycle:      onCycle,
-		Metrics:      reg,
-		Tracer:       tracer,
-	})
-	if err != nil {
-		if cluster != nil {
-			cluster.Close()
-		}
-		return nil, err
-	}
-	if chaosEng != nil {
-		chaosEng.Start()
-	}
-	return &Session{eng: eng, cluster: cluster, reg: reg, tracer: tracer, chaos: chaosEng}, nil
+	return &Session{d}, nil
 }
 
 // Propose submits one value and blocks until its consensus decision is
@@ -396,11 +309,7 @@ func Open(cfg SessionConfig) (*Session, error) {
 // flushed), or the batch's instance failure.
 func (s *Session) Propose(ctx context.Context, value []byte) (Decision, error) {
 	p, err := s.ProposeAsync(ctx, value)
-	if err != nil {
-		return Decision{Batch: -1, Err: err}, err
-	}
-	d := p.Wait(ctx)
-	return d, d.Err
+	return await(ctx, p, err)
 }
 
 // ProposeAsync submits one value and returns a handle on its eventual
@@ -409,113 +318,19 @@ func (s *Session) Propose(ctx context.Context, value []byte) (Decision, error) {
 // is the background policy's job. The value is copied; the caller may reuse
 // the slice.
 func (s *Session) ProposeAsync(ctx context.Context, value []byte) (*Pending, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.eng.Submit(value)
-}
-
-// Flush drains the queue synchronously and returns the aggregated per-batch
-// metrics — the manual override next to the background policy, for callers
-// that want explicit batch boundaries.
-func (s *Session) Flush() (*FlushReport, error) { return s.eng.Flush() }
-
-// Drain flushes everything queued and waits until those cycles committed, or
-// until ctx is done: after a nil return, every proposal accepted before
-// Drain was called has resolved. Cancellation abandons only the wait; the
-// flushing runs to completion in the background.
-func (s *Session) Drain(ctx context.Context) error { return s.eng.Drain(ctx) }
-
-// Close shuts the session down: further proposals are rejected with
-// ErrClosed, proposals still queued fail promptly with ErrClosed (their Wait
-// callers unblock — Close never strands a Pending), a flush cycle already in
-// flight completes with real decisions, the Reports stream closes, and the
-// transport mesh is torn down. Close is idempotent. Callers that want
-// queued work decided instead of failed should Drain first.
-func (s *Session) Close() error {
-	if s.chaos != nil {
-		// Stop injecting before tearing anything down: a wall-clock fault
-		// firing into a closing mesh would register as teardown noise.
-		s.chaos.Stop()
-	}
-	err := s.eng.Close()
-	if s.cluster != nil {
-		if cErr := s.cluster.Close(); err == nil {
-			err = cErr
-		}
-	}
-	return err
+	return s.submit(ctx, 0, value)
 }
 
 // Reports returns the per-cycle report stream: one FlushReport per flush
 // cycle in commit order, closed by Close. The stream is buffered and lossy
 // (SessionConfig.ReportBuffer); Stats().ReportsDropped counts what a lagging
 // consumer missed.
-func (s *Session) Reports() <-chan FlushReport { return s.eng.Reports() }
-
-// PendingCount returns the number of proposals queued for the next flush
-// cycle.
-func (s *Session) PendingCount() int { return s.eng.PendingCount() }
+func (s *Session) Reports() <-chan FlushReport { return s.shards[0].eng.Reports() }
 
 // Stats returns the session's cumulative accounting.
-func (s *Session) Stats() SessionStats { return s.eng.Stats() }
+func (s *Session) Stats() SessionStats { return s.shards[0].eng.Stats() }
 
-// Snapshot returns a point-in-time copy of the session's runtime metrics:
-// counters (flush triggers, per-phase wall-clock totals), gauges (queue and
-// inbox depth, live fibers, transport connections) and latency histograms
-// (queue wait, flush-cycle duration, per-proposal decision latency, sampled
-// socket writes), each histogram with count/sum/max and p50/p90/p99
-// estimates. Taking a snapshot never blocks the hot path: values are read
-// through atomics while recording continues.
-func (s *Session) Snapshot() MetricsSnapshot { return s.reg.Snapshot() }
-
-// WriteMetrics writes every metric as one "name value" line, sorted by name
-// — the text exposition behind the debug endpoint's /metrics page.
-func (s *Session) WriteMetrics(w io.Writer) error { return s.reg.WriteText(w) }
-
-// TraceEvents returns the buffered protocol trace, oldest event first — up
-// to SessionConfig.TraceRing events; older ones were dropped (see
-// TraceDropped). Nil when tracing was not configured.
-func (s *Session) TraceEvents() []TraceEvent { return s.tracer.Events() }
-
-// TraceDropped reports how many trace events were overwritten because the
-// ring was full. A long-running session with a finite ring will drop —
-// point TraceSink at a file to keep everything.
-func (s *Session) TraceDropped() int64 { return s.tracer.Dropped() }
-
-// WireStats returns the cumulative encoded on-wire traffic of a networked
-// session (zero when backed by the simulator, whose payloads never leave
-// the process). Its Conns counter stays flat across flush cycles: the mesh
-// is dialed once at Open.
-func (s *Session) WireStats() WireStats {
-	if s.cluster == nil {
-		return WireStats{}
-	}
-	return s.cluster.WireStats()
-}
-
-// MeshDials reports how many times the session dialed a transport mesh:
-// always 1 for a networked session (the persistent-mesh invariant, whatever
-// the number of flush cycles), 0 for the simulator backend.
-func (s *Session) MeshDials() int {
-	if s.cluster == nil {
-		return 0
-	}
-	return s.cluster.MeshDials()
-}
-
-// ChaosLog returns the fired fault events of the session's chaos schedule in
-// schedule order — the replayable fault log: two sessions opened with the
-// same (seed, schedule) that fired the same events produce equal logs. Nil
-// when no chaos schedule was configured.
-func (s *Session) ChaosLog() []ChaosRecord {
-	if s.chaos == nil {
-		return nil
-	}
-	return s.chaos.Log()
-}
-
-// ChaosRecord is one fired event of a session's chaos schedule (see
+// ChaosRecord is one fired event of a chaos schedule (see
 // Session.ChaosLog): the event's position in the schedule, its canonical
 // spec string, the cycle anchor it fired at (-1 for wall-clock events), and
 // the injection error, if any.
@@ -523,6 +338,19 @@ type ChaosRecord = chaos.Record
 
 // SessionStats is the session's cumulative accounting.
 type SessionStats = engine.Stats
+
+// Decision is the consensus outcome for one proposed value.
+type Decision = engine.Decision
+
+// Pending is a handle on a proposed value's eventual Decision.
+type Pending = engine.Pending
+
+// BatchStats is the per-batch (= per consensus instance) metric record.
+type BatchStats = engine.BatchStats
+
+// FlushReport summarises flushed work: one cycle on the Reports stream, or
+// everything one manual Flush ran.
+type FlushReport = engine.Report
 
 // MetricsSnapshot is a point-in-time copy of a session's runtime metrics
 // (see Session.Snapshot): counter and gauge values plus histogram summaries,

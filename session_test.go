@@ -27,13 +27,20 @@ func manualPolicy() byzcons.FlushPolicy {
 // TestSessionCloseFailsPendingsPromptly is the Close-semantics regression
 // test: closing a session with undecided proposals must fail them promptly
 // with ErrClosed — Wait callers unblock instead of hanging — and must leak no
-// goroutines (clients, flusher, TCP readers all retire). Deliberately not
-// parallel: the goroutine-count baseline must not see other tests' workers.
+// goroutines (clients, flusher, TCP readers all retire) — on the simulator
+// and over TCP. Deliberately not parallel: the goroutine-count baseline must
+// not see other tests' workers.
 func TestSessionCloseFailsPendingsPromptly(t *testing.T) {
+	for _, tk := range []byzcons.TransportKind{byzcons.TransportSim, byzcons.TransportTCP} {
+		t.Run(tk.String(), func(t *testing.T) { closeFailsPendingsPromptly(t, tk) })
+	}
+}
+
+func closeFailsPendingsPromptly(t *testing.T, tk byzcons.TransportKind) {
 	before := runtime.NumGoroutine()
 	s, err := byzcons.Open(byzcons.SessionConfig{
 		Config:    byzcons.Config{N: 4, T: 1, Seed: 2},
-		Transport: byzcons.TransportTCP,
+		Transport: tk,
 		Policy:    manualPolicy(), // nothing will ever flush these
 	})
 	if err != nil {
@@ -87,6 +94,106 @@ func TestSessionCloseFailsPendingsPromptly(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines leaked across Close: %d before, %d after", before, after)
+}
+
+// TestSessionManualFlushDecides drives the fully manual policy: nothing runs
+// until Flush, one Flush coalesces ten proposals into three batches under an
+// equivocating adversary, every proposal resolves to its own value, and the
+// report and stats account for all of it.
+func TestSessionManualFlushDecides(t *testing.T) {
+	t.Parallel()
+	s, err := byzcons.Open(byzcons.SessionConfig{
+		Config:      byzcons.Config{N: 7, T: 2, Seed: 3},
+		Scenario:    byzcons.Scenario{Faulty: []int{2, 5}, Behavior: byzcons.Equivocator{Victims: []int{6}}},
+		BatchValues: 4,
+		Instances:   2,
+		Policy:      manualPolicy(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	var values [][]byte
+	var pendings []*byzcons.Pending
+	for i := 0; i < 10; i++ {
+		v := []byte(fmt.Sprintf("command #%02d: credit account %d", i, i*i))
+		p, err := s.ProposeAsync(ctx, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values = append(values, v)
+		pendings = append(pendings, p)
+	}
+	if n := s.PendingCount(); n != 10 {
+		t.Fatalf("PendingCount = %d before any Flush, want 10", n)
+	}
+	report, err := s.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Values != 10 || len(report.Batches) != 3 {
+		t.Fatalf("report = %+v", report)
+	}
+	for _, st := range report.Batches {
+		if st.Bits <= 0 || st.BitsPerValue <= 0 {
+			t.Errorf("batch %d missing metrics: %+v", st.Batch, st)
+		}
+	}
+	for i, p := range pendings {
+		d := p.Wait(ctx)
+		if d.Err != nil {
+			t.Fatalf("value %d: %v", i, d.Err)
+		}
+		if !bytes.Equal(d.Value, values[i]) {
+			t.Fatalf("per-client decision %d = %q, want %q", i, d.Value, values[i])
+		}
+	}
+	if st := s.Stats(); st.Decided != 10 || st.Submitted != 10 {
+		t.Errorf("stats = %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ProposeAsync(ctx, []byte{1}); err == nil {
+		t.Error("ProposeAsync accepted after Close")
+	}
+}
+
+// TestSessionAmortizedBitsPerValueDecreases is the acceptance-criteria
+// assertion at the public API: for a fixed workload at fixed n and t, the
+// amortized communication bits per proposed value strictly decrease as the
+// batch size grows.
+func TestSessionAmortizedBitsPerValueDecreases(t *testing.T) {
+	t.Parallel()
+	const workload = 32
+	var prev float64
+	for i, batch := range []int{1, 2, 4, 8, 16, 32} {
+		s, err := byzcons.Open(byzcons.SessionConfig{
+			Config:      byzcons.Config{N: 7, T: 2, SymBits: 8, Seed: 1},
+			BatchValues: batch,
+			Instances:   4,
+			Policy:      manualPolicy(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for v := 0; v < workload; v++ {
+			if _, err := s.ProposeAsync(context.Background(), bytes.Repeat([]byte{byte(v)}, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		perValue := float64(s.Stats().Bits) / workload
+		t.Logf("batch=%2d  amortized %.0f bits/value", batch, perValue)
+		if i > 0 && perValue >= prev {
+			t.Errorf("batch=%d: %.0f bits/value does not beat %.0f at the previous size", batch, perValue, prev)
+		}
+		prev = perValue
+	}
 }
 
 // TestSessionAutoFlushMaxValues: a full cycle's worth of proposals decides
@@ -284,13 +391,15 @@ func TestSessionConcurrentPropose(t *testing.T) {
 // over TCP completes three policy-triggered flush cycles on a single mesh —
 // no re-dial between cycles, asserted via the transport connection counters —
 // with every decision bit-identical to the same workload on the simulator
-// backend, and per-cycle reports streaming in commit order.
+// backend, and every cycle's report reaching a draining Reports consumer in
+// commit order with none dropped (the session hands out its engine's stream
+// directly; there is no forwarding hop to lag).
 func TestSessionTCPPersistentMesh(t *testing.T) {
 	t.Parallel()
 	const n, tf = 4, 1
 	const waves, perWave = 3, 8
 
-	runWaves := func(tk byzcons.TransportKind) (decisions []byzcons.Decision, s *byzcons.Session) {
+	runWaves := func(tk byzcons.TransportKind) (decisions []byzcons.Decision, s *byzcons.Session, streamed <-chan []byzcons.FlushReport) {
 		s, err := byzcons.Open(byzcons.SessionConfig{
 			Config:      byzcons.Config{N: n, T: tf, Seed: 21},
 			Scenario:    byzcons.Scenario{Faulty: []int{1}, Behavior: byzcons.Equivocator{}},
@@ -303,6 +412,15 @@ func TestSessionTCPPersistentMesh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The draining consumer: collects the stream until Close retires it.
+		collected := make(chan []byzcons.FlushReport, 1)
+		go func() {
+			var reps []byzcons.FlushReport
+			for rep := range s.Reports() {
+				reps = append(reps, rep)
+			}
+			collected <- reps
+		}()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		var connsAfterFirstCycle int64
@@ -329,11 +447,11 @@ func TestSessionTCPPersistentMesh(t *testing.T) {
 				}
 			}
 		}
-		return decisions, s
+		return decisions, s, collected
 	}
 
-	tcpDecisions, tcpSession := runWaves(byzcons.TransportTCP)
-	simDecisions, simSession := runWaves(byzcons.TransportSim)
+	tcpDecisions, tcpSession, tcpReports := runWaves(byzcons.TransportTCP)
+	simDecisions, simSession, _ := runWaves(byzcons.TransportSim)
 
 	// ≥3 policy-triggered cycles over exactly one mesh dial.
 	st := tcpSession.Stats()
@@ -358,21 +476,21 @@ func TestSessionTCPPersistentMesh(t *testing.T) {
 		}
 	}
 
-	// Per-cycle reports streamed in commit order; Close retires the stream.
-	reports := tcpSession.Reports()
+	// Per-cycle reports streamed in commit order, one per cycle, none
+	// dropped; Close retires the stream.
 	if err := tcpSession.Close(); err != nil {
 		t.Fatal(err)
 	}
 	simSession.Close()
 	var cycles []int
-	for rep := range reports {
+	for _, rep := range <-tcpReports {
 		cycles = append(cycles, rep.Cycle)
 		if rep.Values != perWave {
 			t.Errorf("cycle %d report carries %d values, want %d", rep.Cycle, rep.Values, perWave)
 		}
 	}
-	if len(cycles) < waves {
-		t.Fatalf("got %d per-cycle reports, want >= %d", len(cycles), waves)
+	if st = tcpSession.Stats(); len(cycles) != st.Cycles || st.ReportsDropped != 0 {
+		t.Fatalf("draining consumer got %d reports of %d cycles, %d dropped", len(cycles), st.Cycles, st.ReportsDropped)
 	}
 	for i, c := range cycles {
 		if c != i {
