@@ -53,12 +53,11 @@ type Config struct {
 	// Lanes fixes the generation size D = (N-2T)*Lanes*SymBits bits;
 	// 0 picks the optimal D* of Eq. 2 for the value length.
 	Lanes int
-	// Window is the speculative generation pipeline's width: up to Window
-	// generations run concurrently, each on its own round stream, with
-	// squash-and-replay preserving the sequential decisions whenever a
-	// diagnosis changes the trust graph. 1 (or 0, the default) executes
-	// generations strictly one at a time — the paper's sequential protocol,
-	// bit for bit; values below 1 are rejected.
+	// Window is retired. It used to size a speculative generation pipeline;
+	// generations now always run one after another, as in the paper, and
+	// Lanes (a larger generation) is the setting that trades rounds for bits
+	// (DESIGN §10). Validate accepts 0 and 1 and refuses anything else. The
+	// field stays only because the benchmark harness sets it.
 	Window int
 	// Broadcast selects the 1-bit broadcast implementation (default oracle).
 	Broadcast BroadcastKind
@@ -81,17 +80,19 @@ type Config struct {
 
 // Validate reports whether the protocol parameters are runnable: processor
 // counts, the resilience bound (t < n/3, or t < n/2 under BroadcastProb),
-// symbol width, lanes and pipeline window are all checked up front. The
-// error-returning surface replaces failures that previously surfaced only
-// mid-run; Open, OpenFleet, Consensus, Broadcast and ClusterConsensus all
-// route through it.
+// symbol width and lanes are all checked up front. The error-returning
+// surface replaces failures that previously surfaced only mid-run; Open,
+// OpenFleet, Consensus, Broadcast and ClusterConsensus all route through it.
 func (c Config) Validate() error {
+	if c.Window != 0 && c.Window != 1 {
+		return fmt.Errorf("byzcons: Window=%d: the generation pipeline is retired, generations run one at a time; set Lanes for fewer, larger generations", c.Window)
+	}
 	return c.consensusParams().Validate()
 }
 
 func (c Config) consensusParams() consensus.Params {
 	return consensus.Params{
-		N: c.N, T: c.T, SymBits: c.SymBits, Lanes: c.Lanes, Window: c.Window,
+		N: c.N, T: c.T, SymBits: c.SymBits, Lanes: c.Lanes,
 		BSB: c.Broadcast, BSBCost: c.BroadcastCost, BSBEpsilon: c.BroadcastEpsilon,
 		Default: c.Default,
 	}
@@ -129,18 +130,8 @@ type Result struct {
 	// BitsByTag breaks Bits down by protocol stage
 	// (match.sym, match.M, check.det, diag.sym, diag.trust, ...).
 	BitsByTag map[string]int64
-	// Rounds is the number of synchronous communication rounds executed in
-	// total, counting every concurrent stream's barriers (and, under
-	// Window > 1, squashed speculative work).
+	// Rounds is the number of synchronous communication rounds executed.
 	Rounds int64
-	// PipelinedRounds is the synchronized-round count of the generation
-	// pipeline's critical path — the run's latency in rounds with up to
-	// Config.Window generations in flight. With Window = 1 it equals the
-	// sum of per-generation rounds.
-	PipelinedRounds int64
-	// Squashes counts speculative generation executions discarded by
-	// squash-and-replay (always 0 with Window = 1).
-	Squashes int
 	// Generations and DiagnosisRuns count Algorithm 1 progress
 	// (DiagnosisRuns <= T(T+1) by Theorem 1).
 	Generations, DiagnosisRuns int
@@ -205,7 +196,6 @@ func consensusSummary(n int) func(any) outSummary {
 		return outSummary{
 			value: o.Value, defaulted: o.Defaulted, gens: o.Generations,
 			diags: o.DiagnosisRuns, iso: iso,
-			pipeRounds: o.PipelinedRounds, squashes: o.Squashes,
 		}
 	}
 }
@@ -236,7 +226,7 @@ func Broadcast(cfg Config, source int, value []byte, L int, sc Scenario) (*Resul
 		o := v.(*mvb.Output)
 		return outSummary{
 			value: o.Value, defaulted: o.Defaulted, gens: o.Generations,
-			diags: o.DiagnosisRuns, pipeRounds: o.PipelinedRounds, squashes: o.Squashes,
+			diags: o.DiagnosisRuns,
 		}
 	})
 }
@@ -282,8 +272,6 @@ type outSummary struct {
 	defaulted   bool
 	gens, diags int
 	iso         []int
-	pipeRounds  int64
-	squashes    int
 }
 
 // buildResult assembles the public Result from per-processor outputs.
@@ -322,7 +310,6 @@ func buildResult(cfg Config, sc Scenario, run *sim.RunResult,
 			res.Value, res.Defaulted = sum.value, sum.defaulted
 			res.Generations, res.DiagnosisRuns = sum.gens, sum.diags
 			res.Isolated = sum.iso
-			res.PipelinedRounds, res.Squashes = sum.pipeRounds, sum.squashes
 			first = false
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,6 +195,80 @@ func TestSessionChaosRotatingFlapPeersDown(t *testing.T) {
 		if wantDeg := want[w] != nil; rep.Degraded != wantDeg {
 			t.Errorf("cycle %d Degraded = %v, want %v", w, rep.Degraded, wantDeg)
 		}
+	}
+}
+
+// TestSessionFaultBudgetCountsByzantineAndDegraded: under Degrade the
+// Byzantine processors and the peers a cycle degrades around spend one budget,
+// |Faulty ∪ degraded| <= t. At n=7, t=2 with one equivocator, one isolated
+// honest node still fits (and is attributed); two isolated honest nodes
+// overflow the budget and the cycle fails saying so; isolating the
+// equivocator itself costs nothing extra, so it plus one honest node fits.
+func TestSessionFaultBudgetCountsByzantineAndDegraded(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name, chaos string
+		degraded    []int // nil: the cycle must fail on the budget
+	}{
+		{"one honest isolated", "5:partition(6)", []int{6}},
+		{"two honest isolated", "5:partition(5|6)", nil},
+		{"byzantine and one honest isolated", "5:partition(1|6)", []int{1, 6}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			var mu sync.Mutex
+			var reports []byzcons.FlushReport
+			s, err := byzcons.Open(byzcons.SessionConfig{
+				Config:      byzcons.Config{N: 7, T: 2, Seed: 21},
+				Scenario:    byzcons.Scenario{Faulty: []int{1}, Behavior: byzcons.Equivocator{}},
+				Transport:   byzcons.TransportBus,
+				Chaos:       tc.chaos,
+				BatchValues: 4,
+				Policy:      manualPolicy(),
+				OnFlush: func(rep byzcons.FlushReport) {
+					mu.Lock()
+					reports = append(reports, rep)
+					mu.Unlock()
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			val := bytes.Repeat([]byte{0xB7, 0x01}, 8)
+			p, err := s.ProposeAsync(ctx, val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainErr := s.Drain(ctx)
+			d := p.Wait(ctx)
+			mu.Lock()
+			defer mu.Unlock()
+			if len(reports) != 1 {
+				t.Fatalf("got %d cycle reports, want 1", len(reports))
+			}
+			rep := reports[0]
+			if tc.degraded == nil {
+				for what, err := range map[string]error{"Drain": drainErr, "decision": d.Err, "report": rep.Err} {
+					if err == nil || !strings.Contains(err.Error(), "fault budget t=2 exceeded") {
+						t.Errorf("%s error = %v, want the fault budget named", what, err)
+					}
+				}
+				return
+			}
+			if drainErr != nil || d.Err != nil {
+				t.Fatalf("cycle within the budget failed: Drain %v, decision %v", drainErr, d.Err)
+			}
+			if !bytes.Equal(d.Value, val) {
+				t.Errorf("decided %x, want the proposal", d.Value)
+			}
+			if !rep.Degraded || !reflect.DeepEqual(rep.DegradedPeers, tc.degraded) {
+				t.Errorf("report = Degraded %v / peers %v, want %v attributed", rep.Degraded, rep.DegradedPeers, tc.degraded)
+			}
+		})
 	}
 }
 

@@ -42,17 +42,6 @@
 //
 //	byzcons -mode cluster -n 7 -t 2 -L 65536 -faulty 1,4 -adv equivocator
 //	byzcons -mode cluster -transport bus -n 4 -t 1 -faulty 1 -adv silent
-//
-// The -window flag (consensus, broadcast, serve and cluster modes) sets the
-// speculative generation pipeline's width: up to that many generations run
-// concurrently, each on its own stream of synchronous rounds, with
-// squash-and-replay keeping decisions bit-identical to the sequential
-// protocol (-window 1, the default) even when a diagnosis rewrites the
-// trust graph mid-window. Fault-free latency drops roughly by the window
-// factor (see pipelinedRounds in the reports):
-//
-//	byzcons -mode cluster -n 7 -t 2 -L 65536 -window 4
-//	byzcons -mode consensus -n 7 -t 2 -L 65536 -window 8 -faulty 1,4 -adv equivocator
 package main
 
 import (
@@ -88,7 +77,6 @@ func run() error {
 		t      = flag.Int("t", 2, "Byzantine fault bound (t < n/3)")
 		L      = flag.Int("L", 8192, "value length in bits")
 		lanes  = flag.Int("lanes", 0, "generation lanes (0 = optimal D* of Eq. 2)")
-		window = flag.Int("window", 1, "speculative generation pipeline width (1 = sequential protocol; >1 pipelines fault-free generations with squash-and-replay)")
 		sym    = flag.Uint("sym", 0, "Reed-Solomon symbol bits (0 = auto, 8 or 16)")
 		bsbStr = flag.String("bsb", "oracle", "1-bit broadcast: oracle | eig | phaseking")
 		advStr = flag.String("adv", "none", "adversary: "+strings.Join(advNames(), " | "))
@@ -197,7 +185,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfg := byzcons.Config{N: *n, T: *t, SymBits: *sym, Lanes: *lanes, Window: *window, Broadcast: kind,
+		cfg := byzcons.Config{N: *n, T: *t, SymBits: *sym, Lanes: *lanes, Broadcast: kind,
 			BroadcastEpsilon: *eps, Seed: *seed}
 		retry := byzcons.PeerRetry{
 			Disable:      *noRetry,
@@ -227,15 +215,15 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfg := byzcons.Config{N: *n, T: *t, SymBits: *sym, Lanes: *lanes, Window: *window, Broadcast: kind,
+		cfg := byzcons.Config{N: *n, T: *t, SymBits: *sym, Lanes: *lanes, Broadcast: kind,
 			BroadcastEpsilon: *eps, Seed: *seed}
 		return cluster(os.Stdout, cfg, sc, inputs, *L, tk)
 	case "consensus":
-		cfg := byzcons.Config{N: *n, T: *t, SymBits: *sym, Lanes: *lanes, Window: *window, Broadcast: kind,
+		cfg := byzcons.Config{N: *n, T: *t, SymBits: *sym, Lanes: *lanes, Broadcast: kind,
 			BroadcastEpsilon: *eps, Seed: *seed, Trace: traceW}
 		res, err = byzcons.Consensus(cfg, inputs, *L, sc)
 	case "broadcast":
-		cfg := byzcons.Config{N: *n, T: *t, SymBits: *sym, Lanes: *lanes, Window: *window, Broadcast: kind,
+		cfg := byzcons.Config{N: *n, T: *t, SymBits: *sym, Lanes: *lanes, Broadcast: kind,
 			BroadcastEpsilon: *eps, Seed: *seed}
 		res, err = byzcons.Broadcast(cfg, *source, val, *L, sc)
 	case "fitzihirt":
@@ -283,12 +271,10 @@ func cluster(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, inputs [][]by
 	}
 
 	fmt.Fprintf(w, "mode=cluster transport=%s n=%d t=%d L=%d bits bsb=%v\n", clusterRes.Transport, cfg.N, cfg.T, L, cfg.Broadcast)
-	fmt.Fprintf(w, "cluster:   consistent=%v defaulted=%v generations=%d diagnosisRuns=%d bits=%d rounds=%d pipelinedRounds=%d squashes=%d\n",
-		clusterRes.Consistent, clusterRes.Defaulted, clusterRes.Generations, clusterRes.DiagnosisRuns, clusterRes.Bits, clusterRes.Rounds,
-		clusterRes.PipelinedRounds, clusterRes.Squashes)
-	fmt.Fprintf(w, "simulator: consistent=%v defaulted=%v generations=%d diagnosisRuns=%d bits=%d rounds=%d pipelinedRounds=%d squashes=%d\n",
-		simRes.Consistent, simRes.Defaulted, simRes.Generations, simRes.DiagnosisRuns, simRes.Bits, simRes.Rounds,
-		simRes.PipelinedRounds, simRes.Squashes)
+	fmt.Fprintf(w, "cluster:   consistent=%v defaulted=%v generations=%d diagnosisRuns=%d bits=%d rounds=%d\n",
+		clusterRes.Consistent, clusterRes.Defaulted, clusterRes.Generations, clusterRes.DiagnosisRuns, clusterRes.Bits, clusterRes.Rounds)
+	fmt.Fprintf(w, "simulator: consistent=%v defaulted=%v generations=%d diagnosisRuns=%d bits=%d rounds=%d\n",
+		simRes.Consistent, simRes.Defaulted, simRes.Generations, simRes.DiagnosisRuns, simRes.Bits, simRes.Rounds)
 
 	switch {
 	case !clusterRes.Consistent || !simRes.Consistent:
@@ -297,19 +283,11 @@ func cluster(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, inputs [][]by
 		return fmt.Errorf("cluster: decision diverges from the simulator reference")
 	case clusterRes.Generations != simRes.Generations || clusterRes.DiagnosisRuns != simRes.DiagnosisRuns:
 		return fmt.Errorf("cluster: progress diverges from the simulator reference")
+	case clusterRes.Bits != simRes.Bits || clusterRes.Rounds != simRes.Rounds:
+		return fmt.Errorf("cluster: metered %d bits in %d rounds, simulator metered %d in %d",
+			clusterRes.Bits, clusterRes.Rounds, simRes.Bits, simRes.Rounds)
 	}
-	// Metered traffic is an exact invariant only while nothing speculative
-	// was discarded: a squashed generation completes a scheduling-dependent
-	// number of rounds before its fiber unwinds, so under squash-and-replay
-	// the meters measure (deterministically decided, variably costed) work.
-	if clusterRes.Squashes == 0 && simRes.Squashes == 0 {
-		if clusterRes.Bits != simRes.Bits {
-			return fmt.Errorf("cluster: metered %d bits, simulator metered %d", clusterRes.Bits, simRes.Bits)
-		}
-		fmt.Fprintln(w, "cross-check: cluster and simulator decisions identical (meters identical)")
-	} else {
-		fmt.Fprintln(w, "cross-check: cluster and simulator decisions identical (meters carry speculative variance under squash-and-replay)")
-	}
+	fmt.Fprintln(w, "cross-check: cluster and simulator decisions identical (meters identical)")
 
 	encoded := clusterRes.Wire.BytesSent * 8
 	fmt.Fprintf(w, "wire: frames=%d writes=%d frames/write=%s encodedBytes=%d encodedBits/meteredBits=%.2f\n",
@@ -678,8 +656,7 @@ func report(w io.Writer, mode string, n, t, L int, kind byzcons.BroadcastKind, r
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "generations=%d diagnosisRuns=%d (bound t(t+1)=%d) isolated=%v\n",
 		res.Generations, res.DiagnosisRuns, t*(t+1), res.Isolated)
-	fmt.Fprintf(w, "rounds=%d pipelinedRounds=%d squashes=%d totalBits=%d honestBits=%d\n",
-		res.Rounds, res.PipelinedRounds, res.Squashes, res.Bits, res.HonestBits)
+	fmt.Fprintf(w, "rounds=%d totalBits=%d honestBits=%d\n", res.Rounds, res.Bits, res.HonestBits)
 
 	tags := make([]string, 0, len(res.BitsByTag))
 	for tag := range res.BitsByTag {

@@ -13,7 +13,7 @@ import (
 
 // tracefmt pretty-prints a protocol trace captured as JSONL (-tracefile or
 // the /events debug page): one span tree per flush cycle — the cycle span as
-// the root, its phase and squash events indented beneath it with offsets
+// the root, its phase spans indented beneath it with offsets
 // from the cycle start — and the remaining events (flush triggers, peer
 // lifecycle) chronologically between the trees.
 func tracefmt(w io.Writer, r io.Reader) error {
@@ -42,15 +42,13 @@ func tracefmt(w io.Writer, r io.Reader) error {
 	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
 	t0 := events[0].TS
 
-	// Children (phase spans, generation squashes) group under their cycle's
-	// root span; everything else prints at top level in time order.
+	// Children (phase spans) group under their cycle's root span; everything else prints at top level in time order.
 	children := make(map[int][]byzcons.TraceEvent)
 	var top []byzcons.TraceEvent
 	for _, ev := range events {
-		switch ev.Cat {
-		case "phase", "gen":
+		if ev.Cat == "phase" {
 			children[ev.Cycle] = append(children[ev.Cycle], ev)
-		default:
+		} else {
 			top = append(top, ev)
 		}
 	}
@@ -63,12 +61,8 @@ func tracefmt(w io.Writer, r io.Reader) error {
 			fmt.Fprintf(w, "%s cycle %d  %s  %v  %s\n",
 				off(t0, ev.TS), ev.Cycle, ev.Name, time.Duration(ev.Dur), ev.Detail)
 			for _, ch := range children[ev.Cycle] {
-				tag := ch.Name
-				if ch.Cat == "gen" {
-					tag = "gen " + ch.Name
-				}
 				fmt.Fprintf(w, "  %s %-12s gen=%-3d node=%d  %v  %s\n",
-					off(ev.TS, ch.TS), tag, ch.Gen, ch.Node, time.Duration(ch.Dur), ch.Detail)
+					off(ev.TS, ch.TS), ch.Name, ch.Gen, ch.Node, time.Duration(ch.Dur), ch.Detail)
 			}
 			delete(children, ev.Cycle)
 			continue

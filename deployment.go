@@ -262,7 +262,7 @@ func (d *deployment) PendingCount() int {
 // Snapshot returns a point-in-time copy of the runtime metrics in one view:
 // the mesh's transport and node-layer metrics merged with every shard's
 // engine registry — counters (flush triggers, per-phase wall-clock totals),
-// gauges (queue and inbox depth, live fibers, transport connections) and
+// gauges (queue and inbox depth, transport connections) and
 // latency histograms (queue wait, flush-cycle duration, per-proposal
 // decision latency, sampled socket writes), each histogram with
 // count/sum/max and p50/p90/p99 estimates. Across shards counters and gauges

@@ -16,10 +16,8 @@
 // be validated empirically. It bundles:
 //
 //   - Algorithm 1 (matching / checking / diagnosis stages with the persistent
-//     diagnosis graph) via Consensus, with a speculative generation pipeline
-//     (Config.Window) that runs independent generations concurrently and
-//     squash-and-replays the window whenever a diagnosis rewrites the trust
-//     graph, keeping decisions bit-identical to the sequential protocol;
+//     diagnosis graph) via Consensus, its generations run one after another
+//     as in the paper;
 //   - a streaming consensus service via Session (Open / Propose / Drain /
 //     Close): proposals from any number of goroutines are coalesced into one
 //     long input per consensus instance (the paper's large-L regime, where
@@ -98,10 +96,10 @@
 // the same registry as sorted "name value" text. Setting
 // SessionConfig.TraceRing (or TraceSink, for a JSONL stream) enables the
 // tracer: TraceEvents returns the buffered TraceEvent ring — flush
-// triggers, cycle and phase spans, squashes, peer up/down/stall — oldest
-// first. The serve mode of cmd/byzcons exposes all of it live via
-// -debugaddr (/metrics, /events, expvar, pprof) and pretty-prints captured
-// traces with -mode tracefmt.
+// triggers, cycle and phase spans, peer up/down/stall — oldest first. The
+// serve mode of cmd/byzcons exposes all of it live via -debugaddr (/metrics,
+// /events, expvar, pprof) and pretty-prints captured traces with -mode
+// tracefmt.
 //
 // # Networked cluster
 //
@@ -203,22 +201,22 @@
 // cmd/byzcons drives a keyed ingest workload across a fleet via -shards;
 // the benchmark in bench/ reports fleet.s2_over_s1.
 //
-// # Pipelined generations
+// # Generation size
 //
-// Algorithm 1 splits an L-bit value into independent generations; the
-// sequential protocol pays generations x rounds-per-generation in latency.
-// Config.Window > 1 runs up to Window generations concurrently, each on its
-// own stream of synchronous rounds, over every backend (simulator, bus,
-// TCP). Because fault handling is rare — at most t(t+1) diagnosis stages in
-// a whole execution (Theorem 1) — the speculation almost always wins:
-// fault-free latency (Result.PipelinedRounds) drops by roughly the window
-// factor, and when a diagnosis does change the trust graph the in-flight
-// generations are squashed and replayed so honest decisions stay
-// bit-identical to the Window = 1 run:
+// Algorithm 1 splits an L-bit value into generations of D bits and runs them
+// one after another, so a run's latency is generations x
+// rounds-per-generation. Config.Lanes sets D; 0 picks the D that minimises
+// the worst-case bits of Eq. 1. A larger D means fewer generations and
+// fewer rounds for the same value, and fewer bits when no fault occurs; what
+// it costs is a more expensive diagnosis stage (there are at most t(t+1) in
+// a whole execution, Theorem 1). An earlier speculative generation pipeline
+// (Config.Window > 1) bought the same round overlap with far more machinery
+// and lost to a 4x larger D on every measured workload; it is gone, and
+// Validate refuses Window > 1 (DESIGN.md §10):
 //
-//	res, err := byzcons.Consensus(byzcons.Config{N: 7, T: 2, Window: 8},
+//	res, err := byzcons.Consensus(byzcons.Config{N: 7, T: 2, Lanes: 64},
 //		inputs, L, scenario)
-//	// res.PipelinedRounds << sequential; res.Value unchanged.
+//	// fewer res.Generations and res.Rounds; res.Value unchanged.
 //
 // # Performance
 //
@@ -229,19 +227,13 @@
 // (consistency check) over the scalar log/exp reference at generation
 // widths, with zero steady-state allocations — and, for stripes of 16+
 // lanes, a word-sliced tier that packs 8 (c <= 8) or 4 (c <= 16) symbols
-// per uint64 and sweeps whole words per table lookup. The pipeline
-// scheduler is self-driving (a finishing generation fiber commits the
-// cascade and its goroutine continues as the next launch), fibers read
-// their inputs and pack their outputs off the scheduler lock so Window > 1
-// coding phases run truly in parallel, and the networked runtime delivers
-// frames synchronously in the transport's context with one wakeup per
-// completed round, so windowed throughput holds up even on a single core
-// where speculation buys no parallelism. On TCP the send path is
-// asynchronous and batched: Send copies the frame into the destination
-// peer's buffer and returns, and a writer puts everything the node's
-// instances, fibers and shards queued for that peer on the socket in one
-// write (WireStats.FramesSent / Writes is the measured coalescing factor).
-// A Session's transport mesh persists across
+// per uint64 and sweeps whole words per table lookup. The networked runtime
+// delivers frames synchronously in the transport's context with one wakeup
+// per completed round. On TCP the send path is asynchronous and batched:
+// Send copies the frame into the destination peer's buffer and returns, and
+// a writer puts everything the node's instances and shards queued for that
+// peer on the socket in one write (WireStats.FramesSent / Writes is the
+// measured coalescing factor). A Session's transport mesh persists across
 // flush cycles, so the per-flush TCP connection setup cost is gone
 // (BenchmarkTransportThroughput compares fresh-mesh and reused-mesh
 // modes). The benchmark in bench/ (go run -C bench .; BENCHMARK.json names

@@ -18,7 +18,7 @@ type oracle struct {
 	n, t       int
 	costPerBit int64
 	// next and out are per-broadcaster scratch: a broadcaster serves one
-	// fiber, and the caller consumes the returned batch before its next
+	// processor's run, and the caller consumes the returned batch before its next
 	// Broadcast call, so both recycle across batches. (The contribution
 	// slice myBits is NOT reusable: the simulator delivers it by reference
 	// and peers may still be reading it while this processor runs ahead.)
@@ -34,10 +34,6 @@ func NewOracle(p *sim.Proc, n, t int, costPerBit int64) Broadcaster {
 	}
 	return &oracle{p: p, n: n, t: t, costPerBit: costPerBit}
 }
-
-// Rebind re-targets a pooled oracle at a new processor handle (the
-// speculative pipeline reuses fiber contexts across generations).
-func (o *oracle) Rebind(p *sim.Proc) { o.p = p }
 
 func (o *oracle) CostPerBit() int64 { return o.costPerBit }
 

@@ -60,14 +60,6 @@ type Params struct {
 	// broadcast). Ignored for other kinds.
 	BSBEpsilon float64
 
-	// Window is the speculative generation pipeline's width: how many
-	// generations may be in flight concurrently (pipeline.go). Window = 1
-	// (the default; 0 selects it) reproduces the sequential protocol
-	// exactly — same steps, same rounds, same random draws, bit-identical
-	// outputs. Window > 1 pipelines fault-free generations and preserves
-	// the decisions via squash-and-replay; values below 1 are rejected.
-	Window int
-
 	// Default is the value decided when no Pmatch exists (honest inputs
 	// provably differ). It is truncated/zero-padded to the input length L.
 	// nil means all-zero.
@@ -84,15 +76,10 @@ type Params struct {
 	// record the same wall-clock n times). The four phases partition a
 	// generation's duration without overlap: Broadcast and RS are the time
 	// inside Broadcast_Single_Bit and Reed-Solomon kernel calls, Match and
-	// Diagnosis the stage-1/2 and stage-3 residuals. Speculative fibers may
-	// invoke it concurrently. Instrumentation only: it must not influence
-	// behaviour.
+	// Diagnosis the stage-1/2 and stage-3 residuals. The instances of a
+	// batch invoke it concurrently. Instrumentation only: it must not
+	// influence behaviour.
 	PhaseTimer func(procID, gen int, ph Phase, d time.Duration)
-
-	// FiberGauge, if non-nil, observes the number of live generation fibers
-	// whenever it changes (processor 0 only; Window > 1 pipelines).
-	// Instrumentation only: it must not influence behaviour.
-	FiberGauge func(procID, live int)
 }
 
 // Phase names one timed slice of a generation's wall-clock, reported
@@ -142,7 +129,7 @@ type GenInfo struct {
 
 // Validate checks the parameters without running a protocol: it normalizes
 // against a nominal 8-bit value length, so every length-independent
-// constraint (n, the resilience bound, symbol width, lanes, window) is
+// constraint (n, the resilience bound, symbol width, lanes) is
 // checked up front by the public configuration surface.
 func (par Params) Validate() error {
 	_, err := par.normalized(8)
@@ -196,12 +183,6 @@ func (par Params) normalized(L int) (Params, error) {
 	}
 	if par.Lanes < 1 {
 		return par, fmt.Errorf("consensus: Lanes must be >= 1, got %d", par.Lanes)
-	}
-	if par.Window == 0 {
-		par.Window = 1
-	}
-	if par.Window < 1 {
-		return par, fmt.Errorf("consensus: Window must be >= 1, got %d", par.Window)
 	}
 	return par, nil
 }

@@ -24,33 +24,14 @@ type Output struct {
 	Generations   int         // generations executed, including a defaulting one
 	DiagnosisRuns int         // diagnosis stages executed (Theorem 1: <= t(t+1))
 	Graph         *diag.Graph // final diagnosis graph
-	// PipelinedRounds is the synchronized-round count of the generation
-	// pipeline's critical path: the virtual time at which the last
-	// generation committed, with up to Params.Window generations advancing
-	// concurrently. With Window = 1 it equals the plain sum of the
-	// per-generation round counts (the sequential protocol's latency). It
-	// is identical at every processor and across backends.
-	PipelinedRounds int64
-	// Squashes counts speculative generation executions that were discarded
-	// because an earlier generation's diagnosis (or default) invalidated
-	// them. Always 0 with Window = 1; bounded by the diagnosis budget
-	// t(t+1) times Window-1 otherwise.
-	Squashes int
+	// Rounds is the number of synchronous rounds the run executed: the sum of
+	// the per-generation round counts. Every processor executes the same step
+	// sequence, so it is identical at every processor and across backends.
+	Rounds int64
 }
 
-// workerEnv is the immutable per-run machinery shared by all generation
-// workers: the field and code are lookup-table objects, safe for concurrent
-// readers.
-type workerEnv struct {
-	field *gf.Field
-	ic    *rs.Interleaved
-}
-
-// worker is the execution context of one generation at one processor: a
-// processor handle bound to the generation's round stream, a broadcaster on
-// that handle, and this execution's view of the diagnosis graph (the
-// authoritative graph for the sequential path, a launch-time snapshot for a
-// speculative fiber).
+// worker is the execution context of the generations at one processor: the
+// processor handle, a broadcaster on that handle, and the diagnosis graph.
 type worker struct {
 	p     *sim.Proc
 	par   Params
@@ -59,10 +40,10 @@ type worker struct {
 	bcast bsb.Broadcaster
 	g     *diag.Graph
 	diags int
-	// sc is the worker's generation scratch, attached once per worker from
-	// the cross-run pool: per-generation pool traffic would churn slots
-	// when a window of fibers interleaves on few cores, while per-run
-	// scratch would pay the batch buffers' growth on every run.
+	pc    phaseClock // the running generation's clock (timing.go)
+	// sc is the worker's generation scratch, attached once per run from the
+	// cross-run pool: per-generation pool traffic would churn slots, while
+	// per-run scratch would pay the batch buffers' growth on every run.
 	sc *genScratch
 }
 
@@ -89,10 +70,10 @@ func newBroadcaster(p *sim.Proc, par Params) bsb.Broadcaster {
 // honest and faulty processors; Byzantine deviation is injected by the
 // simulator's adversary.
 //
-// Generations execute through the speculative pipeline of pipeline.go: up to
-// par.Window generations are in flight concurrently, with squash-and-replay
-// preserving the sequential protocol's decisions bit for bit. Window = 1
-// (the default) is exactly the sequential protocol.
+// Generations run one after another, as in the paper: generation g+1 starts
+// from the diagnosis graph generation g left behind. Overlapping rounds is
+// the job of a larger generation (Params.Lanes), not of this loop (DESIGN
+// §10).
 func Run(p *sim.Proc, par Params, input []byte, L int) *Output {
 	par, err := par.normalized(L)
 	if err != nil {
@@ -111,33 +92,46 @@ func Run(p *sim.Proc, par Params, input []byte, L int) *Output {
 		p.Abort(err)
 	}
 
+	w := &worker{
+		p: p, par: par, field: field, ic: ic,
+		bcast: newBroadcaster(p, par), g: diag.NewComplete(par.N),
+		sc: scratchPool.Get().(*genScratch),
+	}
 	D := ic.DataBits()
 	gens := (L + D - 1) / D
-	d := &pipeline{
-		p:      p,
-		par:    par,
-		window: par.Window,
-		gens:   gens,
-		reader: bitio.NewReader(input),
-		data:   make([][]gf.Sym, gens),
-		shared: workerEnv{field: field, ic: ic},
-		graph:  diag.NewComplete(par.N),
-		fibers: make([]*genFiber, max(par.Window, 1)),
-		// Stream ids for speculative fibers start above the caller's own
-		// stream, which keeps carrying the run's sequential traffic (and
-		// all Window = 1 generations).
-		nextStream: p.Stream + 1,
-	}
-	if d.window == 1 {
-		d.seq = &worker{
-			p: p, par: par, field: field, ic: ic,
-			bcast: newBroadcaster(p, par), g: d.graph,
-			sc: scratchPool.Get().(*genScratch),
+	out := &Output{L: L}
+	reader, writer := bitio.NewReader(input), bitio.NewWriter()
+	data := make([]gf.Sym, ic.DataSyms())
+	rounds0 := p.LocalRounds()
+	for g := 0; g < gens; g++ {
+		for i := range data {
+			data[i] = gf.Sym(reader.Read(par.SymBits))
+		}
+		diags0 := w.diags
+		decided, defaulted := w.generation(g, data)
+		out.Generations++
+		if par.Observer != nil {
+			par.Observer(p.ID, g, GenInfo{
+				Defaulted: defaulted,
+				Diagnosed: w.diags > diags0,
+				Graph:     w.g.Clone(),
+			})
+		}
+		if defaulted {
+			out.Defaulted = true
+			break
+		}
+		for _, s := range decided {
+			writer.Write(uint32(s), par.SymBits)
 		}
 	}
-	out := &Output{L: L}
-	d.run(out)
-	d.releaseScratch()
+	if out.Defaulted {
+		out.Value = defaultValue(par.Default, L)
+	} else {
+		out.Value = writer.Truncate(L)
+	}
+	out.DiagnosisRuns, out.Graph, out.Rounds = w.diags, w.g, p.LocalRounds()-rounds0
+	scratchPool.Put(w.sc) // an aborted run unwinds past this and leaves its scratch to the collector
 	return out
 }
 
@@ -156,10 +150,8 @@ func defaultValue(def []byte, L int) []byte {
 }
 
 // genLabels is one generation's set of step labels. Labels repeat across
-// processors, instances and replays (replays reuse their generation's
-// original labels — the squash-and-replay invariant depends on it), so they
-// are interned once per generation index instead of concatenated per step
-// per processor.
+// processors and instances, so they are interned once per generation index
+// instead of concatenated per step per processor.
 type genLabels struct {
 	matchSym, matchM, checkDet, diagSym, diagTrust sim.StepID
 }
@@ -204,12 +196,11 @@ func labelsFor(g int) *genLabels {
 
 // genScratch is one generation's pooled working storage. A generation at
 // n=7 made ~40 small allocations (outboxes, match matrices, broadcast
-// instance batches) — over half the runtime allocation volume of a pipelined
+// instance batches) — over half the runtime allocation volume of a batched
 // deployment — all with lifetimes that end inside the generation call:
 // outgoing message slices are consumed by the barrier before Exchange
 // returns, broadcast instance batches are read by adversaries only during
 // the step they are metadata of, and the match/trust matrices are local.
-// Concurrent generation fibers each grab their own scratch.
 type genScratch struct {
 	n          int
 	out        []sim.Message
@@ -293,21 +284,7 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 	labels := labelsFor(g)
 	sc := pr.sc
 	sc.grab(n)
-	defer func() {
-		if r := recover(); r != nil {
-			// Unwinding (squash, abort): a barrier this fiber submitted to
-			// may still be finalized later by the remaining participants,
-			// which reads the outbox and broadcast-batch slices living in
-			// this scratch. Abandon the scratch to the garbage collector —
-			// the network's references keep it alive and intact — instead of
-			// recycling storage the simulator may still read. Squashes are
-			// rare (bounded by the diagnosis count), so the leak is bounded;
-			// the worker's next launch grabs a fresh scratch.
-			pr.sc = nil
-			panic(r)
-		}
-		sc.release()
-	}()
+	defer sc.release()
 	pc := pr.clock(g)
 	defer pc.finish()
 	active := pr.g.Active()
@@ -453,12 +430,6 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 	// --- Diagnosis stage ----------------------------------------------------
 	pc.enterDiag()
 	pr.diags++
-	// Copy-on-write: speculative fibers launch sharing the driver's graph
-	// read-only; the diagnosis stage is the only writer, so the snapshot
-	// clone happens here — once per diagnosis (≤ t(t+1) per execution,
-	// Theorem 1) instead of once per launched fiber. The driver adopts the
-	// clone when this generation commits.
-	pr.g = pr.g.Clone()
 	wordBits := pr.ic.WordBits()
 
 	// 3(a)+3(b): members broadcast their own codeword symbol bit by bit; the

@@ -24,12 +24,14 @@ type phaseClock struct {
 }
 
 // clock returns a running phase clock for generation g, or nil when timing
-// is off or this is not the metering processor.
+// is off or this is not the metering processor. The clock lives in the
+// worker, so timing a generation allocates nothing.
 func (pr *worker) clock(g int) *phaseClock {
 	if pr.par.PhaseTimer == nil || pr.p.ID != 0 {
 		return nil
 	}
-	return &phaseClock{timer: pr.par.PhaseTimer, procID: pr.p.ID, gen: g, start: time.Now()}
+	pr.pc = phaseClock{timer: pr.par.PhaseTimer, procID: pr.p.ID, gen: g, start: time.Now()}
+	return &pr.pc
 }
 
 // now returns the current time, or the zero time on a nil clock.
@@ -62,9 +64,8 @@ func (c *phaseClock) enterDiag() {
 	}
 }
 
-// finish emits the four phase durations. Deferred from generation, so a
-// squashed fiber's partial work is still attributed (it is real wall-clock
-// the pipeline spent).
+// finish emits the four phase durations. Deferred from generation, so an
+// aborted generation's partial work is still attributed.
 func (c *phaseClock) finish() {
 	if c == nil {
 		return

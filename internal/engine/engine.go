@@ -98,10 +98,13 @@ type Config struct {
 	// Degrade enables graceful degradation on a networked runner: a cycle
 	// whose rounds miss frames only from peers with broken channels keeps
 	// completing (the missing contributions degrade to ⊥, attributed in the
-	// report) for up to Consensus.T such peers, instead of failing the
-	// cycle's instances. The decision cross-check then tolerates up to T
-	// missing honest outputs — agreement is still required of every output
-	// that exists. No effect on the simulator runner.
+	// report) instead of failing the cycle's instances, as long as such
+	// peers and the Faulty processors together number at most Consensus.T
+	// (a degraded peer that is also Faulty counts once). The decision
+	// cross-check spends the same budget on missing honest outputs —
+	// agreement is still required of every output that exists — and a cycle
+	// that overflows it fails with an error naming the budget. No effect on
+	// the simulator runner.
 	Degrade bool
 	// BatchValues caps how many client values are coalesced into one
 	// consensus instance (0 = 64).
@@ -130,8 +133,8 @@ type Config struct {
 	// engine returns it either way.
 	Metrics *obs.Registry
 	// Tracer, if non-nil and enabled, receives structured protocol trace
-	// events (cycle spans, per-generation phase spans, squashes, flush
-	// triggers). A nil or disabled tracer costs one branch per event site.
+	// events (cycle spans, per-generation phase spans, flush triggers). A
+	// nil or disabled tracer costs one branch per event site.
 	Tracer *obs.Tracer
 	// DisableMetrics turns all metric recording off (the tracer too). It
 	// exists for the observability overhead guard — an A/B benchmark needs
@@ -207,12 +210,14 @@ type BatchStats struct {
 	PackedBits int // L of the packed input
 	Bits       int64
 	Rounds     int64
-	// PipelinedRounds is the batch's generation-pipeline critical path in
-	// rounds (consensus.Output.PipelinedRounds): the latency win of
-	// Consensus.Window > 1 shows up here, while Rounds keeps counting all
-	// executed barriers including squashed speculation.
+	// PipelinedRounds is the instance's sequential round count as its honest
+	// processors report it (consensus.Output.Rounds): the sum of its
+	// generations' rounds. The name dates from the retired generation
+	// pipeline; the benchmark harness reads it.
 	PipelinedRounds int64
-	// Squashes counts the batch's discarded speculative generations.
+	// Squashes is always 0: generations are no longer speculated. The
+	// benchmark harness still reads the field; it goes with the next
+	// benchmark change.
 	Squashes      int
 	Generations   int
 	DiagnosisRuns int
@@ -411,7 +416,6 @@ type engineMetrics struct {
 	queueWait  *obs.Histogram // ns from enqueue to cycle pack
 	cycleDur   *obs.Histogram // ns per flush cycle
 	decision   *obs.Histogram // ns from enqueue to decision resolve
-	fibers     *obs.Gauge     // live generation fibers (processor 0)
 	phases     [consensus.NumPhases]*obs.Counter
 }
 
@@ -424,7 +428,6 @@ func (e *Engine) registerMetrics() {
 		queueWait:  e.reg.Histogram("engine_queue_wait_ns"),
 		cycleDur:   e.reg.Histogram("engine_cycle_ns"),
 		decision:   e.reg.Histogram("engine_decision_ns"),
-		fibers:     e.reg.Gauge("consensus_fibers_live"),
 	}
 	for ph := consensus.Phase(0); ph < consensus.NumPhases; ph++ {
 		e.met.phases[ph] = e.reg.Counter("consensus_phase_" + ph.String() + "_ns")
@@ -801,7 +804,7 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 	// run concurrently, so the cycle totals accumulate atomically.
 	var phaseNS [consensus.NumPhases]atomic.Int64
 	if e.met.enabled {
-		prevTimer, prevGauge, tracer := par.PhaseTimer, par.FiberGauge, e.cfg.Tracer
+		prevTimer, tracer := par.PhaseTimer, e.cfg.Tracer
 		met := &e.met
 		par.PhaseTimer = func(procID, gen int, ph consensus.Phase, d time.Duration) {
 			phaseNS[ph].Add(int64(d))
@@ -816,16 +819,10 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 				prevTimer(procID, gen, ph, d)
 			}
 		}
-		par.FiberGauge = func(procID, live int) {
-			met.fibers.Set(int64(live))
-			if prevGauge != nil {
-				prevGauge(procID, live)
-			}
-		}
 	}
 	degrade := 0
 	if e.cfg.Degrade {
-		degrade = par.T
+		degrade = par.T // one budget: the runner counts Faulty against it too
 	}
 	res := e.cfg.Runner.RunBatch(sim.BatchConfig{
 		N:            par.N,
@@ -873,8 +870,7 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 		}
 		st.Generations = out.Generations
 		st.DiagnosisRuns = out.DiagnosisRuns
-		st.PipelinedRounds = out.PipelinedRounds
-		st.Squashes = out.Squashes
+		st.PipelinedRounds = out.Rounds
 		st.Defaulted = out.Defaulted
 		st.BitsPerValue = float64(st.Bits) / float64(len(batch))
 		rep.Batches = append(rep.Batches, st)
@@ -882,10 +878,6 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 
 		if out.Defaulted {
 			defaulted += len(batch)
-			if out.Squashes > 0 && e.cfg.Tracer.Enabled() {
-				e.cfg.Tracer.Emit(obs.Event{Cat: "gen", Name: "squash",
-					Cycle: cycleID, Inst: k, Detail: fmt.Sprintf("count=%d", out.Squashes)})
-			}
 			for _, s := range batch {
 				if !s.enq.IsZero() {
 					lat := time.Since(s.enq)
@@ -895,10 +887,6 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 			}
 			resolveBatch(batch, Decision{Batch: batchIDs[k], Defaulted: true})
 			continue
-		}
-		if out.Squashes > 0 && e.cfg.Tracer.Enabled() {
-			e.cfg.Tracer.Emit(obs.Event{Cat: "gen", Name: "squash",
-				Cycle: cycleID, Inst: k, Detail: fmt.Sprintf("count=%d", out.Squashes)})
 		}
 		values, err := unpackValues(out.Value)
 		if err == nil && len(values) != len(batch) {
@@ -977,27 +965,29 @@ func (e *Engine) Metrics() *obs.Registry { return e.reg }
 // agreedOutput cross-checks the honest processors' outputs of one instance
 // and returns their common output. Any divergence means the error-free
 // guarantee was broken and is reported as an error.
+//
+// Under graceful degradation honest outputs may be missing — nodes whose runs
+// ended on broken peer channels — as long as they and the Faulty processors
+// together number at most T; the outputs that exist must still agree
+// unanimously.
 func (e *Engine) agreedOutput(values []any) (*consensus.Output, error) {
 	isFaulty := make(map[int]bool, len(e.cfg.Faulty))
 	for _, f := range e.cfg.Faulty {
 		isFaulty[f] = true
 	}
 	var ref *consensus.Output
-	missing := 0
+	var missing []int
 	for i, v := range values {
 		if isFaulty[i] {
 			continue
 		}
 		out, ok := v.(*consensus.Output)
 		if !ok {
-			// Under graceful degradation up to T honest outputs may be
-			// missing — nodes whose runs ended on broken peer channels. The
-			// outputs that exist must still agree unanimously.
-			if e.cfg.Degrade && missing < e.cfg.Consensus.T {
-				missing++
-				continue
+			if !e.cfg.Degrade {
+				return nil, fmt.Errorf("honest processor %d produced no output", i)
 			}
-			return nil, fmt.Errorf("honest processor %d produced no output", i)
+			missing = append(missing, i)
+			continue
 		}
 		if ref == nil {
 			ref = out
@@ -1006,6 +996,10 @@ func (e *Engine) agreedOutput(values []any) (*consensus.Output, error) {
 		if !bytes.Equal(out.Value, ref.Value) || out.Defaulted != ref.Defaulted {
 			return nil, fmt.Errorf("honest processors %d disagreed (error-free guarantee broken)", i)
 		}
+	}
+	if t := e.cfg.Consensus.T; len(isFaulty)+len(missing) > t {
+		return nil, fmt.Errorf("fault budget t=%d exceeded: %d Byzantine processors and honest processors %v without output",
+			t, len(isFaulty), missing)
 	}
 	if ref == nil {
 		return nil, fmt.Errorf("no honest processors")

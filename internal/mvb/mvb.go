@@ -42,11 +42,6 @@ type Output struct {
 	Defaulted     bool
 	Generations   int
 	DiagnosisRuns int
-	// PipelinedRounds and Squashes report the underlying consensus
-	// pipeline's critical-path rounds and discarded speculative generations
-	// (see consensus.Output); the dissemination round is not included.
-	PipelinedRounds int64
-	Squashes        int
 }
 
 // Run executes the broadcast at processor p. value is consulted only at the
@@ -85,12 +80,10 @@ func Run(p *sim.Proc, par Params, value []byte, L int) *Output {
 	// Agreement on the received values via Algorithm 1.
 	res := consensus.Run(p, par.Consensus, received, L)
 	return &Output{
-		Value:           res.Value,
-		L:               L,
-		Defaulted:       res.Defaulted,
-		Generations:     res.Generations,
-		DiagnosisRuns:   res.DiagnosisRuns,
-		PipelinedRounds: res.PipelinedRounds,
-		Squashes:        res.Squashes,
+		Value:         res.Value,
+		L:             L,
+		Defaulted:     res.Defaulted,
+		Generations:   res.Generations,
+		DiagnosisRuns: res.DiagnosisRuns,
 	}
 }

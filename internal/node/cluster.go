@@ -421,7 +421,6 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 				id: i, n: cfg.N, instTag: instTag,
 				wireInst: wire.ComposeInstance(base+k, shard, shardBits),
 				faulty:   faulty, adv: adv,
-				procSeed:     sim.ProcSeed(instSeed, i),
 				procRand:     sim.LazyRand(sim.ProcSeed(instSeed, i)),
 				advRand:      sim.LazyRand(sim.ProcSeed(instSeed^0x5DEECE66D, i)),
 				meter:        res.Instances[k].Meter,
@@ -562,7 +561,7 @@ type routerEpoch struct {
 // failure (nil = healthy) and whether it is permanent. Transient losses —
 // dropped connections, injected faults — are cleared by the transport's
 // PeerUp once the channel recovers; protocol-level violations (undecodable
-// frame headers, unknown instance ids, stream-tag floods, transports'
+// frame headers, unknown instance ids, transports'
 // permanent demotions) never are.
 type peerState struct {
 	err       error
@@ -839,9 +838,7 @@ func (r *nodeRouter) Deliver(fr transport.Frame) {
 		r.PeerDown(fr.From, fmt.Errorf("frame from node %d for unknown instance %d (shard %d)", fr.From, f.Instance, shard))
 		return
 	}
-	if !ep.rts[k].inbox.push(fr.From, f.Stream, f) {
-		r.PeerDown(fr.From, fmt.Errorf("node %d floods never-awaited stream tags (stream %d)", fr.From, f.Stream))
-	}
+	ep.rts[k].inbox.push(fr.From, f)
 }
 
 // dispatch is the fallback receive loop for endpoints without push delivery;

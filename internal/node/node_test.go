@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"byzcons/internal/consensus"
 	"byzcons/internal/sim"
 	"byzcons/internal/transport"
+	"byzcons/internal/wire"
 )
 
 func factories() map[string]transport.Factory {
@@ -340,6 +342,66 @@ func TestClusterGarbagePayloadDegradesToBot(t *testing.T) {
 	}
 	if !sawNil.Load() {
 		t.Error("nil contribution was not delivered as ⊥")
+	}
+}
+
+// TestClusterReservedKindBitsConvictSender: a frame whose kind byte sets a
+// reserved bit is a channel violation by its sender. Node 2 sends such
+// frames — a well-formed first-round frame under what used to be a stream
+// tag — to every peer instead of joining the protocol. Each receiver's
+// router must refuse to decode it and convict node 2, so the cycle names
+// node 2 in PeersDown and the other nodes, degrading around it, still decide.
+func TestClusterReservedKindBitsConvictSender(t *testing.T) {
+	t.Parallel()
+	const n, L = 4, 256
+	par := consensus.Params{N: n, T: 1}
+	input := bytes.Repeat([]byte{0x6B}, L/8)
+	for kind, f := range factories() {
+		kind, f := kind, f
+		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			cf := &capturingFactory{inner: f}
+			c := NewCluster(cf)
+			defer c.Close()
+			// No stall detector: only the routers' refusal to decode may
+			// convict node 2, not its silence.
+			c.StallTimeout = -1
+			if err := c.Connect(n); err != nil {
+				t.Fatal(err)
+			}
+			tagged, err := (&wire.Frame{Kind: wire.StepExchange, StepSum: wire.StepSum("g0/match.sym")}).Append(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tagged[0] |= 1 << 2
+			res := c.RunBatch(sim.BatchConfig{N: n, Seed: 9, Instances: 1, DegradePeers: par.T},
+				func(_ int, p *sim.Proc) any {
+					if p.ID != 2 {
+						return consensus.Run(p, par, input, L)
+					}
+					for to := 0; to < n; to++ {
+						if to != 2 {
+							if err := cf.eps[2].Send(to, bytes.Clone(tagged)); err != nil {
+								t.Errorf("send to %d: %v", to, err)
+							}
+						}
+					}
+					return nil
+				})
+			if res.Err != nil {
+				t.Fatalf("cycle failed instead of convicting the sender: %v", res.Err)
+			}
+			if !slices.Equal(res.PeersDown, []int{2}) {
+				t.Errorf("PeersDown = %v, want exactly the sender [2]", res.PeersDown)
+			}
+			if !slices.Equal(res.DegradedPeers, []int{2}) {
+				t.Errorf("DegradedPeers = %v, want [2]", res.DegradedPeers)
+			}
+			requireLiveAgreement(t, kind, res, 2)
+			if o := res.Instances[0].Values[0].(*consensus.Output); !bytes.Equal(o.Value, input) {
+				t.Errorf("decided %x, want the common input", o.Value)
+			}
+		})
 	}
 }
 

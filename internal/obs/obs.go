@@ -44,7 +44,7 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous atomic value (queue depth, live fibers, ...).
+// Gauge is an instantaneous atomic value (queue depth, open connections, ...).
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.

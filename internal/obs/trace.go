@@ -12,7 +12,7 @@ import (
 // or a span (Dur > 0). TS is unix nanoseconds so events serialize to
 // compact JSONL and survive round-trips without timezone churn.
 //
-// Cat groups events by subsystem ("cycle", "gen", "rs", "flush", "peer");
+// Cat groups events by subsystem ("cycle", "phase", "flush", "peer", "chaos");
 // Name is the specific event within the category. Cycle/Inst/Gen/Node are
 // -1 when not applicable so that zero-valued ids stay distinguishable.
 type Event struct {

@@ -48,7 +48,7 @@ func (ic *Interleaved) WordBits() int { return ic.M * int(ic.C.F.C()) }
 // symPool recycles scratch symbol slices for the working buffers of the
 // interleaved hot paths. The returned words/results escape to callers and
 // stay freshly allocated; only buffers whose lifetime ends inside the call
-// are pooled, so concurrent generation fibers can share the pool.
+// are pooled, so concurrent instances can share the pool.
 var symPool = sync.Pool{New: func() any { return new([]gf.Sym) }}
 
 // getSyms returns a pooled slice of n symbols (contents undefined).
@@ -66,7 +66,7 @@ func getSyms(n int) *[]gf.Sym {
 // over one freshly allocated stripe; use EncodeStripe to control the buffer.
 // The transpose scratch rides in the same allocation as the stripe, so the
 // per-generation protocol path stays off the shared pool (whose slots churn
-// when a window of fibers interleaves).
+// when many processors interleave).
 func (ic *Interleaved) Encode(data []gf.Sym) [][]gf.Sym {
 	n, k, m := ic.C.N, ic.C.K, ic.M
 	if len(data) != ic.DataSyms() {

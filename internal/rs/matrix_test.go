@@ -143,8 +143,8 @@ func TestCodeInterning(t *testing.T) {
 }
 
 // TestSubsetCacheConcurrent hammers one shared code from concurrent
-// goroutines over many distinct position subsets — the shape of pipelined
-// generation fibers sharing the interned code — and checks every result.
+// goroutines over many distinct position subsets — the shape of concurrent
+// instances sharing the interned code — and checks every result.
 // Run under -race this is the flake check for the pooled stripe buffers.
 func TestSubsetCacheConcurrent(t *testing.T) {
 	t.Parallel()

@@ -98,9 +98,9 @@ func (c *Code) EncodeInto(data, out []gf.Sym) []gf.Sym {
 
 // interpScratch holds Interpolate's working buffers. They are pooled: every
 // generation of every processor interpolates (decode and consistency checks
-// are the per-generation hot path), and under the pipelined window several
-// generation fibers interpolate concurrently, so per-call allocation would
-// churn while a plain per-Code buffer would race.
+// are the per-generation hot path), and the instances of a batch interpolate
+// concurrently, so per-call allocation would churn while a plain per-Code
+// buffer would race.
 type interpScratch struct {
 	xs     []gf.Sym
 	master []gf.Sym

@@ -24,12 +24,14 @@ type BatchConfig struct {
 	Seed      int64     // per-instance seeds are derived deterministically
 	Instances int       // number of concurrent instances (0 or 1 = single)
 	// DegradePeers, when > 0, enables graceful degradation in backends with
-	// real channels (internal/node): a round missing frames only from peers
-	// whose channels are known down completes with synthesized ⊥ frames, and a
-	// node whose own run fails on a peer-attributed fault yields a missing
-	// value instead of failing the whole instance — for up to DegradePeers
-	// distinct peers per node. The simulator's shared-memory barrier has no
-	// channels to lose, so it ignores the field.
+	// real channels (internal/node) and is its fault budget: a round missing
+	// frames only from peers whose channels are known down completes with
+	// synthesized ⊥ frames, and a node whose own run fails on a
+	// peer-attributed fault yields a missing value instead of failing the
+	// whole instance — as long as, at each node, the degraded peers and the
+	// Faulty processors together number at most DegradePeers. The
+	// simulator's shared-memory barrier has no channels to lose, so it
+	// ignores the field.
 	DegradePeers int
 }
 

@@ -5,9 +5,8 @@ import "math/rand"
 // lazySource defers the expensive rngSource seeding (607 feedback steps in
 // math/rand) until the first draw. Protocol code draws from Proc.Rand only
 // on rare paths (the probabilistic broadcaster, Fitzi-Hirt keys), yet every
-// speculative generation fiber and every node runtime carries its own
-// deterministic Rand — eagerly seeding them all was a measurable slice of
-// the pipelined hot path. The draw sequence is bit-identical to
+// processor of every instance carries its own deterministic Rand — eagerly
+// seeding them all was a measurable slice of the batched hot path. The draw sequence is bit-identical to
 // rand.New(rand.NewSource(seed)).
 type lazySource struct {
 	seed int64
@@ -32,27 +31,7 @@ func (s *lazySource) Seed(seed int64) {
 
 // LazyRand returns a deterministic *rand.Rand seeded with seed whose
 // underlying source state is built on first use. Exported so every backend
-// derives per-processor and per-fiber randomness identically (and equally
-// lazily).
+// derives per-processor randomness identically (and equally lazily).
 func LazyRand(seed int64) *rand.Rand {
 	return rand.New(&lazySource{seed: seed})
-}
-
-// LazyRandReseedable is LazyRand returning also a reseed function, for
-// pooled fiber contexts that re-target one Rand at a new deterministic seed
-// per launch (reseeding restores the exact state LazyRand(seed) would
-// construct).
-func LazyRandReseedable(seed int64) (*rand.Rand, func(int64)) {
-	src := &lazySource{seed: seed}
-	return rand.New(src), src.Seed
-}
-
-// RebindStream re-targets a fiber handle at a new stream with fresh
-// randomness and a zero local round counter — WithStream for pooled
-// handles, without the allocation. The handle must not be in use by any
-// other goroutine.
-func (p *Proc) RebindStream(stream int, rng *rand.Rand) {
-	p.Stream = stream
-	p.Rand = rng
-	p.rounds = 0
 }

@@ -14,10 +14,7 @@ const (
 )
 
 // Network implements the synchronous barrier rounds shared by all processor
-// goroutines of one run. Barriers are stream-scoped: each stream is an
-// independent lock-step round sequence (the consensus pipeline runs one
-// stream per in-flight generation), with the same per-stream semantics the
-// single-stream network of the sequential runtime had globally.
+// goroutines of one run.
 type Network struct {
 	n        int
 	instance int // instance id when multiplexed by RunBatch; -1 for single runs
@@ -26,36 +23,11 @@ type Network struct {
 	meter    *metrics.Meter
 	rand     *rand.Rand
 
-	mu   sync.Mutex
-	done int // processors whose body has returned
-	// streams is keyed by (id, incarnation): the pipeline reuses the ids of
-	// cleanly committed streams (keeping the wire tag small and the barrier
-	// state hot), and each processor's Release advances its own incarnation
-	// counter for the id. Processors at different speeds therefore
-	// rendezvous on distinct states for the same id — per-processor
-	// incarnation counts are equal exactly when the processors are on the
-	// same logical use of the id, because the launch/release schedule is
-	// deterministic and identical everywhere.
-	streams map[streamKey]*streamState
-	// epochs[p] maps a stream id to processor p's incarnation count (how
-	// many times p has released the id). Ids not present are at 0.
-	epochs []map[int]int
-	failed error
-}
-
-// streamKey identifies one incarnation of a stream id.
-type streamKey struct{ id, epoch int }
-
-// stream is the barrier state of one round stream. A stream's phases are
-// strictly ordered; distinct streams rendezvous independently. Each stream
-// has its own condition variable (sharing the network mutex), so completing
-// a round wakes exactly that round's waiters — one wakeup per completed
-// round instead of a broadcast herding every parked fiber of every stream.
-type streamState struct {
-	id      int
+	mu      sync.Mutex
 	cond    *sync.Cond
 	phase   uint64
 	arrived int
+	done    int // processors whose body has returned
 	step    StepID
 	kind    int
 	meta    any
@@ -65,18 +37,7 @@ type streamState struct {
 	tags    []string
 	inboxes [][]Message // result of the last Exchange, indexed by receiver
 	synced  []any       // result of the last Sync
-	// squashed[p] marks processor p's fiber as withdrawn from the stream:
-	// its next (or currently blocked) rendezvous unwinds with a Squashed
-	// panic. squashedAny disables the exited-processor deadlock heuristics,
-	// which assume every non-exited processor still owes the stream a
-	// contribution.
-	squashed    []bool
-	squashedAny bool
-	// released counts processors that declared the stream finished; at n the
-	// stream's state is dropped. Stream ids are never reused, so late map
-	// lookups cannot resurrect freed state.
-	released   int
-	releasedBy []bool
+	failed  error
 }
 
 // NewNetwork creates a network for n processors. faulty marks the
@@ -95,88 +56,40 @@ func NewNetwork(n, instance int, faulty []bool, adv Adversary, meter *metrics.Me
 		adv:      adv,
 		meter:    meter,
 		rand:     rng,
-		streams:  make(map[streamKey]*streamState),
-		epochs:   make([]map[int]int, n),
+		outs:     make([][]Message, n),
+		vals:     make([]any, n),
+		bits:     make([]int64, n),
+		tags:     make([]string, n),
 	}
+	net.cond = sync.NewCond(&net.mu)
 	return net
-}
-
-// keyFor returns processor p's current key for a stream id. Caller holds
-// net.mu.
-func (net *Network) keyFor(p, id int) streamKey {
-	if m := net.epochs[p]; m != nil {
-		return streamKey{id: id, epoch: m[id]}
-	}
-	return streamKey{id: id}
 }
 
 // Meter returns the network's bit meter.
 func (net *Network) Meter() *metrics.Meter { return net.meter }
 
 // Exchange implements Backend.
-func (net *Network) Exchange(p, stream int, step StepID, out []Message, meta any) []Message {
-	res := net.rendezvous(p, stream, step, kindExchange, func(ss *streamState) {
-		ss.outs[p] = out
-		if meta != nil && ss.meta == nil {
-			ss.meta = meta
+func (net *Network) Exchange(p int, step StepID, out []Message, meta any) []Message {
+	res := net.rendezvous(p, step, kindExchange, func() {
+		net.outs[p] = out
+		if meta != nil && net.meta == nil {
+			net.meta = meta
 		}
 	}, net.finalizeExchange)
 	return res.([]Message)
 }
 
 // Sync implements Backend.
-func (net *Network) Sync(p, stream int, step StepID, val any, bits int64, tag string, meta any) []any {
-	res := net.rendezvous(p, stream, step, kindSync, func(ss *streamState) {
-		ss.vals[p] = val
-		ss.bits[p] = bits
-		ss.tags[p] = tag
-		if meta != nil && ss.meta == nil {
-			ss.meta = meta
+func (net *Network) Sync(p int, step StepID, val any, bits int64, tag string, meta any) []any {
+	res := net.rendezvous(p, step, kindSync, func() {
+		net.vals[p] = val
+		net.bits[p] = bits
+		net.tags[p] = tag
+		if meta != nil && net.meta == nil {
+			net.meta = meta
 		}
 	}, net.finalizeSync)
 	return res.([]any)
-}
-
-// Squash implements Backend: it withdraws processor p's fiber from the
-// stream. The stream's other participants are unaffected — each processor
-// squashes speculative streams on its own (identical, deterministic)
-// schedule, so a partially filled barrier either completes with the stale
-// contribution already submitted or is abandoned by everyone. Squash may
-// create the stream's state (the fiber may not have reached its first
-// barrier yet); it never resurrects a freed one, because a driver only
-// squashes fibers that have not yet delivered a result, and a fiber
-// releases its stream strictly after delivering.
-func (net *Network) Squash(p, stream int) {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	ss := net.getStream(p, stream)
-	if !ss.squashed[p] {
-		ss.squashed[p] = true
-		ss.squashedAny = true
-		ss.cond.Broadcast()
-	}
-}
-
-// Release implements Backend: processor p declares its use of the stream id
-// finished and advances to the id's next incarnation; when all n processors
-// have, the incarnation's barrier state is dropped.
-func (net *Network) Release(p, stream int) {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	key := net.keyFor(p, stream)
-	if net.epochs[p] == nil {
-		net.epochs[p] = make(map[int]int)
-	}
-	net.epochs[p][stream] = key.epoch + 1
-	ss, ok := net.streams[key]
-	if !ok || ss.releasedBy[p] {
-		return
-	}
-	ss.releasedBy[p] = true
-	ss.released++
-	if ss.released == net.n {
-		delete(net.streams, key)
-	}
 }
 
 // Fail implements Backend.
@@ -192,28 +105,6 @@ func (net *Network) FirstHonest() int {
 	return -1
 }
 
-// getStream returns the barrier state of processor p's current incarnation
-// of the stream id, creating it on first use (first rendezvous arrival, or
-// an early squash). Caller holds net.mu.
-func (net *Network) getStream(p, id int) *streamState {
-	key := net.keyFor(p, id)
-	ss := net.streams[key]
-	if ss == nil {
-		ss = &streamState{
-			id:         id,
-			cond:       sync.NewCond(&net.mu),
-			outs:       make([][]Message, net.n),
-			vals:       make([]any, net.n),
-			bits:       make([]int64, net.n),
-			tags:       make([]string, net.n),
-			squashed:   make([]bool, net.n),
-			releasedBy: make([]bool, net.n),
-		}
-		net.streams[key] = ss
-	}
-	return ss
-}
-
 // errf builds a run-level error tagged with the network's instance when it is
 // part of a multiplexed batch, so failures are attributable to one instance.
 func (net *Network) errf(format string, args ...any) error {
@@ -224,28 +115,15 @@ func (net *Network) errf(format string, args ...any) error {
 	return err
 }
 
-// wakeAllLocked wakes every parked participant of every stream, for
-// run-level events (failure) that any waiter must observe. Caller holds
-// net.mu.
-func (net *Network) wakeAllLocked() {
-	for _, ss := range net.streams {
-		ss.cond.Broadcast()
-	}
-}
-
 // procDone records that one processor's body returned. If other processors
 // are parked at a barrier that can now never be completed, the run is failed
-// rather than deadlocked. Streams squashed anywhere are exempt: a processor
-// that exited after squashing a stream legitimately owes it nothing, and the
-// remaining participants will be unwound by their own squashes.
+// rather than deadlocked.
 func (net *Network) procDone() {
 	net.mu.Lock()
 	net.done++
-	for _, ss := range net.streams {
-		if ss.arrived > 0 && !ss.squashedAny && ss.arrived+net.done >= net.n && net.failed == nil {
-			net.failed = net.errf("sim: %d processor(s) exited while others wait at step %q", net.done, ss.step)
-			net.wakeAllLocked()
-		}
+	if net.arrived > 0 && net.arrived+net.done >= net.n && net.failed == nil {
+		net.failed = net.errf("sim: %d processor(s) exited while others wait at step %q", net.done, net.step)
+		net.cond.Broadcast()
 	}
 	net.mu.Unlock()
 }
@@ -257,118 +135,108 @@ func (net *Network) fail(err error) {
 	if net.failed == nil {
 		net.failed = err
 	}
-	net.wakeAllLocked()
+	net.cond.Broadcast()
 	net.mu.Unlock()
 }
 
-// rendezvous runs one barrier on one stream: each participant submits its
-// data; the last arrival finalizes the step (adversary rework, routing,
-// metering) and wakes the others. The finalized result for the phase is
-// captured before any participant can start the stream's next phase, because
-// the next finalize needs all n participants to have arrived again. A
-// participant whose fiber was squashed unwinds with a Squashed panic instead
-// of submitting (or instead of a result, if the squash landed while it was
-// parked and the phase has not completed).
-func (net *Network) rendezvous(p, streamID int, step StepID, kind int, submit func(*streamState), finalize func(*streamState)) any {
+// rendezvous runs one barrier: each participant submits its data; the last
+// arrival finalizes the step (adversary rework, routing, metering) and wakes
+// the others. The finalized result for the phase is captured before any
+// participant can start the next phase, because the next finalize needs all
+// n participants to have arrived again.
+func (net *Network) rendezvous(p int, step StepID, kind int, submit func(), finalize func()) any {
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	if net.failed != nil {
 		panic(abortError{net.failed})
 	}
-	ss := net.getStream(p, streamID)
-	if ss.squashed[p] {
-		panic(Squashed{Stream: streamID})
-	}
-	if ss.arrived == 0 {
-		ss.step = step
-		ss.kind = kind
-		ss.meta = nil
-	} else if ss.step != step || ss.kind != kind {
-		err := net.errf("sim: step mismatch: processor %d at %q (kind %d), stream %d barrier at %q (kind %d)",
-			p, step, kind, streamID, ss.step, ss.kind)
+	if net.arrived == 0 {
+		net.step = step
+		net.kind = kind
+		net.meta = nil
+	} else if net.step != step || net.kind != kind {
+		err := net.errf("sim: step mismatch: processor %d at %q (kind %d), barrier at %q (kind %d)",
+			p, step, kind, net.step, net.kind)
 		net.failed = err
-		net.wakeAllLocked()
+		net.cond.Broadcast()
 		panic(abortError{err})
 	}
-	submit(ss)
-	ss.arrived++
-	myPhase := ss.phase
-	if net.done > 0 && !ss.squashedAny && ss.arrived+net.done >= net.n {
+	submit()
+	net.arrived++
+	myPhase := net.phase
+	if net.done > 0 && net.arrived+net.done >= net.n {
 		err := net.errf("sim: step %q can never complete: %d processor(s) already exited", step, net.done)
 		net.failed = err
-		net.wakeAllLocked()
+		net.cond.Broadcast()
 		panic(abortError{err})
 	}
-	if ss.arrived == net.n {
-		finalize(ss)
+	if net.arrived == net.n {
+		finalize()
 		if net.failed != nil {
-			net.wakeAllLocked()
+			net.cond.Broadcast()
 			panic(abortError{net.failed})
 		}
 		net.meter.AddRound()
-		ss.arrived = 0
-		ss.phase++
-		ss.cond.Broadcast()
+		net.arrived = 0
+		net.phase++
+		net.cond.Broadcast()
 	} else {
-		for ss.phase == myPhase && !ss.squashed[p] && net.failed == nil {
-			ss.cond.Wait()
+		for net.phase == myPhase && net.failed == nil {
+			net.cond.Wait()
 		}
 		if net.failed != nil {
 			panic(abortError{net.failed})
 		}
-		if ss.phase == myPhase && ss.squashed[p] {
-			panic(Squashed{Stream: streamID})
-		}
 	}
 	if kind == kindExchange {
-		return ss.inboxes[p]
+		return net.inboxes[p]
 	}
-	return ss.synced
+	return net.synced
 }
 
 // finalizeExchange runs under the lock once all processors submitted.
-func (net *Network) finalizeExchange(ss *streamState) {
+func (net *Network) finalizeExchange() {
 	ctx := &ExchangeCtx{
-		Step: ss.step, Instance: max(net.instance, 0), Stream: ss.id, N: net.n, Faulty: net.faulty,
-		Out: ss.outs, Meta: ss.meta, Rand: net.rand,
+		Step: net.step, Instance: max(net.instance, 0), N: net.n, Faulty: net.faulty,
+		Out: net.outs, Meta: net.meta, Rand: net.rand,
 	}
 	net.adv.ReworkExchange(ctx)
 	inboxes := make([][]Message, net.n)
 	for from := 0; from < net.n; from++ {
-		for _, m := range ss.outs[from] {
+		for _, m := range net.outs[from] {
 			m.From = from // senders cannot forge their identity (paper's channel model)
 			if m.To < 0 || m.To >= net.n || m.To == from {
-				net.failed = net.errf("sim: step %q: processor %d sent message with bad To=%d", ss.step, from, m.To)
+				net.failed = net.errf("sim: step %q: processor %d sent message with bad To=%d", net.step, from, m.To)
 				return
 			}
 			if m.Bits < 0 {
-				net.failed = net.errf("sim: step %q: negative Bits from processor %d", ss.step, from)
+				net.failed = net.errf("sim: step %q: negative Bits from processor %d", net.step, from)
 				return
 			}
 			net.meter.Add(m.Tag, m.Bits, net.faulty[from])
 			inboxes[m.To] = append(inboxes[m.To], m)
 		}
-		ss.outs[from] = nil
+		net.outs[from] = nil
 	}
-	ss.inboxes = inboxes
+	net.inboxes = inboxes
 }
 
 // finalizeSync runs under the lock once all processors submitted.
-func (net *Network) finalizeSync(ss *streamState) {
+func (net *Network) finalizeSync() {
 	ctx := &SyncCtx{
-		Step: ss.step, Instance: max(net.instance, 0), Stream: ss.id, N: net.n, Faulty: net.faulty,
-		Vals: ss.vals, Meta: ss.meta, Rand: net.rand,
+		Step: net.step, Instance: max(net.instance, 0), N: net.n, Faulty: net.faulty,
+		Vals: net.vals, Meta: net.meta, Rand: net.rand,
 	}
 	net.adv.ReworkSync(ctx)
 	out := make([]any, net.n)
-	copy(out, ss.vals)
+	copy(out, net.vals)
 	for p := 0; p < net.n; p++ {
-		if ss.bits[p] > 0 {
-			net.meter.Add(ss.tags[p], ss.bits[p], net.faulty[p])
+		if net.bits[p] > 0 {
+			net.meter.Add(net.tags[p], net.bits[p], net.faulty[p])
 		}
-		ss.vals[p] = nil
-		ss.bits[p] = 0
-		ss.tags[p] = ""
+		net.vals[p] = nil
+		net.bits[p] = 0
+		net.tags[p] = ""
 	}
-	ss.synced = out
+	net.synced = out
 }

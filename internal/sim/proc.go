@@ -11,45 +11,20 @@ import (
 // (a single-host barrier with a centrally injected adversary); internal/node
 // provides a distributed backend that realises the same semantics over
 // encoded messages on a real transport.
-//
-// Every barrier step belongs to a stream: an independent sequence of
-// lock-step rounds. Stream 0 is the default used by plain sequential
-// protocol code; the consensus pipeline runs one stream per in-flight
-// generation so that several logical rounds of one processor can be on the
-// wire concurrently. Streams are fully ordered internally (round k+1 of a
-// stream starts only after round k delivered) but unordered against each
-// other.
 type Backend interface {
 	// Exchange delivers processor p's point-to-point messages for one
-	// synchronous round of the given stream and returns the messages
-	// addressed to p, ordered by sender id.
-	Exchange(p, stream int, step StepID, out []Message, meta any) []Message
+	// synchronous round and returns the messages addressed to p, ordered by
+	// sender id.
+	Exchange(p int, step StepID, out []Message, meta any) []Message
 	// Sync submits processor p's contribution to the ideal all-to-all
-	// service on the given stream and returns all n contributions.
-	Sync(p, stream int, step StepID, val any, bits int64, tag string, meta any) []any
-	// Squash abandons processor p's participation in a stream: p's fiber
-	// blocked at (or arriving at) one of the stream's barriers unwinds with
-	// a Squashed panic instead of a result. Squash is local to p — other
-	// processors' fibers on the stream are untouched until they squash it
-	// themselves — and is how the speculative consensus pipeline discards
-	// generations invalidated by a diagnosis.
-	Squash(p, stream int)
-	// Release declares that processor p will never submit to the stream
-	// again, letting the backend free the stream's buffered state once all
-	// processors released it. Must be called exactly once per (p, stream)
-	// after the last barrier use (fiber exit).
-	Release(p, stream int)
+	// service and returns all n contributions.
+	Sync(p int, step StepID, val any, bits int64, tag string, meta any) []any
 	// Fail records a run-level failure so that every processor of the run
 	// terminates with the given error.
 	Fail(err error)
 	// FirstHonest returns the lowest id of a non-faulty processor, or -1.
 	FirstHonest() int
 }
-
-// Squashed is the panic value that unwinds a fiber whose stream was
-// squashed. It is not an error: the squashing driver discards the fiber's
-// work deliberately and must recover this value at the fiber boundary.
-type Squashed struct{ Stream int }
 
 // Proc is one processor's handle on the deployment. Protocol code is written
 // as a function of a Proc; the same code runs at honest and faulty processors
@@ -62,53 +37,31 @@ type Proc struct {
 	// (RunBatch multiplexes several independent instances over one
 	// deployment; Run uses instance 0 throughout).
 	Instance int
-	// Stream is the round stream this handle's barrier steps run on.
-	// Sequential protocol code keeps the default stream 0; the consensus
-	// pipeline derives one handle per speculative generation (WithStream).
-	Stream int
-	Faulty bool // whether this processor is adversary-controlled
-	Rand   *rand.Rand
-	// Seed0 is the deterministic per-processor seed Rand was created from.
-	// Derivation layers (the pipeline's per-fiber seeds) mix sub-seeds from
-	// it directly, so spinning up fibers never pays Rand's lazy state
-	// initialization — protocol code that never draws randomness never
-	// seeds anything.
-	Seed0  int64
-	rt     Backend
-	rounds int64
+	Faulty   bool // whether this processor is adversary-controlled
+	Rand     *rand.Rand
+	rt       Backend
+	rounds   int64
 }
 
 // NewProc binds a processor handle to a backend. It exists for alternative
 // runtimes (internal/node); simulator runs construct their Procs internally.
-func NewProc(id, n, instance int, faulty bool, seed0 int64, rng *rand.Rand, rt Backend) *Proc {
-	return &Proc{ID: id, N: n, Instance: instance, Faulty: faulty, Seed0: seed0, Rand: rng, rt: rt}
-}
-
-// WithStream returns a handle equal to p but submitting to the given stream,
-// with its own randomness and a fresh local round counter. The consensus
-// pipeline uses it to run one fiber per speculative generation; the derived
-// handle must only be used by one goroutine at a time.
-func (p *Proc) WithStream(stream int, rng *rand.Rand) *Proc {
-	return &Proc{
-		ID: p.ID, N: p.N, Instance: p.Instance, Stream: stream,
-		Faulty: p.Faulty, Rand: rng, Seed0: p.Seed0, rt: p.rt,
-	}
+func NewProc(id, n, instance int, faulty bool, rng *rand.Rand, rt Backend) *Proc {
+	return &Proc{ID: id, N: n, Instance: instance, Faulty: faulty, Rand: rng, rt: rt}
 }
 
 // LocalRounds returns the number of barrier steps this handle has completed.
 // It is a logical, processor-local count: every processor executes the same
-// step sequence, so the count is identical at all processors and backends —
-// the pipeline's virtual clock is built on it.
+// step sequence, so the count is identical at all processors and backends.
 func (p *Proc) LocalRounds() int64 { return p.rounds }
 
 // Exchange submits this processor's point-to-point messages for the given
 // step and returns the messages delivered to it, sorted by sender. All
-// processors must call Exchange with the same step on the same stream (one
-// synchronous round). meta, if non-nil, is step metadata made visible to the
-// adversary; it must be identical at every processor (by construction: it is
-// derived from common state).
+// processors must call Exchange with the same step (one synchronous round).
+// meta, if non-nil, is step metadata made visible to the adversary; it must
+// be identical at every processor (by construction: it is derived from
+// common state).
 func (p *Proc) Exchange(step StepID, out []Message, meta any) []Message {
-	in := p.rt.Exchange(p.ID, p.Stream, step, out, meta)
+	in := p.rt.Exchange(p.ID, step, out, meta)
 	p.rounds++
 	return in
 }
@@ -117,18 +70,10 @@ func (p *Proc) Exchange(step StepID, out []Message, meta any) []Message {
 // n contributions (identical at every processor). bits are metered under tag
 // against this processor; use 0 for accounting-free gathers.
 func (p *Proc) Sync(step StepID, val any, bits int64, tag string, meta any) []any {
-	vals := p.rt.Sync(p.ID, p.Stream, step, val, bits, tag, meta)
+	vals := p.rt.Sync(p.ID, step, val, bits, tag, meta)
 	p.rounds++
 	return vals
 }
-
-// SquashStream abandons this processor's participation in a stream (see
-// Backend.Squash).
-func (p *Proc) SquashStream(stream int) { p.rt.Squash(p.ID, stream) }
-
-// ReleaseStream frees this processor's share of a stream's backend state
-// (see Backend.Release).
-func (p *Proc) ReleaseStream(stream int) { p.rt.Release(p.ID, stream) }
 
 // Abort terminates the whole run with the given error.
 func (p *Proc) Abort(err error) {
@@ -155,8 +100,6 @@ func Invoke(p *Proc, body func(*Proc) any) (val any, err error) {
 			switch e := r.(type) {
 			case abortError:
 				err = e.err
-			case Squashed:
-				err = fmt.Errorf("sim: processor %d: squash of stream %d escaped its fiber", p.ID, e.Stream)
 			default:
 				err = fmt.Errorf("sim: processor %d panicked: %v", p.ID, r)
 			}

@@ -55,7 +55,6 @@ func runInstance(cfg RunConfig, instance int, body func(p *Proc) any) *RunResult
 			Instance: max(instance, 0),
 			Faulty:   faulty[i],
 			Rand:     LazyRand(ProcSeed(cfg.Seed, i)),
-			Seed0:    ProcSeed(cfg.Seed, i),
 			rt:       net,
 		}
 		wg.Add(1)
@@ -67,8 +66,6 @@ func runInstance(cfg RunConfig, instance int, body func(p *Proc) any) *RunResult
 					switch e := r.(type) {
 					case abortError:
 						net.fail(e.err)
-					case Squashed:
-						net.fail(net.errf("sim: processor %d: squash of stream %d escaped its fiber", p.ID, e.Stream))
 					default:
 						net.fail(net.errf("sim: processor %d panicked: %v", p.ID, r))
 					}

@@ -53,14 +53,8 @@ type ExchangeCtx struct {
 	// several instances are multiplexed over one deployment (RunBatch);
 	// single-instance runs use instance 0.
 	Instance int
-	// Stream identifies the round stream this step belongs to (0 for
-	// sequential protocol code; one stream per in-flight generation under
-	// the speculative consensus pipeline). Steps of a squashed stream were
-	// speculative: their results are discarded and the generation re-runs on
-	// a fresh stream with the same step labels.
-	Stream int
-	N      int
-	Faulty []bool // Faulty[i] reports whether processor i is adversary-controlled
+	N        int
+	Faulty   []bool // Faulty[i] reports whether processor i is adversary-controlled
 	// Out[i] is processor i's outbox for this step. The adversary may
 	// mutate, replace, extend or drop entries of faulty processors only.
 	Out [][]Message
@@ -76,11 +70,8 @@ type SyncCtx struct {
 	// Instance identifies the protocol instance of this step (see
 	// ExchangeCtx.Instance).
 	Instance int
-	// Stream identifies the round stream of this step (see
-	// ExchangeCtx.Stream).
-	Stream int
-	N      int
-	Faulty []bool
+	N        int
+	Faulty   []bool
 	// Vals[i] is processor i's contribution. The adversary may replace
 	// entries of faulty processors only.
 	Vals []any

@@ -69,9 +69,9 @@ func (o TCPOptions) setupTimeout() time.Duration {
 // batchYieldBytes is the batch size below which a writer started by Send
 // yields the processor once before it flushes. A round's frames to one peer
 // are a few dozen bytes each and arrive from several goroutines (pipelined
-// instances, Window fibers, shards); the yield lets the ones that are
-// runnable right now add theirs, so the round costs one socket write per
-// peer instead of one per frame. A batch already this large is written at
+// instances, shards); the yield lets the ones that are runnable right now
+// add theirs, so the round costs one socket write per peer instead of one
+// per frame. A batch already this large is written at
 // once — a second write would be needed soon anyway.
 const batchYieldBytes = 4 << 10
 

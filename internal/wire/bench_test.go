@@ -13,7 +13,6 @@ func BenchmarkFrameAppend(b *testing.B) {
 	f := &Frame{
 		Kind:     StepExchange,
 		Instance: 3,
-		Stream:   5,
 		StepSum:  0xBEEF,
 		Payloads: []any{[]gf.Sym{12, 200, 7, 91, 33, 2, 250, 16}},
 	}
@@ -34,7 +33,6 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	f := &Frame{
 		Kind:     StepSync,
 		Instance: 0,
-		Stream:   9,
 		StepSum:  0x1234,
 		Payloads: []any{[]bool{true, false, true, true, false}},
 	}

@@ -27,28 +27,19 @@ const MaxFramePayloads = 1 << 16
 // channels, the paper's model), so a Byzantine peer cannot forge it.
 //
 // There is deliberately no sequence number: every transport guarantees
-// per-peer FIFO order and every step sends exactly one frame per peer per
-// stream, so the arrival ordinal within a (peer, stream) queue is the round
-// identity. The header carries only what FIFO cannot provide — the barrier
-// kind, the instance id for demux, the stream tag that separates the
-// concurrent round sequences of a pipelined instance, and the step checksum
-// that catches divergence. Lock-step consensus traffic is dominated by small
-// frames (single symbols, packed bit vectors), so every header byte shows up
-// directly in the encoded-bytes-per-protocol-bit ratio.
+// per-peer FIFO order and every step sends exactly one frame per peer, so
+// the arrival ordinal within a (peer, instance) queue is the round identity.
+// The header carries only what FIFO cannot provide — the barrier kind, the
+// instance id for demux, and the step checksum that catches divergence.
+// Lock-step consensus traffic is dominated by small frames (single symbols,
+// packed bit vectors), so every header byte shows up directly in the
+// encoded-bytes-per-protocol-bit ratio.
 type Frame struct {
 	// Kind is the barrier primitive this frame belongs to.
 	Kind StepKind
 	// Instance demultiplexes pipelined protocol instances sharing one
 	// transport (the engine's batched cycles).
 	Instance int
-	// Stream demultiplexes the concurrent round streams of one instance:
-	// sequential protocol traffic rides stream 0, and the speculative
-	// generation pipeline tags each in-flight generation's rounds with its
-	// own stream so receivers keep one FIFO per (peer, stream) and a
-	// squashed generation's stale frames can be discarded by tag. Small
-	// tags are packed into the kind byte's upper bits, so the tag is free
-	// on the wire until a pipeline exceeds 63 concurrent-ever streams.
-	Stream int
 	// StepSum is a checksum of the step label. Both ends derive the label
 	// from common state, so a mismatch proves protocol divergence (the
 	// networked analogue of the simulator's step-mismatch abort) without
@@ -76,26 +67,12 @@ func (f *Frame) Append(buf []byte) ([]byte, error) {
 	if f.Instance < 0 {
 		return nil, fmt.Errorf("wire: negative frame instance %d", f.Instance)
 	}
-	if f.Stream < 0 {
-		return nil, fmt.Errorf("wire: negative frame stream %d", f.Stream)
-	}
 	if len(f.Payloads) > MaxFramePayloads {
 		return nil, fmt.Errorf("wire: %d payloads exceed the frame limit", len(f.Payloads))
 	}
-	// The stream tag shares the kind byte: kind needs 2 bits, and almost all
-	// frames ride low-numbered streams (0 for sequential traffic), so the
-	// tag costs no wire bytes until a pipeline runs more than streamInline
-	// streams. The encoding is canonical: streams < streamInline use the
-	// packed form only, larger ones the marker + offset-uvarint form only.
-	if f.Stream < streamInline {
-		buf = append(buf, byte(f.Kind)|byte(f.Stream)<<2)
-	} else {
-		buf = append(buf, byte(f.Kind)|streamInline<<2)
-	}
+	// The kind byte's upper six bits are reserved and sent as zero.
+	buf = append(buf, byte(f.Kind))
 	buf = binary.AppendUvarint(buf, uint64(f.Instance))
-	if f.Stream >= streamInline {
-		buf = binary.AppendUvarint(buf, uint64(f.Stream-streamInline))
-	}
 	buf = append(buf, byte(f.StepSum>>8), byte(f.StepSum))
 	buf = binary.AppendUvarint(buf, uint64(len(f.Payloads)))
 	var err error
@@ -107,15 +84,10 @@ func (f *Frame) Append(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// streamInline is the largest stream tag packed into the kind byte; larger
-// tags follow the instance as a uvarint offset by streamInline.
-const streamInline = 63
-
 // framePool recycles decoded Frame shells (struct plus payload container).
-// One frame is decoded per peer per step per stream — the dominant small
-// allocation of the networked round hot path — and the consuming round
-// synchronizer returns frames via PutFrame once their payload values are
-// extracted.
+// One frame is decoded per peer per step — the dominant small allocation of
+// the networked round hot path — and the consuming round synchronizer returns
+// frames via PutFrame once their payload values are extracted.
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
 // PutFrame recycles a decoded frame. The payload values themselves are not
@@ -130,21 +102,22 @@ func PutFrame(f *Frame) {
 }
 
 // decodeHeader parses the frame header shared by DecodeFrame and
-// DecodeFrameHeader: kind, instance, stream and step checksum. The returned
-// frame comes from the shell pool; decode errors return it before
+// DecodeFrameHeader: kind, instance and step checksum. A kind byte with any
+// of its six reserved upper bits set is rejected — no conforming sender sets
+// them, and masking them off would give one frame several encodings. The
+// returned frame comes from the shell pool; decode errors return it before
 // surfacing.
 func decodeHeader(data []byte) (*Frame, []byte, error) {
 	if len(data) == 0 {
 		return nil, nil, fmt.Errorf("wire: empty frame")
 	}
-	f := framePool.Get().(*Frame)
-	f.Kind = StepKind(data[0] & 3)
-	f.Payloads = f.Payloads[:0]
-	if f.Kind != StepExchange && f.Kind != StepSync {
-		PutFrame(f)
-		return nil, nil, fmt.Errorf("wire: bad frame kind %d", data[0]&3)
+	kind := StepKind(data[0])
+	if kind != StepExchange && kind != StepSync {
+		return nil, nil, fmt.Errorf("wire: bad frame kind byte %#x", data[0])
 	}
-	f.Stream = int(data[0] >> 2)
+	f := framePool.Get().(*Frame)
+	f.Kind = kind
+	f.Payloads = f.Payloads[:0]
 	rest := data[1:]
 	inst, n := binary.Uvarint(rest)
 	if n <= 0 || inst > 1<<31 {
@@ -153,15 +126,6 @@ func decodeHeader(data []byte) (*Frame, []byte, error) {
 	}
 	f.Instance = int(inst)
 	rest = rest[n:]
-	if f.Stream == streamInline {
-		strm, n := binary.Uvarint(rest)
-		if n <= 0 || strm > 1<<31 {
-			PutFrame(f)
-			return nil, nil, fmt.Errorf("wire: bad frame stream")
-		}
-		f.Stream = streamInline + int(strm)
-		rest = rest[n:]
-	}
 	if len(rest) < 2 {
 		PutFrame(f)
 		return nil, nil, fmt.Errorf("wire: truncated frame header")
@@ -200,10 +164,10 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	return f, nil
 }
 
-// DecodeFrameHeader parses only a frame's header (kind, instance, stream,
-// stepsum), ignoring the payload region. The networked runtime uses it to
-// degrade gracefully when a Byzantine peer sends a frame whose header is
-// well-formed but whose payloads do not decode: the round synchronizer still
+// DecodeFrameHeader parses only a frame's header (kind, instance, stepsum),
+// ignoring the payload region. The networked runtime uses it to degrade
+// gracefully when a Byzantine peer sends a frame whose header is well-formed
+// but whose payloads do not decode: the round synchronizer still
 // gets its frame (keeping the lock-step structure intact, which a Byzantine
 // processor cannot legally break in the synchronous model) while the
 // payloads degrade to ⊥ — exactly the simulator's treatment of garbage

@@ -14,6 +14,8 @@ import (
 // full content of received frames. Properties:
 //
 //   - DecodeFrame never panics, whatever the input;
+//   - a kind byte with a reserved bit set is rejected by DecodeFrame and
+//     DecodeFrameHeader alike;
 //   - if the input decodes, re-encoding the decoded frame and decoding
 //     again yields an identical frame (decode∘encode is the identity on
 //     decoded values), so malformed-but-accepted inputs cannot smuggle
@@ -33,15 +35,24 @@ func FuzzWireRoundTrip(f *testing.F) {
 	g.Isolate(6)
 	seed(&Frame{Kind: StepExchange, Instance: 0, StepSum: StepSum("g0/match.sym"),
 		Payloads: []any{[]gf.Sym{1, 2, 3, 65535}}})
-	// Stream-tagged frames: one speculative generation's rounds (a nonzero
-	// stream), and a replayed generation reusing a step label on a later
-	// stream after a squash.
-	seed(&Frame{Kind: StepExchange, Instance: 0, Stream: 3, StepSum: StepSum("g2/match.sym"),
-		Payloads: []any{[]gf.Sym{9, 8, 7}}})
-	seed(&Frame{Kind: StepSync, Instance: 1, Stream: 1 << 20, StepSum: StepSum("g2/match.sym"),
-		Payloads: []any{[]bool{true, true, false}}})
-	seed(&Frame{Kind: StepExchange, Instance: 2, Stream: 7, StepSum: StepSum("g1/match.M/eig.r2"),
-		Payloads: []any{[]bool{true, false, true, true, false, true, false, false, true}}})
+	// Reserved kind-byte bits: well-formed frames whose kind byte carries what
+	// used to be a stream tag (inline, and the overflow marker with its
+	// trailing uvarint). They must not decode — in particular not as the
+	// untagged frame with the same remaining bytes.
+	reserved := func(fr *Frame, tag byte, extra ...byte) {
+		enc, err := fr.Append(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		enc[0] |= tag << 2
+		f.Add(append(enc, extra...))
+	}
+	reserved(&Frame{Kind: StepExchange, Instance: 0, StepSum: StepSum("g2/match.sym"),
+		Payloads: []any{[]gf.Sym{9, 8, 7}}}, 3)
+	reserved(&Frame{Kind: StepSync, Instance: 1, StepSum: StepSum("g2/match.sym"),
+		Payloads: []any{[]bool{true, true, false}}}, 63, 0x80, 0x80, 0x40)
+	reserved(&Frame{Kind: StepExchange, Instance: 2, StepSum: StepSum("g1/match.M/eig.r2"),
+		Payloads: []any{[]bool{true, false, true, true, false, true, false, false, true}}}, 7)
 	seed(&Frame{Kind: StepSync, Instance: 1, StepSum: StepSum("g2/check.det"),
 		Payloads: []any{[]bool{}}})
 	seed(&Frame{Kind: StepSync, Instance: 0, StepSum: StepSum("mvb/send"),
@@ -57,6 +68,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data) // must not panic
+		if len(data) > 0 && data[0]>>2 != 0 {
+			if err == nil {
+				t.Fatalf("kind byte %#x with reserved bits set decoded", data[0])
+			}
+			if _, hErr := DecodeFrameHeader(data); hErr == nil {
+				t.Fatalf("kind byte %#x with reserved bits set passed the header decoder", data[0])
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -125,7 +126,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		{
 			Kind:     StepSync,
 			Instance: 0,
-			Stream:   11,
 			StepSum:  StepSum("g4/check.det"),
 			Payloads: []any{[]bool{true}},
 		},
@@ -144,11 +144,54 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameRejectsNegativeStream(t *testing.T) {
+// TestFrameRejectsReservedKindBits: the kind byte's upper six bits are
+// reserved. A frame that sets any of them must fail both decoders, so the
+// router convicts its sender instead of queueing the frame as ordinary
+// traffic.
+func TestFrameRejectsReservedKindBits(t *testing.T) {
 	t.Parallel()
-	f := &Frame{Kind: StepSync, Stream: -1, Payloads: []any{[]bool{true}}}
-	if _, err := f.Append(nil); err == nil {
-		t.Error("negative stream encoded")
+	f := &Frame{Kind: StepSync, Instance: 2, StepSum: StepSum("g0/match.M"), Payloads: []any{[]bool{true}}}
+	enc, err := f.Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bit := 2; bit < 8; bit++ {
+		bad := append([]byte(nil), enc...)
+		bad[0] |= 1 << bit
+		if _, err := DecodeFrame(bad); err == nil {
+			t.Errorf("kind byte %#x decoded", bad[0])
+		}
+		if _, err := DecodeFrameHeader(bad); err == nil {
+			t.Errorf("kind byte %#x passed the header decoder", bad[0])
+		}
+	}
+	if _, err := DecodeFrame(enc); err != nil {
+		t.Errorf("the unmodified frame no longer decodes: %v", err)
+	}
+}
+
+// TestFrameEncodingGolden pins the frame encoding byte for byte: one
+// StepExchange and one StepSync frame, against bytes captured at commit
+// 12d56fe, when the kind byte's upper bits still carried a stream tag (0 for
+// these frames).
+func TestFrameEncodingGolden(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		f    *Frame
+		want string
+	}{
+		{&Frame{Kind: StepExchange, Instance: 5, StepSum: StepSum("g3/match.sym"),
+			Payloads: []any{[]gf.Sym{1, 2, 250}, nil}}, "010532c2020203080102fa00"},
+		{&Frame{Kind: StepSync, Instance: 300, StepSum: StepSum("g0/match.M"),
+			Payloads: []any{[]bool{true, false, true, true, false, false, false, true, true}}}, "02ac02ceb1010109b180"},
+	} {
+		enc, err := tc.f.Append(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(enc); got != tc.want {
+			t.Errorf("kind %d frame encodes to %s, want %s", tc.f.Kind, got, tc.want)
+		}
 	}
 }
 

@@ -130,11 +130,7 @@ func (p PeerRetry) policy() transport.RetryPolicy {
 // SessionConfig configures a consensus Session.
 type SessionConfig struct {
 	// Config carries the protocol parameters (N, T, broadcast substrate,
-	// seed, ...). Config.Window > 1 additionally pipelines each instance's
-	// generations (speculative execution with squash-and-replay), which
-	// composes with Instances: rounds then carry the traffic of all
-	// in-flight generations of all in-flight instances. Trace is ignored by
-	// the Session.
+	// seed, ...). Trace is ignored by the Session.
 	Config
 	// Scenario injects faults into the deployment: the same faulty set and
 	// adversary apply to every consensus instance the session runs.
@@ -363,8 +359,8 @@ type MetricsSnapshot = obs.Snapshot
 type HistogramSnapshot = obs.HistSnapshot
 
 // TraceEvent is one structured protocol event (see Session.TraceEvents):
-// a timestamped, optionally-spanned record of a flush trigger, cycle, phase,
-// squash or peer-lifecycle transition. Events marshal to stable JSON — the
+// a timestamped, optionally-spanned record of a flush trigger, cycle, phase
+// or peer-lifecycle transition. Events marshal to stable JSON — the
 // JSONL lines TraceSink receives.
 type TraceEvent = obs.Event
 

@@ -642,7 +642,7 @@ func TestSessionConfigValidation(t *testing.T) {
 		{"zero n", func(c *byzcons.SessionConfig) { c.N = 0 }},
 		{"resilience bound", func(c *byzcons.SessionConfig) { c.T = 3 }},
 		{"bad symbits", func(c *byzcons.SessionConfig) { c.SymBits = 12 }},
-		{"negative window", func(c *byzcons.SessionConfig) { c.Window = -1 }},
+		{"retired window", func(c *byzcons.SessionConfig) { c.Window = 2 }},
 		{"faulty out of range", func(c *byzcons.SessionConfig) { c.Scenario.Faulty = []int{9} }},
 		{"duplicate faulty", func(c *byzcons.SessionConfig) { c.Scenario.Faulty = []int{1, 1} }},
 		{"too many faulty", func(c *byzcons.SessionConfig) { c.Scenario.Faulty = []int{0, 1, 2} }},
