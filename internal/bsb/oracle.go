@@ -17,12 +17,13 @@ type oracle struct {
 	p          *sim.Proc
 	n, t       int
 	costPerBit int64
-	// next and out are per-broadcaster scratch: a broadcaster serves one
+	// next, src and out are per-broadcaster scratch: a broadcaster serves one
 	// processor's run, and the caller consumes the returned batch before its next
-	// Broadcast call, so both recycle across batches. (The contribution
+	// Broadcast call, so all three recycle across batches. (The contribution
 	// slice myBits is NOT reusable: the simulator delivers it by reference
 	// and peers may still be reading it while this processor runs ahead.)
 	next []int
+	src  [][]bool
 	out  []bool
 }
 
@@ -40,11 +41,21 @@ func (o *oracle) CostPerBit() int64 { return o.costPerBit }
 func (o *oracle) MaxFaulty() int { return (o.n - 1) / 3 }
 
 func (o *oracle) Broadcast(step sim.StepID, insts []Inst, mine []bool, tag string) []bool {
-	// Contribute my bits for the instances I am the source of, in batch order.
+	// Contribute my bits for the instances I am the source of, in batch
+	// order, in a slice sized up front (nil when I am the source of none).
+	me, mineCount := o.p.ID, 0
+	for i := range insts {
+		if insts[i].Src == me {
+			mineCount++
+		}
+	}
 	var myBits []bool
-	for i, inst := range insts {
-		if inst.Src == o.p.ID {
-			myBits = append(myBits, boolsAt(mine, i))
+	if mineCount > 0 {
+		myBits = make([]bool, 0, mineCount)
+		for i := range insts {
+			if insts[i].Src == me {
+				myBits = append(myBits, boolsAt(mine, i))
+			}
 		}
 	}
 	cost := o.costPerBit * int64(len(myBits))
@@ -53,27 +64,29 @@ func (o *oracle) Broadcast(step sim.StepID, insts []Inst, mine []bool, tag strin
 	// Assemble the decided bits: instance i takes the next bit from its
 	// source's contribution. All processors read the same vals slice, so a
 	// faulty source that submitted garbage still yields one consistent bit.
+	// Each contribution is unboxed once, not once per instance.
 	if cap(o.next) < o.n {
 		o.next = make([]int, o.n)
+		o.src = make([][]bool, o.n)
 	}
-	next := o.next[:o.n]
+	next, src := o.next[:o.n], o.src[:o.n]
 	for i := range next {
 		next[i] = 0
+		src[i] = asBools(vals[i])
 	}
 	if cap(o.out) < len(insts) {
 		o.out = make([]bool, len(insts))
 	}
 	out := o.out[:len(insts)]
-	for i := range out {
-		out[i] = false
-	}
-	for i, inst := range insts {
-		src := inst.Src
-		if src < 0 || src >= o.n {
-			continue // leave default false; caller bug guarded in tests
+	for i := range insts {
+		s := insts[i].Src
+		if s < 0 || s >= o.n {
+			out[i] = false // caller bug guarded in tests
+			continue
 		}
-		out[i] = boolsAt(asBools(vals[src]), next[src])
-		next[src]++
+		out[i] = boolsAt(src[s], next[s])
+		next[s]++
 	}
+	clear(src) // the contributions belong to the step, not to the broadcaster
 	return out
 }

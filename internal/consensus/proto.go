@@ -1,11 +1,12 @@
 package consensus
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"byzcons/internal/bitio"
 	"byzcons/internal/bitset"
 	"byzcons/internal/bsb"
 	"byzcons/internal/diag"
@@ -45,6 +46,11 @@ type worker struct {
 	// cross-run pool: per-generation pool traffic would churn slots, while
 	// per-run scratch would pay the batch buffers' growth on every run.
 	sc *genScratch
+	// ml is the match-vector batch of the current active set (matchList).
+	ml *matchList
+	// dec receives a non-member's decoded symbols; Run writes them into the
+	// value before the next generation starts.
+	dec []gf.Sym
 }
 
 // newBroadcaster constructs the configured Broadcast_Single_Bit
@@ -74,6 +80,16 @@ func newBroadcaster(p *sim.Proc, par Params) bsb.Broadcaster {
 // from the diagnosis graph generation g left behind. Overlapping rounds is
 // the job of a larger generation (Params.Lanes), not of this loop (DESIGN
 // §10).
+//
+// The input is read and the decision written a generation at a time, in
+// place: D is a whole number of c-bit symbols and c is 8 or 16, so
+// generation g is exactly bytes [g·D/8, (g+1)·D/8) of both the packed input
+// (zero bytes past its end) and the value (ceil(L/8) bytes, the bits past L
+// cleared at the end). A Pmatch member decides its own input, so its
+// generations are copied from the input rather than written symbol by
+// symbol, and the value is allocated only when a generation decides
+// otherwise, or at the end: a processor in every Pmatch holds no value
+// buffer while the generations run.
 func Run(p *sim.Proc, par Params, input []byte, L int) *Output {
 	par, err := par.normalized(L)
 	if err != nil {
@@ -95,18 +111,18 @@ func Run(p *sim.Proc, par Params, input []byte, L int) *Output {
 	w := &worker{
 		p: p, par: par, field: field, ic: ic,
 		bcast: newBroadcaster(p, par), g: diag.NewComplete(par.N),
-		sc: scratchPool.Get().(*genScratch),
+		sc:  scratchPool.Get().(*genScratch),
+		dec: make([]gf.Sym, ic.DataSyms()),
 	}
+	w.ml = w.sc.fullList(par.N)
 	D := ic.DataBits()
-	gens := (L + D - 1) / D
+	gens, size := (L+D-1)/D, D/8
 	out := &Output{L: L}
-	reader, writer := bitio.NewReader(input), bitio.NewWriter()
+	var value []byte // nil while every generation so far decided my own input
 	data := make([]gf.Sym, ic.DataSyms())
 	rounds0 := p.LocalRounds()
 	for g := 0; g < gens; g++ {
-		for i := range data {
-			data[i] = gf.Sym(reader.Read(par.SymBits))
-		}
+		readGen(data, input, g, par.SymBits)
 		diags0 := w.diags
 		decided, defaulted := w.generation(g, data)
 		out.Generations++
@@ -121,32 +137,94 @@ func Run(p *sim.Proc, par Params, input []byte, L int) *Output {
 			out.Defaulted = true
 			break
 		}
-		for _, s := range decided {
-			writer.Write(uint32(s), par.SymBits)
+		switch {
+		case decided != nil:
+			if value == nil {
+				value = make([]byte, (L+7)/8)
+				copy(value[:min(g*size, len(value))], input) // generations 0..g-1 decided my own input
+			}
+			writeGen(value, g, decided, par.SymBits)
+		case value != nil:
+			copy(genBytes(value, g, size), genBytes(input, g, size))
 		}
 	}
-	if out.Defaulted {
-		out.Value = defaultValue(par.Default, L)
-	} else {
-		out.Value = writer.Truncate(L)
+	switch {
+	case out.Defaulted:
+		value = defaultValue(par.Default, L)
+	case value == nil:
+		value = make([]byte, (L+7)/8)
+		copy(value, input)
 	}
+	clearPastL(value, L)
+	out.Value = value
 	out.DiagnosisRuns, out.Graph, out.Rounds = w.diags, w.g, p.LocalRounds()-rounds0
 	scratchPool.Put(w.sc) // an aborted run unwinds past this and leaves its scratch to the collector
 	return out
 }
 
+// genBytes returns the bytes of b that generation g of size bytes covers:
+// b[g·size, (g+1)·size) clipped to len(b), empty past its end.
+func genBytes(b []byte, g, size int) []byte {
+	lo := min(g*size, len(b))
+	return b[lo:min(lo+size, len(b))]
+}
+
+// readGen fills data with generation g's data symbols: the generation's bytes
+// of the packed input, one symbol per byte (c = 8) or per big-endian byte
+// pair (c = 16), with zeros past the end of the input — the MSB-first bit
+// stream the value is defined as, read c bits at a time.
+func readGen(data []gf.Sym, input []byte, g int, c uint) {
+	src := genBytes(input, g, len(data)*int(c/8))
+	if c == 8 {
+		for i, b := range src {
+			data[i] = gf.Sym(b)
+		}
+		clear(data[len(src):])
+		return
+	}
+	full := len(src) / 2
+	for i := 0; i < full; i++ {
+		data[i] = gf.Sym(binary.BigEndian.Uint16(src[2*i:]))
+	}
+	clear(data[full:])
+	if len(src)%2 == 1 {
+		data[full] = gf.Sym(src[len(src)-1]) << 8
+	}
+}
+
+// writeGen stores generation g's decided symbols into the value, the inverse
+// of readGen; symbols past the value's last byte are dropped.
+func writeGen(value []byte, g int, syms []gf.Sym, c uint) {
+	dst := genBytes(value, g, len(syms)*int(c/8))
+	if c == 8 {
+		for i := range dst {
+			dst[i] = byte(syms[i])
+		}
+		return
+	}
+	full := len(dst) / 2
+	for i := 0; i < full; i++ {
+		binary.BigEndian.PutUint16(dst[2*i:], uint16(syms[i]))
+	}
+	if len(dst)%2 == 1 {
+		dst[len(dst)-1] = byte(syms[full] >> 8)
+	}
+}
+
+// clearPastL zeroes the bits of the final byte of an L-bit value that lie
+// past L.
+func clearPastL(value []byte, L int) {
+	if rem := L % 8; rem != 0 {
+		value[len(value)-1] &= byte(0xFF << (8 - uint(rem)))
+	}
+}
+
 // defaultValue pads/truncates def to exactly L bits.
 func defaultValue(def []byte, L int) []byte {
-	w := bitio.NewWriter()
-	r := bitio.NewReader(def)
-	for w.Bits() < L {
-		width := uint(8)
-		if rem := L - w.Bits(); rem < 8 {
-			width = uint(rem)
-		}
-		w.Write(r.Read(width), width)
-	}
-	return w.Truncate(L)
+	v := make([]byte, (L+7)/8)
+	copy(v, def)
+	clearPastL(v, L)
+	return v
 }
 
 // genLabels is one generation's set of step labels. Labels repeat across
@@ -200,7 +278,8 @@ func labelsFor(g int) *genLabels {
 // deployment — all with lifetimes that end inside the generation call:
 // outgoing message slices are consumed by the barrier before Exchange
 // returns, broadcast instance batches are read by adversaries only during
-// the step they are metadata of, and the match/trust matrices are local.
+// the step they are metadata of, and the trust matrix is local. The match
+// batch is the exception: it outlives generations (matchList).
 type genScratch struct {
 	n          int
 	out        []sim.Message
@@ -208,15 +287,18 @@ type genScratch struct {
 	M          []bool
 	insts      []bsb.Inst
 	mine       []bool
-	mall       [][]bool
-	mallB      []bool
 	adj        []bitset.Set
+	pmSet      bitset.Set
+	nonMembers bitset.Set
 	detected   []bool
 	trust      [][]bool
 	trustB     []bool
 	removedNow []int
 	pos        []int
 	words      [][]gf.Sym
+	// full is the match list of the complete graph on n processors, kept
+	// across runs: every run starts from it.
+	full *matchList
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(genScratch) }}
@@ -229,18 +311,16 @@ func (sc *genScratch) grab(n int) {
 		sc.out = nil
 		sc.R = make([][]gf.Sym, n)
 		sc.M = make([]bool, n)
-		sc.mallB = make([]bool, n*n)
-		sc.mall = make([][]bool, n)
 		sc.trustB = make([]bool, n*n)
 		sc.trust = make([][]bool, n)
 		for i := 0; i < n; i++ {
-			sc.mall[i] = sc.mallB[i*n : (i+1)*n]
 			sc.trust[i] = sc.trustB[i*n : (i+1)*n]
 		}
 		sc.adj = make([]bitset.Set, n)
 		for i := range sc.adj {
 			sc.adj[i] = bitset.New(n)
 		}
+		sc.pmSet, sc.nonMembers = bitset.New(n), bitset.New(n)
 		sc.detected = make([]bool, n)
 		sc.removedNow = make([]int, n)
 	}
@@ -248,17 +328,57 @@ func (sc *genScratch) grab(n int) {
 	for i := 0; i < n; i++ {
 		sc.R[i] = nil
 		sc.detected[i] = false
-		sc.removedNow[i] = 0
 		sc.adj[i].Clear()
 	}
-	for i := range sc.mallB {
-		sc.mallB[i] = false
-		sc.trustB[i] = false
-	}
+	sc.pmSet.Clear()
+	sc.nonMembers.Clear()
 	sc.insts = sc.insts[:0]
 	sc.mine = sc.mine[:0]
 	sc.pos = sc.pos[:0]
 	sc.words = sc.words[:0]
+}
+
+// fullList returns the match list of the complete graph on n processors,
+// building it on first use at this n.
+func (sc *genScratch) fullList(n int) *matchList {
+	if sc.full == nil || len(sc.full.pos) != n {
+		sc.full = newMatchList(bitset.Full(n))
+	}
+	return sc.full
+}
+
+// matchList is the line 1(d) broadcast batch of one active set: the entries
+// M_p[j] for every ordered pair of distinct active processors, row by row in
+// ascending id order. It depends on nothing but the active set, so a run
+// builds it once and again only when diagnosis isolates a processor — not at
+// every processor in every generation. A list is never written after it is
+// built: Broadcast hands insts to the adversary as step metadata, and the
+// complete-graph list is shared by every run that draws the same scratch.
+type matchList struct {
+	active bitset.Set
+	procs  []int      // the active processors, ascending
+	pos    []int      // pos[p] is p's index in procs, -1 if p is isolated
+	insts  []bsb.Inst // row a (source procs[a]) is insts[a·(A-1) : (a+1)·(A-1)]
+}
+
+func newMatchList(active bitset.Set) *matchList {
+	procs := active.Slice()
+	pos := make([]int, active.Cap())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for a, p := range procs {
+		pos[p] = a
+	}
+	insts := make([]bsb.Inst, 0, len(procs)*max(len(procs)-1, 0))
+	for _, p := range procs {
+		for _, j := range procs {
+			if j != p {
+				insts = append(insts, bsb.Inst{Src: p, Kind: "M", A: p, B: j})
+			}
+		}
+	}
+	return &matchList{active: active, procs: procs, pos: pos, insts: insts}
 }
 
 // release clears payload references (they must not outlive their run; the
@@ -276,8 +396,9 @@ func (sc *genScratch) release() {
 }
 
 // generation runs Algorithm 1 for generation g on this processor's D-bit
-// input (as data symbols). It returns the decided data symbols, or
-// defaulted=true when no Pmatch exists.
+// input (as data symbols). It returns the decided data symbols — nil when
+// they are this processor's own input, valid until the next generation
+// otherwise — or defaulted=true when no Pmatch exists.
 func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted bool) {
 	n, t, k := pr.par.N, pr.par.T, pr.par.K()
 	me := pr.p.ID
@@ -287,22 +408,24 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 	defer sc.release()
 	pc := pr.clock(g)
 	defer pc.finish()
-	active := pr.g.Active()
+	ml := pr.ml
+	active := ml.active
 
 	// --- Matching stage ---------------------------------------------------
 	// 1(a): encode and send my codeword symbol to every trusted processor.
 	pt := pc.now()
 	S := pr.ic.Encode(data)
 	pc.addRS(pt)
+	// Every message carries the same word, so it is boxed into the payload
+	// interface once rather than once per peer.
+	var word any = S[me]
+	bits := int64(pr.ic.WordBits())
 	out := sc.out
-	active.ForEach(func(j int) bool {
+	for _, j := range ml.procs {
 		if j != me && pr.g.Trusts(me, j) {
-			out = append(out, sim.Message{
-				To: j, Payload: S[me], Bits: int64(pr.ic.WordBits()), Tag: "match.sym",
-			})
+			out = append(out, sim.Message{To: j, Payload: word, Bits: bits, Tag: "match.sym"})
 		}
-		return true
-	})
+	}
 	sc.out = out // keep the grown buffer pooled
 	in := pr.p.Exchange(labels.matchSym, out, nil)
 
@@ -329,56 +452,45 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 
 	// 1(d): broadcast M (n-1 bits per active processor; isolated processors
 	// neither broadcast nor appear as entries — everyone knows them faulty).
-	insts, mine := sc.insts, sc.mine
-	active.ForEach(func(p int) bool {
-		active.ForEach(func(j int) bool {
-			if j != p {
-				insts = append(insts, bsb.Inst{Src: p, Kind: "M", A: p, B: j})
-				mine = append(mine, p == me && M[j])
+	// The batch is the active set's cached list; only my own row of inputs
+	// is filled in.
+	A := len(ml.procs)
+	mine := slices.Grow(sc.mine[:0], len(ml.insts))[:len(ml.insts)]
+	clear(mine)
+	if a := ml.pos[me]; a >= 0 {
+		row := mine[a*(A-1) : (a+1)*(A-1)]
+		c := 0
+		for _, j := range ml.procs {
+			if j != me {
+				row[c] = M[j]
+				c++
 			}
-			return true
-		})
-		return true
-	})
-	sc.insts, sc.mine = insts, mine
-	pt = pc.now()
-	res := pr.bcast.Broadcast(labels.matchM, insts, mine, "match.M")
-	pc.addBcast(pt)
-	Mall := sc.mall
-	for idx, inst := range insts {
-		Mall[inst.A][inst.B] = res[idx]
+		}
 	}
-	active.ForEach(func(p int) bool {
-		Mall[p][p] = true
-		return true
-	})
+	sc.mine = mine
+	pt = pc.now()
+	res := pr.bcast.Broadcast(labels.matchM, ml.insts, mine, "match.M")
+	pc.addBcast(pt)
 
 	// 1(e): find Pmatch, a clique of size n-t in the mutual-match graph.
-	adj := sc.adj
-	active.ForEach(func(i int) bool {
-		active.ForEach(func(j int) bool {
-			if i < j && Mall[i][j] && Mall[j][i] {
-				adj[i].Add(j)
-				adj[j].Add(i)
-			}
-			return true
-		})
-		return true
-	})
-	pm := diag.FindClique(adj, active, n-t)
+	pm := pr.pmatch(res, n-t)
 	if pm == nil {
 		// 1(f): honest processors provably do not share one input value.
 		return nil, true
 	}
-	pmSet := bitset.FromSlice(n, pm)
+	pmSet, nonMembers := sc.pmSet, sc.nonMembers
+	for _, j := range pm {
+		pmSet.Add(j)
+	}
+	for _, j := range ml.procs {
+		if !pmSet.Has(j) {
+			nonMembers.Add(j)
+		}
+	}
 
 	// --- Checking stage ---------------------------------------------------
 	// 2(a)+2(b): non-members check consistency of Pmatch symbols and
 	// broadcast a 1-bit Detected flag.
-	nonMembers := active.AndNot(pmSet)
-	// The match batch is fully consumed (res read into Mall): its scratch
-	// backing is reused for the remaining broadcast batches of the
-	// generation.
 	dInsts, dMine := sc.insts[:0], sc.mine[:0]
 	myDetected := false
 	if nonMembers.Has(me) {
@@ -392,6 +504,7 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 		dMine = append(dMine, j == me && myDetected)
 		return true
 	})
+	sc.insts, sc.mine = dInsts, dMine
 	pt = pc.now()
 	dRes := pr.bcast.Broadcast(labels.checkDet, dInsts, dMine, "check.det")
 	pc.addBcast(pt)
@@ -407,24 +520,23 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 		if pmSet.Has(me) {
 			// A member's own symbols match Pmatch (M_i[j] = true for all
 			// members), so its decode equals its own input (Lemma 3).
-			dec := make([]gf.Sym, len(data))
-			copy(dec, data)
-			return dec, false
+			return nil, false
 		}
 		pos, words := pr.trustedWords(sc, pmSet, R)
 		if len(pos) < k {
 			// Only possible at an isolated (hence faulty) processor, whose
 			// return value is irrelevant; honest processors trust all >= n-2t
 			// honest members of Pmatch.
-			return make([]gf.Sym, len(data)), false
+			clear(pr.dec)
+			return pr.dec, false
 		}
 		pt = pc.now()
-		dec, err := pr.ic.Decode(pos, words)
+		err := pr.ic.DecodeInto(pos, words, pr.dec)
 		pc.addRS(pt)
 		if err != nil {
 			pr.p.Abort(fmt.Errorf("consensus: g%d: undetected inconsistency at decode: %v", g, err))
 		}
-		return dec, false
+		return pr.dec, false
 	}
 
 	// --- Diagnosis stage ----------------------------------------------------
@@ -471,6 +583,7 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 
 	// 3(e): remove edges that lost trust; remember fresh removals per vertex.
 	removedNow := sc.removedNow
+	clear(removedNow)
 	active.ForEach(func(p int) bool {
 		for _, j := range pm {
 			if p != j && !trust[p][j] {
@@ -514,7 +627,12 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 	}
 
 	// 3(h): Pdecide — n-2t mutually trusting members in the updated graph.
-	pd := pr.g.Clique(pmSet.And(pr.g.Active()), k)
+	// An isolation above shrinks the active set, and with it the match list
+	// of the next generation.
+	if active = pr.g.Active(); !active.Equal(ml.active) {
+		pr.ml = newMatchList(active)
+	}
+	pd := pr.g.Clique(pmSet.And(active), k)
 	if pd == nil {
 		pr.p.Abort(fmt.Errorf("consensus: g%d: no Pdecide despite >= n-2t honest members (invariant broken)", g))
 	}
@@ -525,12 +643,49 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 		pdWords[i] = Rhash[j]
 	}
 	pt = pc.now()
-	dec, err := pr.ic.Decode(pd, pdWords)
+	err := pr.ic.DecodeInto(pd, pdWords, pr.dec)
 	pc.addRS(pt)
 	if err != nil {
 		pr.p.Abort(fmt.Errorf("consensus: g%d: Pdecide decode failed: %v", g, err))
 	}
-	return dec, false
+	return pr.dec, false
+}
+
+// pmatch returns the lexicographically first clique of the given size in the
+// mutual-match graph of the active set — i ~ j iff M_i[j] and M_j[i], read
+// from the results of the match list's batch, where entry M_procs[a][procs[b]]
+// sits at a·(A-1)+b, one less when b is past the diagonal — or nil if there
+// is none. When every active pair matches (every fault-free generation) the
+// answer is the first size active processors, FindClique's answer without
+// the graph or the search; that result shares the match list's storage and
+// is read-only.
+func (pr *worker) pmatch(res []bool, size int) []int {
+	ml := pr.ml
+	A := len(ml.procs)
+	mutual := func(a, b int) bool { return res[a*(A-1)+b-1] && res[b*(A-1)+a] }
+	complete := true
+	for a := 0; a < A && complete; a++ {
+		for b := a + 1; b < A && complete; b++ {
+			complete = mutual(a, b)
+		}
+	}
+	if complete {
+		if A < size {
+			return nil
+		}
+		return ml.procs[:size:size]
+	}
+	adj := pr.sc.adj
+	for a, i := range ml.procs {
+		for b := a + 1; b < A; b++ {
+			if mutual(a, b) {
+				j := ml.procs[b]
+				adj[i].Add(j)
+				adj[j].Add(i)
+			}
+		}
+	}
+	return diag.FindClique(adj, ml.active, size)
 }
 
 // trustedWords returns the sorted positions within set that this processor
@@ -558,10 +713,14 @@ func (pr *worker) validWord(payload any) []gf.Sym {
 	if !ok || len(w) != pr.par.Lanes {
 		return nil
 	}
+	// The field order is a power of two, so every symbol is below it iff
+	// their bitwise OR is.
+	var or gf.Sym
 	for _, s := range w {
-		if int(s) >= pr.field.Order() {
-			return nil
-		}
+		or |= s
+	}
+	if int(or) >= pr.field.Order() {
+		return nil
 	}
 	return w
 }
