@@ -274,7 +274,9 @@ type outSummary struct {
 	iso         []int
 }
 
-// buildResult assembles the public Result from per-processor outputs.
+// buildResult assembles the public Result from per-processor outputs. Each
+// value is copied: a processor's output may share storage with its input
+// (consensus.Output), and a Result must never alias the caller's inputs.
 func buildResult(cfg Config, sc Scenario, run *sim.RunResult,
 	extract func(any) outSummary) (*Result, error) {
 	isFaulty := make(map[int]bool, len(sc.Faulty))
@@ -301,6 +303,7 @@ func buildResult(cfg Config, sc Scenario, run *sim.RunResult,
 			continue
 		}
 		sum := extract(v)
+		sum.value = bytes.Clone(sum.value)
 		res.Values[i] = sum.value
 		if isFaulty[i] {
 			continue

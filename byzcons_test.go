@@ -242,3 +242,70 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Errorf("same seed produced different executions: %+v vs %+v", a, b)
 	}
 }
+
+// TestResultsDoNotAliasInputs pins the public boundary: a processor that
+// decides its own L-bit input may return that input's storage as its value
+// (consensus.Output), but Consensus, Broadcast and ClusterConsensus copy, so
+// a caller that reuses its input buffers after the call cannot rewrite a
+// result.
+func TestResultsDoNotAliasInputs(t *testing.T) {
+	const n = 7
+	cfg := byzcons.Config{N: n, T: 2}
+	val := []byte("a value of exactly L bits, shared by every processor")
+	L := len(val) * 8
+	fresh := func() [][]byte {
+		in := make([][]byte, n)
+		for i := range in {
+			in[i] = bytes.Clone(val)
+		}
+		return in
+	}
+	check := func(t *testing.T, res *byzcons.Result, scribble func()) {
+		t.Helper()
+		scribble()
+		if !bytes.Equal(res.Value, val) {
+			t.Errorf("Value changed with the inputs: %q", res.Value)
+		}
+		for i, v := range res.Values {
+			if !bytes.Equal(v, val) {
+				t.Errorf("Values[%d] changed with the inputs: %q", i, v)
+			}
+		}
+	}
+	scribbleAll := func(in [][]byte) func() {
+		return func() {
+			for _, b := range in {
+				for j := range b {
+					b[j] = '#'
+				}
+			}
+		}
+	}
+
+	t.Run("Consensus", func(t *testing.T) {
+		in := fresh()
+		res, err := byzcons.Consensus(cfg, in, L, byzcons.Scenario{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, res, scribbleAll(in))
+	})
+	t.Run("Broadcast", func(t *testing.T) {
+		src := bytes.Clone(val)
+		res, err := byzcons.Broadcast(cfg, 0, src, L, byzcons.Scenario{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, res, scribbleAll([][]byte{src}))
+	})
+	for _, kind := range []byzcons.TransportKind{byzcons.TransportSim, byzcons.TransportBus} {
+		t.Run("ClusterConsensus/"+kind.String(), func(t *testing.T) {
+			in := fresh()
+			res, err := byzcons.ClusterConsensus(cfg, in, L, byzcons.Scenario{}, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, res.Result, scribbleAll(in))
+		})
+	}
+}

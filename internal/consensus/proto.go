@@ -18,6 +18,12 @@ import (
 // Output is the per-processor result of a consensus run. Every honest
 // processor of the same run returns identical Value/Defaulted/Graph contents
 // (asserted extensively in tests).
+//
+// Value may share storage with Run's input: when every generation decided
+// the processor's own input and the input is exactly L bits long
+// (len(input)*8 == L), Value is the input itself, not a copy. A caller that
+// modifies the input after Run, or hands Value to code that modifies it,
+// must copy first.
 type Output struct {
 	Value         []byte      // decided value: exactly ceil(L/8) bytes, L meaningful bits
 	L             int         // value length in bits
@@ -51,6 +57,16 @@ type worker struct {
 	// dec receives a non-member's decoded symbols; Run writes them into the
 	// value before the next generation starts.
 	dec []gf.Sym
+	// stripes are the run's two encode buffers (rs.EncodeBlock), used by
+	// generation parity, with words the stripes' N views and word my own
+	// view boxed once as a message payload. A peer reads my generation-g word
+	// until it passes a barrier of generation g+1, and I rewrite that stripe
+	// only at generation g+2, after every peer reached those barriers. The
+	// stripes stay with the run rather than the pooled scratch: a non-member
+	// still decodes from its peers' words after the run's last barrier.
+	stripes [2][]gf.Sym
+	words   [2][][]gf.Sym
+	word    [2]any
 }
 
 // newBroadcaster constructs the configured Broadcast_Single_Bit
@@ -85,11 +101,13 @@ func newBroadcaster(p *sim.Proc, par Params) bsb.Broadcaster {
 // place: D is a whole number of c-bit symbols and c is 8 or 16, so
 // generation g is exactly bytes [g·D/8, (g+1)·D/8) of both the packed input
 // (zero bytes past its end) and the value (ceil(L/8) bytes, the bits past L
-// cleared at the end). A Pmatch member decides its own input, so its
-// generations are copied from the input rather than written symbol by
-// symbol, and the value is allocated only when a generation decides
-// otherwise, or at the end: a processor in every Pmatch holds no value
-// buffer while the generations run.
+// cleared at the end). A Pmatch member decides its own input, and so does a
+// non-member whose decision equals its input, so those generations are copied
+// from the input rather than written symbol by symbol, and the value is
+// allocated only when a generation decides otherwise: a processor whose
+// every generation decided its own input holds no value buffer while the
+// generations run, and at the end its value is the input itself when the
+// input is exactly L bits (Output), a copy otherwise.
 func Run(p *sim.Proc, par Params, input []byte, L int) *Output {
 	par, err := par.normalized(L)
 	if err != nil {
@@ -113,6 +131,12 @@ func Run(p *sim.Proc, par Params, input []byte, L int) *Output {
 		bcast: newBroadcaster(p, par), g: diag.NewComplete(par.N),
 		sc:  scratchPool.Get().(*genScratch),
 		dec: make([]gf.Sym, ic.DataSyms()),
+	}
+	blocks := make([]gf.Sym, 2*ic.BlockSyms())
+	for i := range w.stripes {
+		w.stripes[i] = blocks[i*ic.BlockSyms() : (i+1)*ic.BlockSyms()]
+		w.words[i] = ic.StripeWords(w.stripes[i][:par.N*par.Lanes])
+		w.word[i] = w.words[i][p.ID]
 	}
 	w.ml = w.sc.fullList(par.N)
 	D := ic.DataBits()
@@ -138,6 +162,9 @@ func Run(p *sim.Proc, par Params, input []byte, L int) *Output {
 			break
 		}
 		switch {
+		case decided != nil && value == nil && rs.WordsEqual(decided, data):
+			// The decode (a non-member's, or Pdecide's after a diagnosis)
+			// is exactly my own input: still nothing to write.
 		case decided != nil:
 			if value == nil {
 				value = make([]byte, (L+7)/8)
@@ -151,6 +178,8 @@ func Run(p *sim.Proc, par Params, input []byte, L int) *Output {
 	switch {
 	case out.Defaulted:
 		value = defaultValue(par.Default, L)
+	case value == nil && len(input)*8 == L:
+		value = input
 	case value == nil:
 		value = make([]byte, (L+7)/8)
 		copy(value, input)
@@ -414,11 +443,9 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 	// --- Matching stage ---------------------------------------------------
 	// 1(a): encode and send my codeword symbol to every trusted processor.
 	pt := pc.now()
-	S := pr.ic.Encode(data)
+	pr.ic.EncodeBlock(data, pr.stripes[g&1])
 	pc.addRS(pt)
-	// Every message carries the same word, so it is boxed into the payload
-	// interface once rather than once per peer.
-	var word any = S[me]
+	S, word := pr.words[g&1], pr.word[g&1]
 	bits := int64(pr.ic.WordBits())
 	out := sc.out
 	for _, j := range ml.procs {
@@ -490,11 +517,23 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 
 	// --- Checking stage ---------------------------------------------------
 	// 2(a)+2(b): non-members check consistency of Pmatch symbols and
-	// broadcast a 1-bit Detected flag.
+	// broadcast a 1-bit Detected flag. Words that all equal my own
+	// codeword's symbols (M_i[j]) lie on that codeword, hence are
+	// consistent without the check.
+	var pos []int
+	var words [][]gf.Sym
+	onMine := 0 // how many of the words equal my own codeword's symbols
+	if !pmSet.Has(me) {
+		pos, words = pr.trustedWords(sc, pmSet, R)
+		for _, j := range pos {
+			if M[j] {
+				onMine++
+			}
+		}
+	}
 	dInsts, dMine := sc.insts[:0], sc.mine[:0]
 	myDetected := false
-	if nonMembers.Has(me) {
-		pos, words := pr.trustedWords(sc, pmSet, R)
+	if nonMembers.Has(me) && onMine < len(pos) {
 		pt = pc.now()
 		myDetected = !pr.ic.Consistent(pos, words)
 		pc.addRS(pt)
@@ -522,13 +561,18 @@ func (pr *worker) generation(g int, data []gf.Sym) (decided []gf.Sym, defaulted 
 			// members), so its decode equals its own input (Lemma 3).
 			return nil, false
 		}
-		pos, words := pr.trustedWords(sc, pmSet, R)
 		if len(pos) < k {
 			// Only possible at an isolated (hence faulty) processor, whose
 			// return value is irrelevant; honest processors trust all >= n-2t
 			// honest members of Pmatch.
 			clear(pr.dec)
 			return pr.dec, false
+		}
+		if !myDetected && onMine >= k {
+			// My words lie on one codeword (2(a) checked it, or they all
+			// lie on my own), at least k of them on my own, and k positions
+			// determine a codeword: the decode is my input.
+			return nil, false
 		}
 		pt = pc.now()
 		err := pr.ic.DecodeInto(pos, words, pr.dec)
@@ -713,13 +757,7 @@ func (pr *worker) validWord(payload any) []gf.Sym {
 	if !ok || len(w) != pr.par.Lanes {
 		return nil
 	}
-	// The field order is a power of two, so every symbol is below it iff
-	// their bitwise OR is.
-	var or gf.Sym
-	for _, s := range w {
-		or |= s
-	}
-	if int(or) >= pr.field.Order() {
+	if int(rs.WordOr(w)) >= pr.field.Order() {
 		return nil
 	}
 	return w

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"byzcons/internal/bsb"
+	"byzcons/internal/gf"
 	"byzcons/internal/metrics"
+	"byzcons/internal/rs"
 	"byzcons/internal/sim"
 )
 
@@ -165,4 +167,50 @@ func TestNonByteAlignedLength(t *testing.T) {
 	outs, _ := runConsensus(t, par, sameInputs(4, val), L, nil, nil, 5)
 	want := []byte{0xFF, 0xF0}
 	checkAgreement(t, outs, nil, want, false)
+}
+
+// TestNonMemberOneShortOfOwnCodeword pins the bound of a non-member's
+// shortcut: it keeps its own input without decoding only when at least k of
+// Pmatch's words equal its own codeword's symbols. Here processor 3's first
+// generation differs from everyone else's in a way that leaves its codeword
+// equal to theirs at exactly k-1 = 1 Pmatch position, so it must decode —
+// and decide the others' value.
+func TestNonMemberOneShortOfOwnCodeword(t *testing.T) {
+	t.Parallel()
+	const n, tf = 4, 1
+	par := Params{N: n, T: tf, BSB: bsb.Oracle, Lanes: 1, SymBits: 8}
+	common := []byte{0x12, 0x34, 0x56, 0x78}
+	// Adding d to both coefficients of the first generation's polynomial
+	// leaves its value at x_0 = 1 (position 0) unchanged, and no other.
+	odd := bytes.Clone(common)
+	odd[0] ^= 0x5A
+	odd[1] ^= 0x5A
+
+	field, err := gf.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := rs.New(field, n, n-2*tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, err := rs.NewInterleaved(code, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wa := ic.Encode([]gf.Sym{gf.Sym(common[0]), gf.Sym(common[1])})
+	wb := ic.Encode([]gf.Sym{gf.Sym(odd[0]), gf.Sym(odd[1])})
+	equal := 0
+	for j := 0; j < n-tf; j++ { // Pmatch is {0, 1, 2}
+		if rs.WordsEqual(wa[j], wb[j]) {
+			equal++
+		}
+	}
+	if equal != code.K-1 {
+		t.Fatalf("construction: the odd codeword equals the common one at %d Pmatch positions, want k-1 = %d", equal, code.K-1)
+	}
+
+	inputs := [][]byte{common, common, common, odd}
+	outs, _ := runConsensus(t, par, inputs, len(common)*8, nil, nil, 1)
+	checkAgreement(t, outs, nil, common, false)
 }

@@ -832,6 +832,11 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 		Instances:    len(cycle),
 		DegradePeers: degrade,
 	}, func(inst int, p *sim.Proc) any {
+		// L is the packed input's exact length, so a processor that decides
+		// its own input returns that input as its value (consensus.Output):
+		// every honest output of an instance may share inputs[inst]. That is
+		// safe because packValues builds a fresh batch per cycle and nothing
+		// writes it after this call; unpackValues copies the values out.
 		return consensus.Run(p, par, inputs[inst], len(inputs[inst])*8)
 	})
 

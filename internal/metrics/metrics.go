@@ -53,8 +53,14 @@ func NewMeter() *Meter {
 
 // Add records one message of the given size under tag.
 func (m *Meter) Add(tag string, bits int64, faulty bool) {
-	if bits < 0 {
-		panic(fmt.Sprintf("metrics: negative bits %d for tag %q", bits, tag))
+	m.AddN(tag, bits, 1, faulty)
+}
+
+// AddN records msgs messages totalling bits under tag: one map lookup for a
+// run of same-tag messages instead of one per message.
+func (m *Meter) AddN(tag string, bits, msgs int64, faulty bool) {
+	if bits < 0 || msgs < 0 {
+		panic(fmt.Sprintf("metrics: negative bits %d or messages %d for tag %q", bits, msgs, tag))
 	}
 	v, ok := m.tags.Load(tag)
 	if !ok {
@@ -63,10 +69,10 @@ func (m *Meter) Add(tag string, bits int64, faulty bool) {
 	t := v.(*tally)
 	if faulty {
 		t.faultyBits.Add(bits)
-		t.faultyMsgs.Add(1)
+		t.faultyMsgs.Add(msgs)
 	} else {
 		t.bits.Add(bits)
-		t.msgs.Add(1)
+		t.msgs.Add(msgs)
 	}
 }
 

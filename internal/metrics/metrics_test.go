@@ -12,8 +12,9 @@ func TestAddAndTotals(t *testing.T) {
 	m.Add("a", 5, false)
 	m.Add("a", 7, true)
 	m.Add("b", 3, false)
-	if got := m.TotalBits(); got != 25 {
-		t.Errorf("TotalBits = %d, want 25", got)
+	m.AddN("b", 12, 4, true)
+	if got := m.TotalBits(); got != 37 {
+		t.Errorf("TotalBits = %d, want 37", got)
 	}
 	if got := m.HonestBits(); got != 18 {
 		t.Errorf("HonestBits = %d, want 18", got)
@@ -21,6 +22,9 @@ func TestAddAndTotals(t *testing.T) {
 	snap := m.Snapshot()
 	if snap["a"].Bits != 15 || snap["a"].Msgs != 2 || snap["a"].FaultyBits != 7 || snap["a"].FaultyMsgs != 1 {
 		t.Errorf("tally a = %+v", snap["a"])
+	}
+	if snap["b"] != (Tally{Bits: 3, Msgs: 1, FaultyBits: 12, FaultyMsgs: 4}) {
+		t.Errorf("tally b = %+v", snap["b"])
 	}
 	if snap["a"].Total() != 22 {
 		t.Errorf("Total = %d", snap["a"].Total())

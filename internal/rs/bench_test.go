@@ -35,14 +35,14 @@ const benchLanes = 512
 
 // BenchmarkInterleavedEncode measures the matching-stage encode of one
 // generation (the per-generation hot path of every processor), through the
-// allocation-free stripe entry point.
+// allocation-free block entry point.
 func BenchmarkInterleavedEncode(b *testing.B) {
 	ic, data := benchInterleaved(b, benchLanes)
-	stripe := make([]gf.Sym, ic.C.N*ic.M)
+	block := make([]gf.Sym, ic.BlockSyms())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ic.EncodeStripe(data, stripe)
+		ic.EncodeBlock(data, block)
 	}
 }
 
@@ -89,8 +89,7 @@ func BenchmarkInterleavedConsistent(b *testing.B) {
 // the matrix-vs-scalar ratio stays visible PR over PR.
 func BenchmarkInterleavedScalarRef(b *testing.B) {
 	ic, data := benchInterleaved(b, benchLanes)
-	stripe := make([]gf.Sym, ic.C.N*ic.M)
-	ic.EncodeStripe(data, stripe)
+	stripe := ic.EncodeBlock(data, make([]gf.Sym, ic.BlockSyms()))
 	words := make([][]gf.Sym, ic.C.N)
 	for j := range words {
 		words[j] = stripe[j*ic.M : (j+1)*ic.M]

@@ -111,12 +111,12 @@ func FuzzInterleavedRoundTrip(f *testing.F) {
 		words := ic.Encode(data)
 
 		// The words must be views over one contiguous position-major stripe,
-		// and EncodeStripe into a caller buffer must reproduce it exactly.
-		stripe := ic.EncodeStripe(data, make([]gf.Sym, n*m))
+		// and EncodeBlock into a caller buffer must reproduce it exactly.
+		stripe := ic.EncodeBlock(data, make([]gf.Sym, ic.BlockSyms()))
 		for j := 0; j < n; j++ {
 			for l := 0; l < m; l++ {
 				if words[j][l] != stripe[j*m+l] {
-					t.Fatalf("Encode/EncodeStripe disagree at word %d lane %d", j, l)
+					t.Fatalf("Encode/EncodeBlock disagree at word %d lane %d", j, l)
 				}
 			}
 		}
@@ -180,7 +180,7 @@ func FuzzInterleavedRoundTrip(f *testing.F) {
 
 // FuzzMatrixVsScalar fuzzes the matrix-form fast path against the scalar
 // log/exp reference across field widths, lane counts, erasure patterns and
-// corruptions: EncodeStripe must equal the per-lane scalar encode, and
+// corruptions: EncodeBlock must equal the per-lane scalar encode, and
 // DecodeInto/Consistent must agree with the scalar decode — same data, same
 // error — on both clean and corrupted stripes.
 func FuzzMatrixVsScalar(f *testing.F) {
@@ -217,7 +217,7 @@ func FuzzMatrixVsScalar(f *testing.F) {
 		}
 
 		// Matrix encode == scalar encode, stripe for stripe.
-		stripe := ic.EncodeStripe(data, make([]gf.Sym, n*m))
+		stripe := ic.EncodeBlock(data, make([]gf.Sym, ic.BlockSyms()))
 		ref := make([]gf.Sym, n*m)
 		ic.encodeScalar(data, ref)
 		for i := range stripe {

@@ -1,8 +1,11 @@
 package rs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"byzcons/internal/gf"
 )
@@ -63,48 +66,48 @@ func getSyms(n int) *[]gf.Sym {
 
 // Encode maps K*M data symbols (lane-major) to N words of M symbols each
 // (out[j][l] is lane l's symbol at position j). The returned words are views
-// over one freshly allocated stripe; use EncodeStripe to control the buffer.
+// over one freshly allocated stripe; use EncodeBlock to control the buffer.
 // The transpose scratch rides in the same allocation as the stripe, so the
 // per-generation protocol path stays off the shared pool (whose slots churn
 // when many processors interleave).
 func (ic *Interleaved) Encode(data []gf.Sym) [][]gf.Sym {
-	n, k, m := ic.C.N, ic.C.K, ic.M
-	if len(data) != ic.DataSyms() {
-		panic(fmt.Sprintf("rs: interleaved Encode got %d symbols, want %d", len(data), ic.DataSyms()))
-	}
-	block := make([]gf.Sym, (n+k)*m)
-	flat := block[: n*m : n*m]
-	if ic.C.enc == nil {
-		ic.encodeScalar(data, flat)
-	} else {
-		ic.encodeStripeWith(data, flat, block[n*m:])
-	}
-	out := make([][]gf.Sym, n)
-	for j := range out {
-		out[j] = flat[j*m : (j+1)*m]
-	}
-	return out
+	return ic.StripeWords(ic.EncodeBlock(data, make([]gf.Sym, ic.BlockSyms())))
 }
 
-// EncodeStripe writes the interleaved codeword into the position-major
-// stripe (length N*M) and returns it — the allocation-free matrix-form
-// encode: one copy/AddSlice/MulSliceXor sweep per encode-matrix entry.
-func (ic *Interleaved) EncodeStripe(data, stripe []gf.Sym) []gf.Sym {
-	k, n, m := ic.C.K, ic.C.N, ic.M
+// BlockSyms returns the length of an EncodeBlock buffer: the N*M-symbol
+// stripe followed by K*M symbols of transpose scratch.
+func (ic *Interleaved) BlockSyms() int { return (ic.C.N + ic.C.K) * ic.M }
+
+// EncodeBlock writes the interleaved codeword into block[:N*M], the
+// position-major stripe, using the rest of the BlockSyms-long block as
+// transpose scratch, and returns the stripe: the encode that touches neither
+// the heap nor the shared pool.
+func (ic *Interleaved) EncodeBlock(data, block []gf.Sym) []gf.Sym {
+	n, m := ic.C.N, ic.M
 	if len(data) != ic.DataSyms() {
 		panic(fmt.Sprintf("rs: interleaved Encode got %d symbols, want %d", len(data), ic.DataSyms()))
 	}
-	if len(stripe) != n*m {
-		panic(fmt.Sprintf("rs: EncodeStripe got a %d-symbol stripe, want N*M=%d", len(stripe), n*m))
+	if len(block) != ic.BlockSyms() {
+		panic(fmt.Sprintf("rs: EncodeBlock got a %d-symbol block, want (N+K)*M=%d", len(block), ic.BlockSyms()))
 	}
+	stripe := block[: n*m : n*m]
 	if ic.C.enc == nil {
 		ic.encodeScalar(data, stripe)
-		return stripe
+	} else {
+		ic.encodeStripeWith(data, stripe, block[n*m:])
 	}
-	coefp := getSyms(k * m)
-	defer symPool.Put(coefp)
-	ic.encodeStripeWith(data, stripe, *coefp)
 	return stripe
+}
+
+// StripeWords returns the N words of a position-major stripe as views:
+// word j is stripe[j*M:(j+1)*M].
+func (ic *Interleaved) StripeWords(stripe []gf.Sym) [][]gf.Sym {
+	m := ic.M
+	out := make([][]gf.Sym, ic.C.N)
+	for j := range out {
+		out[j] = stripe[j*m : (j+1)*m : (j+1)*m]
+	}
+	return out
 }
 
 // encodeStripeWith runs the matrix-form encode with caller-provided
@@ -320,15 +323,36 @@ func (ic *Interleaved) Consistent(positions []int, words [][]gf.Sym) bool {
 }
 
 // WordsEqual reports whether two interleaved words are identical.
-// A nil word (the paper's ⊥) is equal only to another nil word.
+// A nil word (the paper's ⊥) is equal only to another nil word. The symbols
+// are compared as one run of bytes.
 func WordsEqual(a, b []gf.Sym) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
+	if (a == nil) != (b == nil) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	return bytes.Equal(symBytes(a), symBytes(b))
+}
+
+// WordOr returns the bitwise OR of a word's symbols, read four 16-bit
+// symbols per 64-bit load. Field orders are powers of two, so a word lies
+// within GF(2^c) iff its OR does.
+func WordOr(w []gf.Sym) gf.Sym {
+	full := len(w) / 4 * 4
+	b := symBytes(w[:full])
+	var x uint64
+	for i := 0; i < len(b); i += 8 {
+		x |= binary.NativeEndian.Uint64(b[i:])
 	}
-	return true
+	or := gf.Sym(x | x>>16 | x>>32 | x>>48)
+	for _, s := range w[full:] {
+		or |= s
+	}
+	return or
+}
+
+// symSize is the in-memory size of one symbol.
+const symSize = int(unsafe.Sizeof(gf.Sym(0)))
+
+// symBytes views the symbols of w as their in-memory bytes.
+func symBytes(w []gf.Sym) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), len(w)*symSize)
 }

@@ -34,7 +34,7 @@ func TestMatrixSymPathMatchesScalar(t *testing.T) {
 	for i := range data {
 		data[i] = gf.Sym(r.Intn(field.Order()))
 	}
-	stripe := ic.EncodeStripe(data, make([]gf.Sym, 7*m))
+	stripe := ic.EncodeBlock(data, make([]gf.Sym, ic.BlockSyms()))
 	ref := make([]gf.Sym, 7*m)
 	ic.encodeScalar(data, ref)
 	for i := range stripe {
@@ -168,12 +168,12 @@ func TestSubsetCacheConcurrent(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			data := make([]gf.Sym, ic.DataSyms())
 			out := make([]gf.Sym, ic.DataSyms())
-			stripe := make([]gf.Sym, 10*16)
+			block := make([]gf.Sym, ic.BlockSyms())
 			for iter := 0; iter < 200; iter++ {
 				for i := range data {
 					data[i] = gf.Sym(r.Intn(field.Order()))
 				}
-				ic.EncodeStripe(data, stripe)
+				stripe := ic.EncodeBlock(data, block)
 				var pos []int
 				var words [][]gf.Sym
 				for j := 0; j < 10; j++ {

@@ -36,7 +36,7 @@ func TestWordPathMatchesScalar(t *testing.T) {
 			for i := range data {
 				data[i] = gf.Sym(r.Intn(field.Order()))
 			}
-			stripe := ic.EncodeStripe(data, make([]gf.Sym, 7*m))
+			stripe := ic.EncodeBlock(data, make([]gf.Sym, ic.BlockSyms()))
 			ref := make([]gf.Sym, 7*m)
 			ic.encodeScalar(data, ref)
 			for i := range stripe {
@@ -109,7 +109,7 @@ func TestWordPathRaggedStripe(t *testing.T) {
 	for i := range data {
 		data[i] = gf.Sym(r.Intn(field.Order()))
 	}
-	stripe := ic.EncodeStripe(data, make([]gf.Sym, 7*m))
+	stripe := ic.EncodeBlock(data, make([]gf.Sym, ic.BlockSyms()))
 	ref := make([]gf.Sym, 7*m)
 	ic.encodeScalar(data, ref)
 	for i := range stripe {

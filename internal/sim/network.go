@@ -35,8 +35,14 @@ type Network struct {
 	vals    []any
 	bits    []int64
 	tags    []string
-	inboxes [][]Message // result of the last Exchange, indexed by receiver
-	synced  []any       // result of the last Sync
+	// inboxes and synced are the results of the last Exchange and Sync. The
+	// next barrier of the same kind refills them in place: every processor
+	// has arrived there, so none still reads the previous result (the
+	// Backend contract).
+	inboxes [][]Message // indexed by receiver
+	synced  []any
+	xctx    ExchangeCtx // reused adversary contexts
+	sctx    SyncCtx
 	failed  error
 }
 
@@ -60,6 +66,8 @@ func NewNetwork(n, instance int, faulty []bool, adv Adversary, meter *metrics.Me
 		vals:     make([]any, n),
 		bits:     make([]int64, n),
 		tags:     make([]string, n),
+		inboxes:  make([][]Message, n),
+		synced:   make([]any, n),
 	}
 	net.cond = sync.NewCond(&net.mu)
 	return net
@@ -70,26 +78,14 @@ func (net *Network) Meter() *metrics.Meter { return net.meter }
 
 // Exchange implements Backend.
 func (net *Network) Exchange(p int, step StepID, out []Message, meta any) []Message {
-	res := net.rendezvous(p, step, kindExchange, func() {
-		net.outs[p] = out
-		if meta != nil && net.meta == nil {
-			net.meta = meta
-		}
-	}, net.finalizeExchange)
-	return res.([]Message)
+	in, _ := net.rendezvous(p, step, kindExchange, out, nil, 0, "", meta)
+	return in
 }
 
 // Sync implements Backend.
 func (net *Network) Sync(p int, step StepID, val any, bits int64, tag string, meta any) []any {
-	res := net.rendezvous(p, step, kindSync, func() {
-		net.vals[p] = val
-		net.bits[p] = bits
-		net.tags[p] = tag
-		if meta != nil && net.meta == nil {
-			net.meta = meta
-		}
-	}, net.finalizeSync)
-	return res.([]any)
+	_, synced := net.rendezvous(p, step, kindSync, nil, val, bits, tag, meta)
+	return synced
 }
 
 // Fail implements Backend.
@@ -139,12 +135,13 @@ func (net *Network) fail(err error) {
 	net.mu.Unlock()
 }
 
-// rendezvous runs one barrier: each participant submits its data; the last
-// arrival finalizes the step (adversary rework, routing, metering) and wakes
-// the others. The finalized result for the phase is captured before any
-// participant can start the next phase, because the next finalize needs all
-// n participants to have arrived again.
-func (net *Network) rendezvous(p int, step StepID, kind int, submit func(), finalize func()) any {
+// rendezvous runs one barrier: each participant submits its data (out for
+// an Exchange; val, bits and tag for a Sync); the last arrival finalizes the
+// step (adversary rework, routing, metering) and wakes the others. The
+// finalized result for the phase is captured before any participant can
+// start the next phase, because the next finalize needs all n participants to
+// have arrived again.
+func (net *Network) rendezvous(p int, step StepID, kind int, out []Message, val any, bits int64, tag string, meta any) ([]Message, []any) {
 	net.mu.Lock()
 	defer net.mu.Unlock()
 	if net.failed != nil {
@@ -161,7 +158,14 @@ func (net *Network) rendezvous(p int, step StepID, kind int, submit func(), fina
 		net.cond.Broadcast()
 		panic(abortError{err})
 	}
-	submit()
+	if kind == kindExchange {
+		net.outs[p] = out
+	} else {
+		net.vals[p], net.bits[p], net.tags[p] = val, bits, tag
+	}
+	if meta != nil && net.meta == nil {
+		net.meta = meta
+	}
 	net.arrived++
 	myPhase := net.phase
 	if net.done > 0 && net.arrived+net.done >= net.n {
@@ -171,7 +175,11 @@ func (net *Network) rendezvous(p int, step StepID, kind int, submit func(), fina
 		panic(abortError{err})
 	}
 	if net.arrived == net.n {
-		finalize()
+		if kind == kindExchange {
+			net.finalizeExchange()
+		} else {
+			net.finalizeSync()
+		}
 		if net.failed != nil {
 			net.cond.Broadcast()
 			panic(abortError{net.failed})
@@ -189,47 +197,73 @@ func (net *Network) rendezvous(p int, step StepID, kind int, submit func(), fina
 		}
 	}
 	if kind == kindExchange {
-		return net.inboxes[p]
+		return net.inboxes[p], nil
 	}
-	return net.synced
+	return nil, net.synced
 }
 
 // finalizeExchange runs under the lock once all processors submitted.
 func (net *Network) finalizeExchange() {
-	ctx := &ExchangeCtx{
+	net.xctx = ExchangeCtx{
 		Step: net.step, Instance: max(net.instance, 0), N: net.n, Faulty: net.faulty,
 		Out: net.outs, Meta: net.meta, Rand: net.rand,
 	}
-	net.adv.ReworkExchange(ctx)
-	inboxes := make([][]Message, net.n)
+	net.adv.ReworkExchange(&net.xctx)
+	net.xctx = ExchangeCtx{}
+	inboxes := net.inboxes
+	for to := range inboxes {
+		clear(inboxes[to]) // drop the previous round's payload references
+		inboxes[to] = inboxes[to][:0]
+	}
 	for from := 0; from < net.n; from++ {
+		var run tagRun
 		for _, m := range net.outs[from] {
 			m.From = from // senders cannot forge their identity (paper's channel model)
 			if m.To < 0 || m.To >= net.n || m.To == from {
 				net.failed = net.errf("sim: step %q: processor %d sent message with bad To=%d", net.step, from, m.To)
-				return
+				break
 			}
 			if m.Bits < 0 {
 				net.failed = net.errf("sim: step %q: negative Bits from processor %d", net.step, from)
-				return
+				break
 			}
-			net.meter.Add(m.Tag, m.Bits, net.faulty[from])
+			if m.Tag != run.tag {
+				run.flush(net.meter, net.faulty[from])
+			}
+			run.tag, run.bits, run.msgs = m.Tag, run.bits+m.Bits, run.msgs+1
 			inboxes[m.To] = append(inboxes[m.To], m)
+		}
+		run.flush(net.meter, net.faulty[from])
+		if net.failed != nil {
+			return
 		}
 		net.outs[from] = nil
 	}
-	net.inboxes = inboxes
+}
+
+// tagRun accumulates one sender's consecutive same-tag messages, so that
+// each run is metered with one Meter.AddN rather than one Add per message.
+type tagRun struct {
+	tag        string
+	bits, msgs int64
+}
+
+func (r *tagRun) flush(m *metrics.Meter, faulty bool) {
+	if r.msgs > 0 {
+		m.AddN(r.tag, r.bits, r.msgs, faulty)
+	}
+	*r = tagRun{}
 }
 
 // finalizeSync runs under the lock once all processors submitted.
 func (net *Network) finalizeSync() {
-	ctx := &SyncCtx{
+	net.sctx = SyncCtx{
 		Step: net.step, Instance: max(net.instance, 0), N: net.n, Faulty: net.faulty,
 		Vals: net.vals, Meta: net.meta, Rand: net.rand,
 	}
-	net.adv.ReworkSync(ctx)
-	out := make([]any, net.n)
-	copy(out, net.vals)
+	net.adv.ReworkSync(&net.sctx)
+	net.sctx = SyncCtx{}
+	copy(net.synced, net.vals)
 	for p := 0; p < net.n; p++ {
 		if net.bits[p] > 0 {
 			net.meter.Add(net.tags[p], net.bits[p], net.faulty[p])
@@ -238,5 +272,4 @@ func (net *Network) finalizeSync() {
 		net.bits[p] = 0
 		net.tags[p] = ""
 	}
-	net.synced = out
 }

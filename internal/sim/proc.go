@@ -11,6 +11,11 @@ import (
 // (a single-host barrier with a centrally injected adversary); internal/node
 // provides a distributed backend that realises the same semantics over
 // encoded messages on a real transport.
+//
+// A barrier's result containers — the []Message an Exchange returns and the
+// []any a Sync returns — are valid until the caller's next barrier: a backend
+// may refill them in place once every processor has moved on. The payloads
+// they hold are the senders' and follow the senders' own lifetime rules.
 type Backend interface {
 	// Exchange delivers processor p's point-to-point messages for one
 	// synchronous round and returns the messages addressed to p, ordered by
@@ -59,7 +64,8 @@ func (p *Proc) LocalRounds() int64 { return p.rounds }
 // processors must call Exchange with the same step (one synchronous round).
 // meta, if non-nil, is step metadata made visible to the adversary; it must
 // be identical at every processor (by construction: it is derived from
-// common state).
+// common state). The returned slice is valid until this processor's next
+// barrier (Backend).
 func (p *Proc) Exchange(step StepID, out []Message, meta any) []Message {
 	in := p.rt.Exchange(p.ID, step, out, meta)
 	p.rounds++
@@ -68,7 +74,8 @@ func (p *Proc) Exchange(step StepID, out []Message, meta any) []Message {
 
 // Sync submits a contribution to an ideal all-to-all service and returns all
 // n contributions (identical at every processor). bits are metered under tag
-// against this processor; use 0 for accounting-free gathers.
+// against this processor; use 0 for accounting-free gathers. The returned
+// slice is valid until this processor's next barrier (Backend).
 func (p *Proc) Sync(step StepID, val any, bits int64, tag string, meta any) []any {
 	vals := p.rt.Sync(p.ID, step, val, bits, tag, meta)
 	p.rounds++

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"byzcons/internal/metrics"
 )
 
 func TestExchangeDeliversSorted(t *testing.T) {
@@ -215,6 +217,39 @@ func TestFaultyBitsAccountedSeparately(t *testing.T) {
 	}
 	if res.Meter.HonestBits() != 40 {
 		t.Errorf("HonestBits = %d", res.Meter.HonestBits())
+	}
+}
+
+// TestMeteringCountsEveryMessage checks the per-tag message and bit counts
+// when a sender's outbox switches tags: the barrier meters each run of
+// same-tag messages at once, and no run may be lost or merged with the next.
+func TestMeteringCountsEveryMessage(t *testing.T) {
+	res := Run(RunConfig{N: 3, Faulty: []int{0}, Seed: 1}, func(p *Proc) any {
+		var out []Message
+		for _, tag := range []string{"x", "y"} {
+			for to := 0; to < 3; to++ {
+				if to != p.ID {
+					out = append(out, Message{To: to, Bits: int64(len(out) + 1), Tag: tag})
+				}
+			}
+		}
+		out = append(out, Message{To: (p.ID + 1) % 3, Bits: 100, Tag: "x"}) // runs x x, y y, x
+		p.Exchange("s", out, nil)
+		return nil
+	})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	snap := res.Meter.Snapshot()
+	// Per sender: x carries 1+2+100 bits in 3 messages, y 3+4 bits in 2.
+	want := map[string]metrics.Tally{
+		"x": {Bits: 2 * 103, Msgs: 2 * 3, FaultyBits: 103, FaultyMsgs: 3},
+		"y": {Bits: 2 * 7, Msgs: 2 * 2, FaultyBits: 7, FaultyMsgs: 2},
+	}
+	for tag, w := range want {
+		if snap[tag] != w {
+			t.Errorf("tag %s: %+v, want %+v", tag, snap[tag], w)
+		}
 	}
 }
 
