@@ -220,14 +220,13 @@
 //
 // # Performance
 //
-// The coding hot path is word-parallel twice over: bulk GF(2^c) kernels
-// over per-scalar split tables (internal/gf) and matrix-form Reed-Solomon
-// with cached encode and per-position-subset interpolation matrices over
-// contiguous lane stripes (internal/rs) — roughly 5x (encode) to 35x
-// (consistency check) over the scalar log/exp reference at generation
-// widths, with zero steady-state allocations — and, for stripes of 16+
-// lanes, a word-sliced tier that packs 8 (c <= 8) or 4 (c <= 16) symbols
-// per uint64 and sweeps whole words per table lookup. The networked runtime
+// The coding hot path is one word-sliced tier: GF(2^c) kernels that pack 8
+// (c <= 8) or 4 (c <= 16) symbols per uint64 and sweep whole words per
+// table lookup (internal/gf), driving matrix-form Reed-Solomon with cached
+// encode and per-position-subset interpolation matrices over contiguous
+// lane stripes at every lane count (internal/rs) — roughly 5x (encode) to
+// 35x (consistency check) over the scalar log/exp reference at generation
+// widths, with zero steady-state allocations. The networked runtime
 // delivers frames synchronously in the transport's context with one wakeup
 // per completed round. On TCP the send path is asynchronous and batched:
 // Send copies the frame into the destination peer's buffer and returns, and

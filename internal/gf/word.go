@@ -1,24 +1,23 @@
 package gf
 
-// This file is the word-sliced kernel tier: bulk multiplication over symbol
-// slices packed into 64-bit lane words, processing 8 symbols per word for
-// c <= 8 (byte-packed) or 4 symbols per word for c <= 16 (half-word-packed).
-// It sits above the split-table tier of bulk.go the same way bulk.go sits
-// above the scalar log/exp path: the scalar operations remain the checked
-// reference oracle (FuzzWordVsScalar cross-checks every word kernel against
-// MulTab and the scalar Mul for all c in [1,16], including misaligned slice
-// heads and tails), and the word kernels trade per-symbol loads, stores and
-// loop overhead for throughput on validated data.
+// This file is the field's one bulk tier: multiplication over symbol slices
+// packed into 64-bit lane words, 8 symbols per word for c <= 8 (byte-packed)
+// or 4 symbols per word for c <= 16 (half-word-packed). The scalar log/exp
+// operations of gf.go remain the checked reference oracle (FuzzWordVsScalar
+// cross-checks every word kernel against the scalar Mul and Add for all c in
+// [1,16], including misaligned slice heads and tails); the word kernels trade
+// the per-symbol range checks for throughput and are meant for validated
+// data. A symbol with bits above c yields a masked product, never a panic.
 //
 // Why packing wins: a gf.Sym is a uint16 in memory whatever the field width,
-// so a scalar table sweep over an M-symbol slice moves 2M bytes in and 2M
+// so a per-symbol table sweep over an M-symbol slice moves 2M bytes in and 2M
 // bytes out and runs M loop iterations. The packed form holds 8 (c <= 8) or
 // 4 (c <= 16) symbols per uint64, so the same sweep moves 4-8x less memory,
 // performs one wide load and one wide store per word, and retires an
 // unrolled straight-line body per word instead of 8 (resp. 4) dependent
 // read-modify-write iterations. The table lookups themselves do not
-// disappear — each packed symbol still pays its one (full-table) or two
-// (split-table) lookups — but they pipeline against each other inside a word
+// disappear — each packed symbol still pays its one (c <= 8) or two
+// (c > 8) lookups — but they pipeline against each other inside a word
 // because the products combine with independent shifts into one accumulator.
 //
 // Packing is only worth its two linear passes when the packed lanes are
@@ -47,9 +46,7 @@ func PackedLen(c uint, n int) int {
 // lands in byte i%8 of word i/8, symbol i of a wider field in half-word i%4
 // of word i/4. dst must hold PackedLen(c, len(src)) words; the tail of the
 // last word is zero-filled (zero-padding is harmless to every kernel:
-// y·0 = 0). Symbols are masked to c bits on the way in, matching the bulk
-// tier's contract that out-of-range inputs yield masked products, never
-// panics.
+// y·0 = 0). Symbols are masked to c bits on the way in.
 func Pack(c uint, src []Sym, dst []uint64) {
 	mask := uint64(1)<<c - 1
 	if c <= 8 {
@@ -142,37 +139,29 @@ func Unpack(c uint, src []uint64, dst []Sym) {
 }
 
 // WordTab is a per-scalar multiplication table for the word-sliced kernels.
-// The zero value is not usable; build one with Field.WordTab or
-// Field.WordTabFull. Table shapes mirror bulk.go's split tables, narrowed to
-// the packed symbol width:
+// The zero value is not usable; build one with Field.WordTabFull. It has one
+// shape per packing width:
 //
-//   - c <= 8 split: two 16-entry nibble tables of byte products,
-//     y·s = lo[s&0xF] ^ hi[s>>4], applied to each of a word's 8 bytes;
-//   - c <= 8 full (WordTabFull): one 256-entry byte table, one lookup per
-//     packed byte — the fastest form, affordable only for cached matrices;
+//   - c <= 8: one 256-entry byte table, y·s = full[s], one lookup per packed
+//     byte;
 //   - c > 8: two 256-entry half-word tables, y·s = lo[s&0xFF] ^ hi[s>>8],
 //     applied to each of a word's 4 half-words.
 type WordTab struct {
-	lo8, hi8 *[16]byte    // c <= 8 split
-	full8    *[256]byte   // c <= 8 full
-	lo16     *[256]uint16 // c > 8 split
-	hi16     *[256]uint16
+	full8      *[256]byte   // c <= 8
+	lo16, hi16 *[256]uint16 // c > 8
 }
 
-// WordTab builds the split word-kernel table for the scalar y.
-func (f *Field) WordTab(y Sym) WordTab {
+// WordTabFull builds the word table for the scalar y. It costs 2^c (c <= 8)
+// or 512 (c > 8) scalar multiplications, so it is meant for cached matrices
+// (internal/rs), not per-call use.
+func (f *Field) WordTabFull(y Sym) WordTab {
 	f.checkRange(y)
 	if f.c <= 8 {
-		var lo, hi [16]byte
-		for v := 0; v < 16; v++ {
-			if v < f.order {
-				lo[v] = byte(f.Mul(y, Sym(v)))
-			}
-			if vh := v << 4; vh < f.order {
-				hi[v] = byte(f.Mul(y, Sym(vh)))
-			}
+		var full [256]byte
+		for v := 0; v < f.order; v++ {
+			full[v] = byte(f.Mul(y, Sym(v)))
 		}
-		return WordTab{lo8: &lo, hi8: &hi}
+		return WordTab{full8: &full}
 	}
 	var lo, hi [256]uint16
 	for v := 0; v < 256; v++ {
@@ -182,22 +171,6 @@ func (f *Field) WordTab(y Sym) WordTab {
 		}
 	}
 	return WordTab{lo16: &lo, hi16: &hi}
-}
-
-// WordTabFull builds the fastest word table: a direct-indexed 256-entry byte
-// table for c <= 8 (one lookup per packed symbol), falling back to the split
-// form for wider fields. Like TabFull it costs 2^c multiplications to build
-// and is meant for cached matrices (internal/rs), not per-call use.
-func (f *Field) WordTabFull(y Sym) WordTab {
-	if f.c > 8 {
-		return f.WordTab(y)
-	}
-	f.checkRange(y)
-	var full [256]byte
-	for v := 0; v < f.order; v++ {
-		full[v] = byte(f.Mul(y, Sym(v)))
-	}
-	return WordTab{full8: &full}
 }
 
 // MulWordsXor accumulates dst[w] ^= y·src[w] over packed lane words (y being
@@ -217,18 +190,6 @@ func (t *WordTab) MulWordsXor(src, dst []uint64) {
 				uint64(full[x>>40&0xFF])<<40 |
 				uint64(full[x>>48&0xFF])<<48 |
 				uint64(full[x>>56])<<56
-		}
-	case t.lo8 != nil:
-		lo, hi := t.lo8, t.hi8
-		for w, x := range src {
-			dst[w] ^= uint64(lo[x&0xF]^hi[x>>4&0xF]) |
-				uint64(lo[x>>8&0xF]^hi[x>>12&0xF])<<8 |
-				uint64(lo[x>>16&0xF]^hi[x>>20&0xF])<<16 |
-				uint64(lo[x>>24&0xF]^hi[x>>28&0xF])<<24 |
-				uint64(lo[x>>32&0xF]^hi[x>>36&0xF])<<32 |
-				uint64(lo[x>>40&0xF]^hi[x>>44&0xF])<<40 |
-				uint64(lo[x>>48&0xF]^hi[x>>52&0xF])<<48 |
-				uint64(lo[x>>56&0xF]^hi[x>>60])<<56
 		}
 	default:
 		lo, hi := t.lo16, t.hi16
@@ -256,18 +217,6 @@ func (t *WordTab) MulWords(src, dst []uint64) {
 				uint64(full[x>>40&0xFF])<<40 |
 				uint64(full[x>>48&0xFF])<<48 |
 				uint64(full[x>>56])<<56
-		}
-	case t.lo8 != nil:
-		lo, hi := t.lo8, t.hi8
-		for w, x := range src {
-			dst[w] = uint64(lo[x&0xF]^hi[x>>4&0xF]) |
-				uint64(lo[x>>8&0xF]^hi[x>>12&0xF])<<8 |
-				uint64(lo[x>>16&0xF]^hi[x>>20&0xF])<<16 |
-				uint64(lo[x>>24&0xF]^hi[x>>28&0xF])<<24 |
-				uint64(lo[x>>32&0xF]^hi[x>>36&0xF])<<32 |
-				uint64(lo[x>>40&0xF]^hi[x>>44&0xF])<<40 |
-				uint64(lo[x>>48&0xF]^hi[x>>52&0xF])<<48 |
-				uint64(lo[x>>56&0xF]^hi[x>>60])<<56
 		}
 	default:
 		lo, hi := t.lo16, t.hi16

@@ -35,7 +35,7 @@ func TestWordKernelsAllWidths(t *testing.T) {
 		}
 		for trial := 0; trial < 8; trial++ {
 			y := Sym(rng.Intn(f.Order()))
-			tabs := []WordTab{f.WordTab(y), f.WordTabFull(y)}
+			tab := f.WordTabFull(y)
 			n := 1 + rng.Intn(70)
 			head := rng.Intn(3)
 			back := make([]Sym, head+n)
@@ -47,23 +47,21 @@ func TestWordKernelsAllWidths(t *testing.T) {
 			for i := range acc0 {
 				acc0[i] = Sym(rng.Intn(f.Order()))
 			}
-			for ti, tab := range tabs {
-				for _, xor := range []bool{false, true} {
-					got := append([]Sym(nil), acc0...)
-					wordMulViaPack(t, f, tab, src, got, xor)
-					for i, s := range src {
-						want := f.Mul(y, s)
-						if xor {
-							want ^= acc0[i]
-						}
-						if got[i] != want {
-							t.Fatalf("c=%d tab=%d xor=%v y=%#x src[%d]=%#x: got %#x want %#x",
-								c, ti, xor, y, i, s, got[i], want)
-						}
+			for _, xor := range []bool{false, true} {
+				got := append([]Sym(nil), acc0...)
+				wordMulViaPack(t, f, tab, src, got, xor)
+				for i, s := range src {
+					want := f.Mul(y, s)
+					if xor {
+						want ^= acc0[i]
+					}
+					if got[i] != want {
+						t.Fatalf("c=%d xor=%v y=%#x src[%d]=%#x: got %#x want %#x",
+							c, xor, y, i, s, got[i], want)
 					}
 				}
 			}
-			// AddWords against AddSlice.
+			// AddWords against the scalar Add.
 			mw := PackedLen(c, n)
 			pa := make([]uint64, mw)
 			pb := make([]uint64, mw)
@@ -72,11 +70,9 @@ func TestWordKernelsAllWidths(t *testing.T) {
 			AddWords(pa, pb)
 			got := make([]Sym, n)
 			Unpack(c, pb, got)
-			want := append([]Sym(nil), acc0...)
-			AddSlice(src, want)
 			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("c=%d AddWords[%d]: got %#x want %#x", c, i, got[i], want[i])
+				if want := f.Add(src[i], acc0[i]); got[i] != want {
+					t.Fatalf("c=%d AddWords[%d]: got %#x want %#x", c, i, got[i], want)
 				}
 			}
 		}
@@ -155,22 +151,18 @@ func FuzzWordVsScalar(f *testing.F) {
 		for i := range acc {
 			acc[i] = Sym((i * 13) % fld.Order())
 		}
-		scalarTab := fld.Tab(y)
-		for ti, tab := range []WordTab{fld.WordTab(y), fld.WordTabFull(y)} {
-			for _, xor := range []bool{false, true} {
-				want := append([]Sym(nil), acc...)
+		tab := fld.WordTabFull(y)
+		for _, xor := range []bool{false, true} {
+			got := append([]Sym(nil), acc...)
+			wordMulViaPack(t, fld, tab, src, got, xor)
+			for i, s := range src {
+				want := fld.Mul(y, s)
 				if xor {
-					scalarTab.MulSliceXor(src, want)
-				} else {
-					scalarTab.MulSlice(src, want)
+					want = fld.Add(want, acc[i])
 				}
-				got := append([]Sym(nil), acc...)
-				wordMulViaPack(t, fld, tab, src, got, xor)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("c=%d tab=%d xor=%v y=%#x i=%d: word %#x != scalar %#x",
-							c, ti, xor, y, i, got[i], want[i])
-					}
+				if got[i] != want {
+					t.Fatalf("c=%d xor=%v y=%#x i=%d: word %#x != scalar %#x",
+						c, xor, y, i, got[i], want)
 				}
 			}
 		}
@@ -196,18 +188,12 @@ func BenchmarkMulWordsXor(b *testing.B) {
 			tab.MulWordsXor(ps, pd)
 		}
 	})
-	b.Run("word-split", func(b *testing.B) {
-		tab := f.WordTab(0x35)
+	b.Run("scalar", func(b *testing.B) {
 		b.SetBytes(n)
 		for i := 0; i < b.N; i++ {
-			tab.MulWordsXor(ps, pd)
-		}
-	})
-	b.Run("scalar-full", func(b *testing.B) {
-		tab := f.TabFull(0x35)
-		b.SetBytes(n)
-		for i := 0; i < b.N; i++ {
-			tab.MulSliceXor(src, dst)
+			for j, s := range src {
+				dst[j] ^= f.Mul(0x35, s)
+			}
 		}
 	})
 }

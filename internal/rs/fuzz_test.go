@@ -201,9 +201,8 @@ func FuzzMatrixVsScalar(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 1..37 lanes: spans the scalar tier, the gf.MulTab sym sweeps and —
-		// from wordMinLanes up, including counts that straddle a packed-word
-		// boundary — the word-sliced tier of word.go.
+		// 1..37 lanes, including counts that straddle a packed-word
+		// boundary, all on the word-sliced matrix path of word.go.
 		m := int(lanesRaw%37) + 1
 		ic, err := NewInterleaved(code, m)
 		if err != nil {

@@ -21,11 +21,11 @@ import (
 // order generation inputs are read off the bit stream); codewords are stripe
 // buffers — one contiguous []gf.Sym of N*M symbols, position-major, where
 // stripe[j*M:(j+1)*M] is the word sent to position j. All hot operations run
-// matrix-form (matrix.go) as contiguous M-symbol sweeps over the lane slabs
-// instead of per-lane, per-symbol scalar arithmetic — gf.MulTab sym sweeps
-// for narrow stripes, the packed word-sliced kernels of word.go from
-// wordMinLanes up. The scalar per-lane path is kept as the reference oracle
-// and as the fallback for codes outside the matrix path's domain.
+// matrix-form (matrix.go) as sweeps of the packed word-sliced kernels of
+// word.go over the lane slabs, at every lane count, instead of per-lane,
+// per-symbol scalar arithmetic. The scalar per-lane path is kept as the
+// reference oracle and as the fallback for codes outside the matrix path's
+// domain.
 type Interleaved struct {
 	C *Code
 	M int // number of lanes
@@ -91,10 +91,10 @@ func (ic *Interleaved) EncodeBlock(data, block []gf.Sym) []gf.Sym {
 		panic(fmt.Sprintf("rs: EncodeBlock got a %d-symbol block, want (N+K)*M=%d", len(block), ic.BlockSyms()))
 	}
 	stripe := block[: n*m : n*m]
-	if ic.C.enc == nil {
+	if ic.C.encW == nil {
 		ic.encodeScalar(data, stripe)
 	} else {
-		ic.encodeStripeWith(data, stripe, block[n*m:])
+		ic.encodeWords(data, stripe, block[n*m:])
 	}
 	return stripe
 }
@@ -108,17 +108,6 @@ func (ic *Interleaved) StripeWords(stripe []gf.Sym) [][]gf.Sym {
 		out[j] = stripe[j*m : (j+1)*m : (j+1)*m]
 	}
 	return out
-}
-
-// encodeStripeWith runs the matrix-form encode with caller-provided
-// transpose scratch (length K*M), on the word tier for wide stripes and the
-// gf.MulTab sym sweeps for narrow ones.
-func (ic *Interleaved) encodeStripeWith(data, stripe, coefT []gf.Sym) {
-	if ic.wordsOK(ic.M) {
-		ic.encodeWords(data, stripe, coefT)
-	} else {
-		ic.encodeSyms(data, stripe, coefT)
-	}
 }
 
 // transposeIn rewrites the lane-major data into coefficient-major slabs:
@@ -139,26 +128,6 @@ func (ic *Interleaved) transposeOut(coefT, out []gf.Sym) {
 	for l := 0; l < m; l++ {
 		for i := 0; i < k; i++ {
 			out[l*k+i] = coefT[i*m+l]
-		}
-	}
-}
-
-// encodeSyms runs the matrix-form encode on the sym tier: transpose the data
-// into coefficient slabs, then sweep the encode matrix.
-func (ic *Interleaved) encodeSyms(data, stripe, coefT []gf.Sym) {
-	k, n, m := ic.C.K, ic.C.N, ic.M
-	ic.transposeIn(data, coefT)
-	for j := 0; j < n; j++ {
-		dst := stripe[j*m : (j+1)*m]
-		copy(dst, coefT[:m]) // coefficient 0: weight x_j^0 = 1
-		if j == 0 {
-			for i := 1; i < k; i++ {
-				gf.AddSlice(coefT[i*m:(i+1)*m], dst) // x_0 = 1
-			}
-			continue
-		}
-		for i := 1; i < k; i++ {
-			ic.C.enc[i*n+j].MulSliceXor(coefT[i*m:(i+1)*m], dst)
 		}
 	}
 }
@@ -228,61 +197,9 @@ func (ic *Interleaved) DecodeInto(positions []int, words [][]gf.Sym, out []gf.Sy
 	}
 	coefp := getSyms(k * m)
 	defer symPool.Put(coefp)
-	if ic.wordsOK(m) {
-		ic.interpolateWords(st, words, *coefp)
-	} else {
-		ic.interpolateSyms(st, words, *coefp)
-	}
+	ic.interpolateWords(st, words, *coefp)
 	ic.transposeOut(*coefp, out)
 	return nil
-}
-
-// interpolateSyms runs the K×K interpolation sweeps on the sym tier, leaving
-// the recovered coefficient slabs in coefT.
-func (ic *Interleaved) interpolateSyms(st *subsetTabs, words [][]gf.Sym, coefT []gf.Sym) {
-	k, m := ic.C.K, ic.M
-	for i := 0; i < k; i++ {
-		slab := coefT[i*m : (i+1)*m]
-		st.dec[i*k].MulSlice(words[0], slab)
-		for mi := 1; mi < k; mi++ {
-			st.dec[i*k+mi].MulSliceXor(words[mi], slab)
-		}
-	}
-}
-
-// checkSurplus verifies every surplus position's word against the value the
-// K chosen words predict for it — the membership test V/A ∈ C2t as cached
-// check-row sweeps, no interpolation needed.
-func (ic *Interleaved) checkSurplus(st *subsetTabs, words [][]gf.Sym) bool {
-	if len(words) == ic.C.K {
-		return true
-	}
-	if ic.wordsOK(ic.M) {
-		return ic.checkSurplusWords(st, words)
-	}
-	return ic.checkSurplusSyms(st, words)
-}
-
-// checkSurplusSyms verifies the surplus rows on the sym tier.
-func (ic *Interleaved) checkSurplusSyms(st *subsetTabs, words [][]gf.Sym) bool {
-	k := ic.C.K
-	surplus := len(words) - k
-	predp := getSyms(ic.M)
-	defer symPool.Put(predp)
-	pred := *predp
-	for si := 0; si < surplus; si++ {
-		st.chk[si*k].MulSlice(words[0], pred)
-		for mi := 1; mi < k; mi++ {
-			st.chk[si*k+mi].MulSliceXor(words[mi], pred)
-		}
-		got := words[k+si]
-		for i := range pred {
-			if pred[i] != got[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // decodeIntoScalar is the per-lane reference decode.

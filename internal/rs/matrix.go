@@ -9,11 +9,11 @@ import (
 // This file is the matrix-form fast path of the code: instead of running the
 // scalar log/exp interpolation per lane (K·N·M single-symbol multiplications
 // per interleaved operation), every operation is expressed as a small matrix
-// of cached per-scalar multiplication tables applied to contiguous M-symbol
-// lane slabs with gf.MulTab sweeps:
+// of cached per-scalar gf.WordTab tables swept over packed lane slabs
+// (word.go):
 //
 //   - Encode: the K×N Vandermonde encode matrix E[i][j] = x_j^i is fixed per
-//     code, so its tables are built once at construction (encTabs).
+//     code, so its tables are built once at construction (buildEncTabs).
 //   - Decode/Consistent: for a given set of present positions, the K×K
 //     interpolation matrix (columns are the Lagrange basis polynomials of
 //     the first K positions) and the surplus check rows (which map the K
@@ -40,39 +40,32 @@ const maxMatrixN = 64
 // forces graph churn gets the cache reset, never unbounded growth.
 const maxSubsets = 256
 
-// subsetTabs holds the cached matrices of one present-position set. Every
-// matrix entry is cached in two table forms: the gf.MulTab split/full tables
-// swept over []gf.Sym slabs (narrow stripes), and the gf.WordTab word-sliced
-// tables swept over packed []uint64 lanes (wide stripes, see word.go). Both
-// are built once per subset — subsets recur since the trust graph changes at
+// subsetTabs holds the cached matrices of one present-position set as
+// gf.WordTab tables swept over packed []uint64 lanes (word.go). They are
+// built once per subset — subsets recur since the trust graph changes at
 // most t(t+1) times — so the per-generation hot path only ever sweeps.
 type subsetTabs struct {
-	// dec[i*K+m] maps the value at the m-th chosen position onto coefficient
-	// i: coeffs[i] = Σ_m dec[i*K+m]·vals[m]. It is the inverse of the K×K
-	// Vandermonde submatrix of the first K present positions.
-	dec  []gf.MulTab
+	// decW[i*K+m] maps the value at the m-th chosen position onto
+	// coefficient i: coeffs[i] = Σ_m decW[i*K+m]·vals[m]. It is the inverse
+	// of the K×K Vandermonde submatrix of the first K present positions.
 	decW []gf.WordTab
-	// chk[si*K+m] maps the K chosen values directly onto the expected value
-	// at the si-th surplus position: expected = Σ_m chk[si*K+m]·vals[m].
-	chk  []gf.MulTab
+	// chkW[si*K+m] maps the K chosen values directly onto the expected value
+	// at the si-th surplus position: expected = Σ_m chkW[si*K+m]·vals[m].
 	chkW []gf.WordTab
 }
 
 // buildEncTabs constructs the K×N encode-matrix tables. Entries with i = 0
 // (codeword position j receives coefficient 0 with weight x_j^0 = 1) and
-// j = 0 (x_0 = 1, so every weight is 1) are handled with copies/AddSlice by
+// j = 0 (x_0 = 1, so every weight is 1) are handled with copies/AddWords by
 // the encode sweep and left as zero tables here.
 func (c *Code) buildEncTabs() {
 	if c.N > maxMatrixN {
 		return
 	}
-	c.enc = make([]gf.MulTab, c.K*c.N)
 	c.encW = make([]gf.WordTab, c.K*c.N)
 	for i := 1; i < c.K; i++ {
 		for j := 1; j < c.N; j++ {
-			y := c.F.Exp(i * j) // x_j^i = alpha^(i·j)
-			c.enc[i*c.N+j] = c.F.TabFull(y)
-			c.encW[i*c.N+j] = c.F.WordTabFull(y)
+			c.encW[i*c.N+j] = c.F.WordTabFull(c.F.Exp(i * j)) // x_j^i = alpha^(i·j)
 		}
 	}
 }
@@ -163,23 +156,19 @@ func (c *Code) buildSubset(positions []int) *subsetTabs {
 		cols[m] = col
 	}
 
-	st := &subsetTabs{dec: make([]gf.MulTab, k*k), decW: make([]gf.WordTab, k*k)}
+	st := &subsetTabs{decW: make([]gf.WordTab, k*k)}
 	for i := 0; i < k; i++ {
 		for m := 0; m < k; m++ {
-			st.dec[i*k+m] = f.TabFull(cols[m][i])
 			st.decW[i*k+m] = f.WordTabFull(cols[m][i])
 		}
 	}
 	surplus := positions[k:]
-	st.chk = make([]gf.MulTab, len(surplus)*k)
 	st.chkW = make([]gf.WordTab, len(surplus)*k)
 	for si, p := range surplus {
 		xp := c.xs[p]
 		for m := 0; m < k; m++ {
 			// Expected value at x_p from chosen value m: L_m(x_p).
-			y := f.EvalPoly(cols[m], xp)
-			st.chk[si*k+m] = f.TabFull(y)
-			st.chkW[si*k+m] = f.WordTabFull(y)
+			st.chkW[si*k+m] = f.WordTabFull(f.EvalPoly(cols[m], xp))
 		}
 	}
 	return st

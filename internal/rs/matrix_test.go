@@ -8,14 +8,11 @@ import (
 	"byzcons/internal/gf"
 )
 
-// TestMatrixSymPathMatchesScalar holds a wide stripe on the gf.MulTab sym
-// tier (the word tier would otherwise take it from wordMinLanes up) and
-// checks its encode/decode/consistent results against the scalar oracle.
+// TestMatrixSymPathMatchesScalar runs a wide stripe (m=100, GF(2^8),
+// n=7, k=3) through the matrix path on the position set {0,1,3,4,6} and
+// checks its encode/decode/consistent results against the scalar oracle,
+// then corrupts the last lane of a chosen word.
 func TestMatrixSymPathMatchesScalar(t *testing.T) {
-	old := wordMinLanes
-	wordMinLanes = 1 << 30
-	defer func() { wordMinLanes = old }()
-
 	field, err := gf.New(8)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +36,7 @@ func TestMatrixSymPathMatchesScalar(t *testing.T) {
 	ic.encodeScalar(data, ref)
 	for i := range stripe {
 		if stripe[i] != ref[i] {
-			t.Fatalf("sym-tier encode diverges from scalar at %d", i)
+			t.Fatalf("matrix encode diverges from scalar at %d", i)
 		}
 	}
 
@@ -54,20 +51,20 @@ func TestMatrixSymPathMatchesScalar(t *testing.T) {
 	}
 	for i := range data {
 		if out[i] != data[i] {
-			t.Fatalf("sym-tier decode mismatch at %d", i)
+			t.Fatalf("matrix decode mismatch at %d", i)
 		}
 	}
 	if !ic.Consistent(pos, words) {
-		t.Fatal("sym-tier consistent rejected a clean stripe")
+		t.Fatal("matrix consistent rejected a clean stripe")
 	}
 	tampered := append([]gf.Sym(nil), words[2]...)
 	tampered[m-1] ^= 1
 	words[2] = tampered
 	if ic.Consistent(pos, words) {
-		t.Fatal("sym-tier consistent missed a corrupted lane")
+		t.Fatal("matrix consistent missed a corrupted lane")
 	}
 	if err := ic.DecodeInto(pos, words, out); err != ErrInconsistent {
-		t.Fatalf("sym-tier decode of corrupted stripe: got %v, want ErrInconsistent", err)
+		t.Fatalf("matrix decode of corrupted stripe: got %v, want ErrInconsistent", err)
 	}
 }
 

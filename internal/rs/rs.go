@@ -37,10 +37,9 @@ type Code struct {
 	K  int      // dimension
 	xs []gf.Sym // evaluation points, xs[j] = alpha^j
 
-	// enc holds the K×N encode-matrix tables (nil for codes longer than
-	// maxMatrixN, which stay on the scalar path); encW is the same matrix in
-	// word-sliced form for the packed-lane sweeps of wide stripes (word.go).
-	enc  []gf.MulTab
+	// encW holds the K×N encode matrix as word tables for the packed-lane
+	// sweeps of word.go (nil for codes longer than maxMatrixN, which stay on
+	// the scalar path).
 	encW []gf.WordTab
 	// subs caches the interpolation/check matrices per present-position
 	// bitmask (see matrix.go).

@@ -208,31 +208,55 @@ func TestDecodePanicsOnBadInput(t *testing.T) {
 	}
 }
 
+// TestInterleavedRoundTrip encodes, decodes from a random subset and runs
+// Consistent on a clean and a tampered word set, on the matrix path (n=7)
+// and on the scalar fallback of a code longer than maxMatrixN (n=100).
 func TestInterleavedRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	code := newCode(t, 8, 7, 3)
-	for _, m := range []int{1, 2, 5, 16} {
-		ic, err := NewInterleaved(code, m)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		n, k  int
+		lanes []int
+	}{{7, 3, []int{1, 2, 5, 16}}, {100, 34, []int{1, 9}}} {
+		n, k := tc.n, tc.k
+		code := newCode(t, 8, n, k)
+		if matrix := n <= maxMatrixN; (code.encW != nil) != matrix {
+			t.Fatalf("n=%d: matrix path %v, want %v", n, code.encW != nil, matrix)
 		}
-		if ic.DataBits() != 3*m*8 || ic.WordBits() != m*8 {
-			t.Fatalf("m=%d: wrong bit geometry", m)
-		}
-		data := randData(r, code.F, ic.DataSyms())
-		words := ic.Encode(data)
-		pos := randSubset(r, 7, 3+r.Intn(5))
-		sub := make([][]gf.Sym, len(pos))
-		for i, p := range pos {
-			sub[i] = words[p]
-		}
-		got, err := ic.Decode(pos, sub)
-		if err != nil {
-			t.Fatalf("m=%d: %v", m, err)
-		}
-		for i := range data {
-			if got[i] != data[i] {
-				t.Fatalf("m=%d: mismatch", m)
+		for _, m := range tc.lanes {
+			ic, err := NewInterleaved(code, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ic.DataBits() != k*m*8 || ic.WordBits() != m*8 {
+				t.Fatalf("n=%d m=%d: wrong bit geometry", n, m)
+			}
+			data := randData(r, code.F, ic.DataSyms())
+			words := ic.Encode(data)
+			pos := randSubset(r, n, k+r.Intn(n-k+1))
+			sub := make([][]gf.Sym, len(pos))
+			for i, p := range pos {
+				sub[i] = words[p]
+			}
+			got, err := ic.Decode(pos, sub)
+			if err != nil {
+				t.Fatalf("n=%d m=%d: %v", n, m, err)
+			}
+			for i := range data {
+				if got[i] != data[i] {
+					t.Fatalf("n=%d m=%d: mismatch", n, m)
+				}
+			}
+			if !ic.Consistent(pos, sub) {
+				t.Fatalf("n=%d m=%d: Consistent rejected a clean word set", n, m)
+			}
+			if len(pos) == k {
+				continue // any K words are consistent
+			}
+			tampered := append([]gf.Sym(nil), sub[len(sub)-1]...)
+			tampered[m-1] ^= 1
+			sub[len(sub)-1] = tampered
+			if ic.Consistent(pos, sub) {
+				t.Fatalf("n=%d m=%d: Consistent missed a tampered word", n, m)
 			}
 		}
 	}

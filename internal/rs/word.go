@@ -7,26 +7,15 @@ import (
 )
 
 // This file runs the matrix-form sweeps of interleaved.go on the word-sliced
-// kernel tier (gf/word.go): lane slabs are packed into []uint64 words — 8
+// kernels of gf/word.go: lane slabs are packed into []uint64 words — 8
 // symbols per word for c <= 8, 4 for c <= 16 — swept with the cached
 // per-scalar word tables, and unpacked at the stripe boundary. The packing
 // passes are linear and amortize over the K sweeps every packed slab
 // receives (the encode matrix sweeps each coefficient slab N times, the
-// interpolation matrix K times), so for the protocol's wide stripes the word
-// tier moves 4-8x less memory per sweep than the gf.MulTab path, which
-// stays as the narrow-stripe path and — together with the scalar log/exp
-// lane decode — as the correctness oracle (FuzzMatrixVsScalar exercises all
-// three tiers against each other).
-
-// wordMinLanes is the narrowest stripe the word tier accepts: below it the
-// pack/unpack boundary costs more than the sweeps save. A var so tests can
-// force the word path onto tiny stripes.
-var wordMinLanes = 16
-
-// wordsOK reports whether the word tier applies to an m-lane operation.
-func (ic *Interleaved) wordsOK(m int) bool {
-	return m >= wordMinLanes
-}
+// interpolation matrix K times). Every matrix-path operation runs here at
+// every lane count; the scalar per-lane path of interleaved.go is the
+// fallback beyond the matrix path's domain and the correctness oracle
+// (FuzzMatrixVsScalar checks this file against it).
 
 // wordPool recycles the packed-lane workspaces of the word-tier sweeps.
 var wordPool = sync.Pool{New: func() any { return new([]uint64) }}
@@ -92,13 +81,18 @@ func (ic *Interleaved) interpolateWords(st *subsetTabs, words [][]gf.Sym, coefT 
 	}
 }
 
-// checkSurplusWords verifies the surplus rows in the packed word domain: the
-// K chosen words pack once, each surplus position's prediction is swept
-// packed, and the comparison runs word against word (both sides zero-pad
-// their tails identically, so padded words compare equal).
-func (ic *Interleaved) checkSurplusWords(st *subsetTabs, words [][]gf.Sym) bool {
+// checkSurplus verifies every surplus position's word against the value the
+// K chosen words predict for it — the membership test V/A ∈ C2t as cached
+// check-row sweeps, no interpolation needed. The K chosen words pack once,
+// each surplus position's prediction is swept packed, and the comparison
+// runs word against word (both sides zero-pad their tails identically, so
+// padded words compare equal).
+func (ic *Interleaved) checkSurplus(st *subsetTabs, words [][]gf.Sym) bool {
 	k, c := ic.C.K, ic.C.F.C()
 	surplus := len(words) - k
+	if surplus == 0 {
+		return true
+	}
 	mw := gf.PackedLen(c, ic.M)
 	wsp := getWords((k + 2) * mw)
 	defer wordPool.Put(wsp)

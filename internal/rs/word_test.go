@@ -7,27 +7,40 @@ import (
 	"byzcons/internal/gf"
 )
 
-// TestWordPathMatchesScalar forces the word-sliced tier onto tiny stripes
-// (wordMinLanes = 1) across field widths and lane counts — including counts
-// that straddle a packed-word boundary — and checks encode, decode and the
-// consistency test symbol-for-symbol against the scalar per-lane oracle,
-// clean and corrupted. Not parallel: it rebinds the word-tier threshold.
+// TestWordPathMatchesScalar runs the word-sliced matrix path across field
+// widths and lane counts — including counts that straddle a packed-word
+// boundary — and on the codes the workloads run (n=16, k=6 at 64 lanes;
+// n=7, k=5 at 19 and 20), and checks encode, decode and the consistency
+// test symbol-for-symbol against the scalar per-lane oracle, clean and
+// corrupted.
 func TestWordPathMatchesScalar(t *testing.T) {
-	oldMin := wordMinLanes
-	wordMinLanes = 1
-	defer func() { wordMinLanes = oldMin }()
+	t.Parallel()
+	type shape struct {
+		c     uint
+		n, k  int
+		lanes []int
+		pos   []int // K chosen positions, then the surplus rows
+	}
+	var shapes []shape
+	for _, c := range []uint{3, 4, 7, 8, 9, 12, 16} {
+		shapes = append(shapes, shape{c, 7, 3, []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 100}, []int{0, 2, 3, 5, 6}})
+	}
+	shapes = append(shapes,
+		shape{8, 16, 6, []int{64}, []int{0, 1, 3, 4, 6, 9, 12, 15}},
+		shape{8, 7, 5, []int{19, 20}, []int{0, 1, 2, 3, 4, 5, 6}})
 
 	r := rand.New(rand.NewSource(8))
-	for _, c := range []uint{3, 4, 7, 8, 9, 12, 16} {
+	for _, sh := range shapes {
+		c, pos := sh.c, sh.pos
 		field, err := gf.New(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		code, err := New(field, 7, 3)
+		code, err := New(field, sh.n, sh.k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33} {
+		for _, m := range sh.lanes {
 			ic, err := NewInterleaved(code, m)
 			if err != nil {
 				t.Fatal(err)
@@ -37,15 +50,14 @@ func TestWordPathMatchesScalar(t *testing.T) {
 				data[i] = gf.Sym(r.Intn(field.Order()))
 			}
 			stripe := ic.EncodeBlock(data, make([]gf.Sym, ic.BlockSyms()))
-			ref := make([]gf.Sym, 7*m)
+			ref := make([]gf.Sym, sh.n*m)
 			ic.encodeScalar(data, ref)
 			for i := range stripe {
 				if stripe[i] != ref[i] {
-					t.Fatalf("c=%d m=%d: word encode stripe[%d] = %#x, scalar %#x", c, m, i, stripe[i], ref[i])
+					t.Fatalf("c=%d n=%d k=%d m=%d: word encode stripe[%d] = %#x, scalar %#x", c, sh.n, sh.k, m, i, stripe[i], ref[i])
 				}
 			}
 
-			pos := []int{0, 2, 3, 5, 6} // K=3 chosen + 2 surplus rows
 			words := make([][]gf.Sym, len(pos))
 			for i, p := range pos {
 				words[i] = stripe[p*m : (p+1)*m]
@@ -65,7 +77,7 @@ func TestWordPathMatchesScalar(t *testing.T) {
 
 			// Corrupt the last lane of a surplus word — the ragged packed
 			// tail — and the first lane of a chosen word.
-			for _, tc := range []struct{ wi, lane int }{{4, m - 1}, {1, 0}} {
+			for _, tc := range []struct{ wi, lane int }{{len(pos) - 1, m - 1}, {1, 0}} {
 				tampered := append([]gf.Sym(nil), words[tc.wi]...)
 				tampered[tc.lane] ^= 1
 				saved := words[tc.wi]
@@ -87,10 +99,7 @@ func TestWordPathMatchesScalar(t *testing.T) {
 // check against the scalar oracle — the zero-padded final word must stay
 // exact.
 func TestWordPathRaggedStripe(t *testing.T) {
-	oldMin := wordMinLanes
-	wordMinLanes = 1
-	defer func() { wordMinLanes = oldMin }()
-
+	t.Parallel()
 	field, err := gf.New(8)
 	if err != nil {
 		t.Fatal(err)
