@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -16,6 +17,20 @@ import (
 )
 
 var updateAPIManifest = flag.Bool("update", false, "rewrite testdata/api_manifest.txt from the current public API")
+
+// TestBenchModuleVets keeps the benchmark module compiling: bench/ is its own
+// Go module, so `go build ./...` here never sees it, yet it compiles against
+// internal packages as well as the public API. Vetting it type-checks every
+// identifier it uses.
+func TestBenchModuleVets(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skipf("no go toolchain on PATH: %v", err)
+	}
+	if out, err := exec.Command(goBin, "vet", "-C", "bench", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go vet -C bench ./...: %v\n%s", err, out)
+	}
+}
 
 // TestPublicAPIManifest is the API drift tripwire: it type-checks package
 // byzcons from source, renders every exported identifier — constants, vars,

@@ -198,12 +198,16 @@ func TestSessionChaosRotatingFlapPeersDown(t *testing.T) {
 	}
 }
 
-// TestSessionFaultBudgetCountsByzantineAndDegraded: under Degrade the
-// Byzantine processors and the peers a cycle degrades around spend one budget,
+// TestSessionFaultBudgetCountsByzantineAndDegraded: the Byzantine
+// processors and the peers a cycle degrades around spend one budget,
 // |Faulty ∪ degraded| <= t. At n=7, t=2 with one equivocator, one isolated
 // honest node still fits (and is attributed); two isolated honest nodes
 // overflow the budget and the cycle fails saying so; isolating the
 // equivocator itself costs nothing extra, so it plus one honest node fits.
+// The budget holds across nodes, not only at each one: two cut links between
+// disjoint honest pairs keep every node's own view within t — each end
+// degrades around one peer — yet need two more faulty processors beside the
+// equivocator to explain, so the cycle fails instead of deciding silently.
 func TestSessionFaultBudgetCountsByzantineAndDegraded(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -213,6 +217,7 @@ func TestSessionFaultBudgetCountsByzantineAndDegraded(t *testing.T) {
 		{"one honest isolated", "5:partition(6)", []int{6}},
 		{"two honest isolated", "5:partition(5|6)", nil},
 		{"byzantine and one honest isolated", "5:partition(1|6)", []int{1, 6}},
+		{"two disjoint honest links cut", "5:cut(2,3)@c0;cut(4,5)@c0", nil},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

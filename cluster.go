@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"byzcons/internal/consensus"
 	"byzcons/internal/node"
@@ -63,22 +62,20 @@ func ParseTransportKind(s string) (TransportKind, error) {
 // factory returns the transport factory behind a networked kind, or nil for
 // the simulator.
 func (k TransportKind) factory() (transport.Factory, error) {
-	return k.factoryFor(transport.RetryPolicy{}, nil)
+	return k.factoryFor(nil)
 }
 
-// factoryFor returns the kind's factory with the given peer-channel retry
-// policy applied (TCP is the only bundled transport with real connections to
-// lose, so it is the only one the policy reaches). A non-nil registry turns
-// on the transport's sampled write-latency timing (again TCP-only: the bus
-// has no socket writes to time).
-func (k TransportKind) factoryFor(retry transport.RetryPolicy, reg *obs.Registry) (transport.Factory, error) {
+// factoryFor returns the kind's factory. A non-nil registry turns on the
+// transport's sampled write-latency timing (TCP-only: the bus has no socket
+// writes to time).
+func (k TransportKind) factoryFor(reg *obs.Registry) (transport.Factory, error) {
 	switch k {
 	case TransportSim:
 		return nil, nil
 	case TransportBus:
 		return transport.BusFactory{}, nil
 	case TransportTCP:
-		return transport.TCPFactory{Options: transport.TCPOptions{Retry: retry, Obs: reg}}, nil
+		return transport.TCPFactory{Options: transport.TCPOptions{Obs: reg}}, nil
 	default:
 		return nil, fmt.Errorf("byzcons: unknown transport kind %d", int(k))
 	}
@@ -136,7 +133,7 @@ func ClusterConsensus(cfg Config, inputs [][]byte, L int, sc Scenario, kind Tran
 	if factory == nil {
 		run = sim.Run(runCfg, body)
 	} else {
-		c, err := dialCluster(factory, cfg.N, 1, 0, nil, nil)
+		c, err := dialCluster(factory, cfg.N, 1, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -158,10 +155,9 @@ func ClusterConsensus(cfg Config, inputs [][]byte, L int, sc Scenario, kind Tran
 
 // dialCluster builds the networked cluster behind a deployment, or behind a
 // one-shot ClusterConsensus run, and dials its mesh for n nodes.
-func dialCluster(factory transport.Factory, n, shards int, stall time.Duration, reg *obs.Registry, tracer *obs.Tracer) (*node.Cluster, error) {
+func dialCluster(factory transport.Factory, n, shards int, reg *obs.Registry, tracer *obs.Tracer) (*node.Cluster, error) {
 	c := node.NewCluster(factory)
 	c.Shards = shards
-	c.StallTimeout = stall
 	c.Obs = reg
 	c.Tracer = tracer
 	if err := c.Connect(n); err != nil {

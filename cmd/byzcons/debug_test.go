@@ -82,7 +82,7 @@ func TestServeTraceFileAndTracefmt(t *testing.T) {
 	traceFile := filepath.Join(t.TempDir(), "trace.jsonl")
 	var buf bytes.Buffer
 	err := serve(&buf, byzcons.Config{N: 4, T: 1, Seed: 2}, byzcons.Scenario{}, byzcons.TransportSim,
-		byzcons.PeerRetry{}, serveOpts{
+		serveOpts{
 			values: 8, valBytes: 24, batch: 4, instances: 2, ingest: 2,
 			maxDelay: byzcons.DefaultMaxDelay, traceFile: traceFile,
 		})

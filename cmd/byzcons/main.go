@@ -98,12 +98,8 @@ func run() error {
 		traceFile = flag.String("tracefile", "", "serve: write the protocol event trace as JSONL to this file; tracefmt: the JSONL file to pretty-print")
 		linger    = flag.Duration("linger", 0, "serve: keep the debug endpoint alive this long after the workload drains")
 
-		peerBackoff  = flag.Duration("peerbackoff", 0, "serve: peer reconnect backoff cap on TCP (0 = 1s)")
-		peerMaxFlaps = flag.Int("peermaxflaps", 0, "serve: transient losses per peer channel before permanent demotion (0 = 64, negative = unlimited)")
-		stallTimeout = flag.Duration("stalltimeout", 0, "serve: isolate a peer silent this long while a round waits on it (0 = 20s, negative = disabled)")
-		noRetry      = flag.Bool("noretry", false, "serve: disable peer reconnects (the first connection loss fails the channel for good)")
-		chaosSpec    = flag.String("chaos", "", "serve: deterministic fault schedule as seed:events, e.g. 7:cut(1,3)@c1;heal(1,3)@c2;crash(2)@c3 (networked transports only; implies graceful degradation)")
-		shards       = flag.Int("shards", 1, "serve: consensus groups sharing the one mesh (>1 runs a key-partitioned fleet; each shard batches and flushes independently)")
+		chaosSpec = flag.String("chaos", "", "serve: deterministic fault schedule as seed:events, e.g. 7:cut(1,3)@c1;heal(1,3)@c2;crash(2)@c3 (networked transports only)")
+		shards    = flag.Int("shards", 1, "serve: consensus groups sharing the one mesh (>1 runs a key-partitioned fleet; each shard batches and flushes independently)")
 
 		transportStr = flag.String("transport", "", "cluster/serve: deployment backend: sim | bus | tcp (default: tcp for cluster, sim for serve)")
 
@@ -187,19 +183,13 @@ func run() error {
 		}
 		cfg := byzcons.Config{N: *n, T: *t, SymBits: *sym, Lanes: *lanes, Broadcast: kind,
 			BroadcastEpsilon: *eps, Seed: *seed}
-		retry := byzcons.PeerRetry{
-			Disable:      *noRetry,
-			MaxBackoff:   *peerBackoff,
-			MaxFlaps:     *peerMaxFlaps,
-			StallTimeout: *stallTimeout,
-		}
 		opts := serveOpts{
 			values: *values, valBytes: *valBytes, batch: *batch, instances: *instances,
 			ingest: *ingest, maxDelay: *maxDelay, sweep: *sweep,
 			debugAddr: *debugAddr, traceFile: *traceFile, linger: *linger,
 			chaos: *chaosSpec, shards: *shards,
 		}
-		return serve(os.Stdout, cfg, sc, tk, retry, opts)
+		return serve(os.Stdout, cfg, sc, tk, opts)
 	case "tracefmt":
 		if *traceFile == "" {
 			return fmt.Errorf("tracefmt: pass the trace JSONL via -tracefile")
@@ -332,7 +322,7 @@ type serveOpts struct {
 	linger time.Duration
 	// chaos, when non-empty, runs the session under a deterministic fault
 	// schedule (SessionConfig.Chaos); the fired fault log prints with the
-	// summary. Requires a networked transport and implies Degrade.
+	// summary. Requires a networked transport.
 	chaos string
 	// shards, when > 1, serves a key-partitioned Fleet instead of a single
 	// Session: values route to shards by key hash and each shard's flush
@@ -366,8 +356,7 @@ type served interface {
 // stream commits asynchronously with the ingest loop and the summary, and a
 // shared line channel is what keeps concurrent lines whole instead of
 // interleaved mid-line.
-func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.TransportKind,
-	retry byzcons.PeerRetry, opts serveOpts) error {
+func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.TransportKind, opts serveOpts) error {
 	if opts.values < 1 || opts.valBytes < 1 || opts.batch < 1 || opts.instances < 1 || opts.ingest < 1 {
 		return fmt.Errorf("serve: values, valbytes, batch, instances and ingest must all be >= 1")
 	}
@@ -412,7 +401,6 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 			Config:      cfg,
 			Scenario:    sc,
 			Transport:   tk,
-			PeerRetry:   retry,
 			Chaos:       opts.chaos,
 			BatchValues: opts.batch,
 			Instances:   opts.instances,

@@ -60,8 +60,7 @@ func TestServeModeReportsAmortizedBits(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := byzcons.Config{N: 7, T: 2, Seed: 1}
 	sc := byzcons.Scenario{Faulty: []int{1, 4}, Behavior: byzcons.Equivocator{Victims: []int{6}}}
-	if err := serve(&buf, cfg, sc, byzcons.TransportSim, byzcons.PeerRetry{},
-		serveOpts{values: 8, valBytes: 32, batch: 4, instances: 2, ingest: 4, maxDelay: byzcons.DefaultMaxDelay}); err != nil {
+	if err := serve(&buf, cfg, sc, byzcons.TransportSim, serveOpts{values: 8, valBytes: 32, batch: 4, instances: 2, ingest: 4, maxDelay: byzcons.DefaultMaxDelay}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -78,8 +77,7 @@ func TestServeModeReportsAmortizedBits(t *testing.T) {
 func TestServeModeIngestOverTCP(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := byzcons.Config{N: 4, T: 1, Seed: 1}
-	if err := serve(&buf, cfg, byzcons.Scenario{}, byzcons.TransportTCP, byzcons.PeerRetry{},
-		serveOpts{values: 12, valBytes: 24, batch: 3, instances: 2, ingest: 4, maxDelay: byzcons.DefaultMaxDelay}); err != nil {
+	if err := serve(&buf, cfg, byzcons.Scenario{}, byzcons.TransportTCP, serveOpts{values: 12, valBytes: 24, batch: 3, instances: 2, ingest: 4, maxDelay: byzcons.DefaultMaxDelay}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -93,8 +91,7 @@ func TestServeModeIngestOverTCP(t *testing.T) {
 func TestServeSweepRendersCurve(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := byzcons.Config{N: 4, T: 1, Seed: 1}
-	if err := serve(&buf, cfg, byzcons.Scenario{}, byzcons.TransportSim, byzcons.PeerRetry{},
-		serveOpts{values: 8, valBytes: 32, batch: 4, instances: 2, ingest: 1, maxDelay: byzcons.DefaultMaxDelay, sweep: true}); err != nil {
+	if err := serve(&buf, cfg, byzcons.Scenario{}, byzcons.TransportSim, serveOpts{values: 8, valBytes: 32, batch: 4, instances: 2, ingest: 1, maxDelay: byzcons.DefaultMaxDelay, sweep: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -143,8 +140,7 @@ func TestParseTransportDefaults(t *testing.T) {
 }
 
 func TestServeRejectsBadWorkload(t *testing.T) {
-	if err := serve(&bytes.Buffer{}, byzcons.Config{N: 4, T: 1}, byzcons.Scenario{}, byzcons.TransportSim, byzcons.PeerRetry{},
-		serveOpts{values: 0, valBytes: 32, batch: 4, instances: 2, ingest: 1, maxDelay: byzcons.DefaultMaxDelay}); err == nil {
+	if err := serve(&bytes.Buffer{}, byzcons.Config{N: 4, T: 1}, byzcons.Scenario{}, byzcons.TransportSim, serveOpts{values: 0, valBytes: 32, batch: 4, instances: 2, ingest: 1, maxDelay: byzcons.DefaultMaxDelay}); err == nil {
 		t.Error("values=0 accepted")
 	}
 }

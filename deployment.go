@@ -55,7 +55,7 @@ func open(cfg SessionConfig, shards int, inject transport.Factory) (*deployment,
 	factory := inject
 	if factory == nil {
 		var err error
-		if factory, err = cfg.Transport.factoryFor(cfg.PeerRetry.policy(), d.reg); err != nil {
+		if factory, err = cfg.Transport.factoryFor(d.reg); err != nil {
 			return nil, err
 		}
 	}
@@ -73,7 +73,7 @@ func open(cfg SessionConfig, shards int, inject transport.Factory) (*deployment,
 		factory = faulty
 	}
 	if factory != nil {
-		c, err := dialCluster(factory, cfg.N, shards, cfg.PeerRetry.StallTimeout, d.reg, d.tracer)
+		c, err := dialCluster(factory, cfg.N, shards, d.reg, d.tracer)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,6 @@ func open(cfg SessionConfig, shards int, inject transport.Factory) (*deployment,
 			Seed:         shardSeed(cfg.Seed, s),
 			Faulty:       cfg.Scenario.Faulty,
 			Adversary:    cfg.Scenario.Behavior,
-			Degrade:      cfg.Degrade || d.chaos != nil,
 			BatchValues:  cfg.BatchValues,
 			BatchBytes:   cfg.BatchBytes,
 			Instances:    cfg.Instances,

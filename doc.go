@@ -120,26 +120,28 @@
 // capped exponential backoff and re-handshaked, the rejoining peer
 // participates again from the next flush cycle (failures are scoped to the
 // cycles that observe them, never latched across the session), and a peer
-// that stalls while a round waits on it is isolated for that cycle with an
-// attributed error. SessionConfig.PeerRetry tunes the policy — backoff
-// bounds, attempt and flap budgets, the stall timeout, or Disable to fail
-// channels on first loss — and FlushReport.PeersDown names the peers each
-// cycle ran without (WireStats().Reconnects and PeerFlaps count the churn).
+// that stays silent for 20 s while a round waits on it is isolated for that
+// cycle with an attributed error. FlushReport.PeersDown names the peers
+// each cycle ran without (WireStats().Reconnects and PeerFlaps count the
+// churn).
 //
 // # Robustness under sustained faults
 //
-// Two session knobs harden a networked deployment beyond self-healing:
+// The paper's model has at most T faulty processors, and a processor whose
+// channels went quiet is one of them. A networked session degrades
+// accordingly: a cycle whose rounds miss frames only from peers with broken
+// channels keeps completing — those peers contribute ⊥ (a legal Byzantine
+// behavior, so agreement among the live processors is untouched) instead
+// of failing the cycle. FlushReport.Degraded/DegradedPeers carry the
+// attribution, and the decision cross-check tolerates missing honest
+// outputs while still requiring unanimity of the outputs that exist. The
+// budget is one budget: the Byzantine processors and every processor a
+// degraded channel must be blamed on number at most T, checked across all
+// nodes — a cut link costs one fault, two cut links between disjoint pairs
+// cost two — and a cycle over budget fails with an error naming it.
 //
-// SessionConfig.Degrade enables graceful degradation: a cycle whose rounds
-// miss frames only from peers with broken channels keeps completing — up to
-// T peers degrade to attributed ⊥ contributions (a legal Byzantine behavior,
-// so agreement among the live processors is untouched) instead of failing
-// the cycle. FlushReport.Degraded/DegradedPeers carry the attribution, and
-// the decision cross-check tolerates up to T missing honest outputs while
-// still requiring unanimity of the outputs that exist.
-//
-// SessionConfig.Chaos runs the session under a deterministic fault schedule
-// (implying Degrade): a "seed:events" spec such as
+// SessionConfig.Chaos runs the session under a deterministic fault
+// schedule: a "seed:events" spec such as
 //
 //	"7:cut(1,3)@c1;heal(1,3)@c2;partition(3)@c3;healall@c4;crash(2)@c5;restart(2)@c7"
 //
@@ -195,7 +197,7 @@
 // dead for every shard — but attribution is per shard: each shard's
 // FlushReports name only the failures its own cycles observed, so a fault
 // injected while one shard flushes degrades that shard's cycle alone.
-// Degrade and PeerRetry compose with fleets; a Chaos schedule anchors on
+// Degradation works per shard in a fleet; a Chaos schedule anchors on
 // shard 0's cycle clock and is accepted only with one shard (the anchor is
 // ambiguous across S independent cycle clocks). The serve mode of
 // cmd/byzcons drives a keyed ingest workload across a fleet via -shards;

@@ -27,7 +27,6 @@ func TestFleetCrossShardFaultIsolation(t *testing.T) {
 		SessionConfig: SessionConfig{
 			Config:      Config{N: n, T: tf, Seed: 11},
 			Transport:   TransportBus,
-			Degrade:     true,
 			BatchValues: 4,
 			Instances:   1,
 			Policy:      manual,

@@ -95,17 +95,6 @@ type Config struct {
 	Faulty []int
 	// Adversary injects Byzantine deviations; nil means fail-free execution.
 	Adversary sim.Adversary
-	// Degrade enables graceful degradation on a networked runner: a cycle
-	// whose rounds miss frames only from peers with broken channels keeps
-	// completing (the missing contributions degrade to ⊥, attributed in the
-	// report) instead of failing the cycle's instances, as long as such
-	// peers and the Faulty processors together number at most Consensus.T
-	// (a degraded peer that is also Faulty counts once). The decision
-	// cross-check spends the same budget on missing honest outputs —
-	// agreement is still required of every output that exists — and a cycle
-	// that overflows it fails with an error naming the budget. No effect on
-	// the simulator runner.
-	Degrade bool
 	// BatchValues caps how many client values are coalesced into one
 	// consensus instance (0 = 64).
 	BatchValues int
@@ -246,8 +235,8 @@ type Report struct {
 	// boundary; always empty on the simulator backend.
 	PeersDown []int
 	// Degraded reports that some round of the covered cycles completed
-	// against synthesized ⊥ contributions under Config.Degrade — the cycle's
-	// decisions stand, but fewer than n processors produced them.
+	// against synthesized ⊥ contributions on a networked runner — the
+	// cycle's decisions stand, but fewer than n processors produced them.
 	Degraded bool
 	// DegradedPeers lists (sorted, deduplicated) the peers whose silence the
 	// covered cycles degraded around: the fault-attribution view of Degraded.
@@ -820,17 +809,14 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 			}
 		}
 	}
-	degrade := 0
-	if e.cfg.Degrade {
-		degrade = par.T // one budget: the runner counts Faulty against it too
-	}
 	res := e.cfg.Runner.RunBatch(sim.BatchConfig{
-		N:            par.N,
-		Faulty:       e.cfg.Faulty,
-		Adversary:    e.cfg.Adversary,
-		Seed:         e.cfg.Seed + int64(cycleID)*0x2545F4914F6CDD1D,
-		Instances:    len(cycle),
-		DegradePeers: degrade,
+		N:         par.N,
+		Faulty:    e.cfg.Faulty,
+		Adversary: e.cfg.Adversary,
+		Seed:      e.cfg.Seed + int64(cycleID)*0x2545F4914F6CDD1D,
+		Instances: len(cycle),
+		// One budget: the runner counts Faulty against it too.
+		DegradePeers: par.T,
 	}, func(inst int, p *sim.Proc) any {
 		// L is the packed input's exact length, so a processor that decides
 		// its own input returns that input as its value (consensus.Output):
@@ -971,7 +957,7 @@ func (e *Engine) Metrics() *obs.Registry { return e.reg }
 // and returns their common output. Any divergence means the error-free
 // guarantee was broken and is reported as an error.
 //
-// Under graceful degradation honest outputs may be missing — nodes whose runs
+// Honest outputs may be missing — on a networked runner, nodes whose runs
 // ended on broken peer channels — as long as they and the Faulty processors
 // together number at most T; the outputs that exist must still agree
 // unanimously.
@@ -988,9 +974,6 @@ func (e *Engine) agreedOutput(values []any) (*consensus.Output, error) {
 		}
 		out, ok := v.(*consensus.Output)
 		if !ok {
-			if !e.cfg.Degrade {
-				return nil, fmt.Errorf("honest processor %d produced no output", i)
-			}
 			missing = append(missing, i)
 			continue
 		}

@@ -3,6 +3,8 @@ package node
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,15 +45,11 @@ type Cluster struct {
 	// (0 = 1). Set before Connect or the first run; the mesh resolves it
 	// once, like n.
 	Shards int
-	// StepTimeout bounds each barrier step (0 = DefaultStepTimeout).
-	StepTimeout time.Duration
-	// StallTimeout bounds how long a peer may stay silent while a round
-	// waits on its frame before the stall detector isolates it for the
-	// cycle (0 = DefaultStallTimeout; negative = disabled). Unlike the
-	// step timeout — which fires only when the whole node stops making
-	// progress — a stall is attributed to the silent peer and scoped to the
-	// cycle that observed it: the peer rejoins at the next epoch if its
-	// channel is healthy.
+	// StallTimeout bounds how long a round may stay parked before the stall
+	// detector isolates every peer whose frame it still lacks
+	// (0 = DefaultStallTimeout). A stall is attributed to the silent peer and
+	// scoped to the cycle that observed it: the peer rejoins at the next
+	// epoch if its channel is healthy.
 	StallTimeout time.Duration
 	// Obs, if non-nil, is the registry the cluster's runtimes record into:
 	// round-sync wait histograms and inbox depth, tallied once per instance
@@ -61,18 +59,17 @@ type Cluster struct {
 	// (down, up, stall) from the per-node routers. Set before Connect.
 	Tracer *obs.Tracer
 
-	mu          sync.Mutex
-	eps         []transport.Endpoint
-	routers     []*nodeRouter
-	dead        []bool // nodes hard-killed by Kill, not yet Restarted
-	n           int
-	shards      int        // resolved shard count (>= 1 once the mesh is up)
-	shardBits   uint       // wire.ShardBits(shards)
-	runs        []shardRun // per-shard run serialization and id high-water
-	meshDials   int
-	retired     transport.Stats // accounting of the mesh after Close
-	closed      bool
-	dispatchers sync.WaitGroup // fallback Recv loops of non-push endpoints
+	mu        sync.Mutex
+	eps       []transport.Endpoint
+	routers   []*nodeRouter
+	dead      []bool // nodes hard-killed by Kill, not yet Restarted
+	n         int
+	shards    int        // resolved shard count (>= 1 once the mesh is up)
+	shardBits uint       // wire.ShardBits(shards)
+	runs      []shardRun // per-shard run serialization and id high-water
+	meshDials int
+	retired   transport.Stats // accounting of the mesh after Close
+	closed    bool
 }
 
 // shardRun is one shard's run state: runs within a shard serialize on mu
@@ -132,21 +129,11 @@ func (c *Cluster) connectLocked(n int) error {
 	for i := range routers {
 		routers[i] = newNodeRouter(i, n, shards, c.shardBits)
 		routers[i].tracer = c.Tracer
-		// Receive routing: push-capable transports deliver frames
-		// synchronously in their own delivery context (the sender's goroutine
-		// on the bus, the connection readers on TCP) through a Sink — no
-		// dispatcher goroutine, no queue hop, no extra wakeup per frame.
-		// Endpoints without push delivery fall back to a per-node dispatcher
-		// draining Recv for the mesh's whole lifetime.
-		if pc, ok := eps[i].(transport.PushCapable); ok {
-			pc.SetSink(routers[i])
-			continue
-		}
-		c.dispatchers.Add(1)
-		go func(ep transport.Endpoint, r *nodeRouter) {
-			defer c.dispatchers.Done()
-			dispatch(ep, r)
-		}(eps[i], routers[i])
+		// Receive routing: the transport delivers frames synchronously in
+		// its own delivery context (the sender's goroutine on the bus, the
+		// connection readers on TCP) — no dispatcher goroutine, no queue
+		// hop, no extra wakeup per frame.
+		eps[i].SetSink(routers[i])
 	}
 	c.eps, c.routers, c.n = eps, routers, n
 	c.dead = make([]bool, n)
@@ -246,9 +233,8 @@ func (c *Cluster) MeshDials() int {
 	return c.meshDials
 }
 
-// Close tears the mesh down: endpoints close, fallback dispatchers drain,
-// and the mesh's wire accounting is retained for WireStats. Close is
-// idempotent; runs after Close fail.
+// Close tears the mesh down: endpoints close and the mesh's wire accounting
+// is retained for WireStats. Close is idempotent; runs after Close fail.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -276,7 +262,6 @@ func (c *Cluster) Close() error {
 	for _, ep := range eps {
 		ep.Close()
 	}
-	c.dispatchers.Wait()
 	return nil
 }
 
@@ -425,7 +410,6 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 				advRand:      sim.LazyRand(sim.ProcSeed(instSeed^0x5DEECE66D, i)),
 				meter:        res.Instances[k].Meter,
 				countRounds:  i == 0,
-				stepTimeout:  c.StepTimeout,
 				stallTimeout: c.StallTimeout,
 				// Stalls are attributed to the shard whose cycle observed them.
 				onStall:         func(peer int) { router.observeStall(shard, peer) },
@@ -461,6 +445,10 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 	}
 
 	var instErrs = make([]error, b)
+	// spent marks the processors the cycle charges to its fault budget
+	// whatever else degraded: the Byzantine ones, and — filled in below —
+	// killed nodes and nodes whose run ended on a tolerated peer fault.
+	spent := slices.Clone(faulty)
 	var instMu sync.Mutex
 	var bodies sync.WaitGroup
 	for k := 0; k < b; k++ {
@@ -482,6 +470,9 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 						// the node itself was killed): under graceful
 						// degradation its value goes missing instead of
 						// latching the failure instance-wide.
+						instMu.Lock()
+						spent[i] = true
+						instMu.Unlock()
 						return
 					}
 					instMu.Lock()
@@ -508,17 +499,33 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 	c.mu.Unlock()
 	downSet := make([]bool, cfg.N)
 	degradedSet := make([]bool, cfg.N)
+	var pairs [][2]int // (observer, degraded peer), each once
 	for i := range routers {
 		down := routers[i].end(shard)
 		if dead[i] || deadNow[i] {
+			spent[i] = true
 			continue
 		}
 		for _, peer := range down {
 			downSet[peer] = true
 		}
+		seen := make([]bool, cfg.N)
 		for k := 0; k < b; k++ {
 			for _, peer := range runtimes[k][i].inbox.degradedPeers() {
 				degradedSet[peer] = true
+				if !seen[peer] {
+					seen[peer] = true
+					pairs = append(pairs, [2]int{i, peer})
+				}
+			}
+		}
+	}
+	if degrade > 0 {
+		if err := checkFaultBudget(spent, pairs, degrade); err != nil {
+			for k := range instErrs {
+				if instErrs[k] == nil {
+					instErrs[k] = err
+				}
 			}
 		}
 	}
@@ -550,6 +557,56 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 	return res
 }
 
+// checkFaultBudget checks the cycle's degradation against the fault budget
+// across nodes. Each inbox keeps its own view within budget, but two honest
+// observers degrading around two different peers each stay within t while
+// the cycle as a whole does not. A degraded pair (observer, peer) is a
+// channel fault, explained by either end being faulty — so a cut link costs
+// one unit, not two. The cycle is within budget when some set of at most
+// budget processors contains every spent one and touches every pair: a
+// vertex cover, searched by branching on an uncovered pair's two ends, so
+// the cost is exponential only in the budget.
+func checkFaultBudget(spent []bool, pairs [][2]int, budget int) error {
+	var charged []int
+	for i, sp := range spent {
+		if sp {
+			charged = append(charged, i)
+		}
+	}
+	if budget-len(charged) >= 0 && coverPairs(slices.Clone(spent), pairs, budget-len(charged)) {
+		return nil
+	}
+	var chans []string
+	for _, p := range pairs {
+		chans = append(chans, fmt.Sprintf("%d→%d", p[0], p[1]))
+	}
+	return fmt.Errorf("node: fault budget t=%d exceeded: no %d processors including %v cover the degraded channels [%s] (observer→peer)",
+		budget, budget, charged, strings.Join(chans, " "))
+}
+
+// coverPairs reports whether at most k processors added to in touch every
+// pair not already touched.
+func coverPairs(in []bool, pairs [][2]int, k int) bool {
+	for _, p := range pairs {
+		if in[p[0]] || in[p[1]] {
+			continue
+		}
+		if k == 0 {
+			return false
+		}
+		for _, v := range p {
+			in[v] = true
+			ok := coverPairs(in, pairs, k-1)
+			in[v] = false
+			if ok {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
 // routerEpoch is one run's attachment to a node's persistent router: the
 // run's claimed global instance id range and the node's runtime per instance.
 type routerEpoch struct {
@@ -570,9 +627,8 @@ type peerState struct {
 
 // nodeRouter is one node's persistent receive routing: it decodes incoming
 // frames and routes them to the owning instance runtime of the current
-// epoch. It implements transport.Sink (and transport.RecoverySink), so
-// push-capable transports invoke it directly from their delivery context;
-// the fallback dispatcher drives the same router from a Recv loop. Frames
+// epoch. It implements transport.Sink (and transport.RecoverySink), so the
+// transport invokes it directly from its delivery context. Frames
 // whose payloads do not decode degrade to payload-free frames (⊥ messages —
 // a legal Byzantine payload); frames whose headers do not decode, instance
 // ids beyond the current epoch's range, and broken connections are
@@ -608,7 +664,6 @@ type nodeRouter struct {
 
 	mu       sync.Mutex
 	peers    []peerState
-	fatal    error    // first mesh-fatal (non-peer-attributable) receive failure
 	observed [][]bool // [shard][peer] seen down during the shard's current epoch
 	closed   bool     // cluster teardown: suppress further lifecycle events
 }
@@ -643,7 +698,6 @@ func (r *nodeRouter) begin(shard, base int, rts []*runtime) {
 		down[peer] = r.peers[peer].err
 		r.observed[shard][peer] = down[peer] != nil
 	}
-	fatal := r.fatal
 	r.mu.Unlock()
 	for peer, err := range down {
 		if err == nil {
@@ -651,11 +705,6 @@ func (r *nodeRouter) begin(shard, base int, rts []*runtime) {
 		}
 		for _, rt := range rts {
 			rt.inbox.peerDown(peer, err)
-		}
-	}
-	if fatal != nil {
-		for _, rt := range rts {
-			rt.Fail(fatal)
 		}
 	}
 }
@@ -778,27 +827,6 @@ func (r *nodeRouter) observeStall(shard, peer int) {
 	}
 }
 
-// runFail records a mesh-fatal receive failure not attributable to one peer
-// and fails every shard's current (and, via begin, every future) epoch
-// runtimes: a broken mesh is broken for all shards riding it.
-func (r *nodeRouter) runFail(err error) {
-	err = fmt.Errorf("node %d: %w", r.node, err)
-	r.mu.Lock()
-	if r.fatal == nil {
-		r.fatal = err
-	} else {
-		err = r.fatal
-	}
-	r.mu.Unlock()
-	for s := range r.epochs {
-		if ep := r.epochs[s].Load(); ep != nil {
-			for _, rt := range ep.rts {
-				rt.Fail(err)
-			}
-		}
-	}
-}
-
 // Deliver implements transport.Sink. Frame buffers are returned to the
 // transport pool once decoded (the bus hands over the sender's encode
 // buffer, TCP its connection reader's read buffer).
@@ -839,25 +867,4 @@ func (r *nodeRouter) Deliver(fr transport.Frame) {
 		return
 	}
 	ep.rts[k].inbox.push(fr.From, f)
-}
-
-// dispatch is the fallback receive loop for endpoints without push delivery;
-// it runs for the mesh's whole lifetime and exits when the endpoint closes.
-func dispatch(ep transport.Endpoint, r *nodeRouter) {
-	for {
-		fr, err := ep.Recv()
-		if err == transport.ErrClosed {
-			return
-		}
-		if err != nil {
-			var pe *transport.PeerError
-			if errors.As(err, &pe) {
-				r.PeerDown(pe.Peer, err)
-			} else {
-				r.runFail(err)
-			}
-			continue
-		}
-		r.Deliver(fr)
-	}
 }

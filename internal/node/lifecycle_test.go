@@ -291,7 +291,7 @@ func TestClusterFaultInjectionPerCycle(t *testing.T) {
 
 // TestClusterStallDetectorIsolatesSilentPeer: a peer that goes silent while a
 // round waits on its frame is isolated by the stall detector — attributed,
-// well before the node-wide step timeout — and named in the cycle's
+// once the park has lasted StallTimeout — and named in the cycle's
 // membership report.
 func TestClusterStallDetectorIsolatesSilentPeer(t *testing.T) {
 	t.Parallel()
@@ -310,7 +310,7 @@ func TestClusterStallDetectorIsolatesSilentPeer(t *testing.T) {
 		t.Fatalf("stall not detected: %v", res.Err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("stall detection took %v — the node-wide step timeout fired instead", elapsed)
+		t.Errorf("stall detection took %v, want about the 300ms StallTimeout", elapsed)
 	}
 	if !slices.Contains(res.PeersDown, 2) {
 		t.Errorf("PeersDown = %v, want the stalled node 2", res.PeersDown)
@@ -344,9 +344,6 @@ func TestClusterCloseDoesNotRegisterPeerFailures(t *testing.T) {
 					if err := r.peers[peer].err; err != nil {
 						t.Errorf("router %d holds peer %d failure after clean Close: %v", i, peer, err)
 					}
-				}
-				if r.fatal != nil {
-					t.Errorf("router %d holds fatal error after clean Close: %v", i, r.fatal)
 				}
 				r.mu.Unlock()
 			}

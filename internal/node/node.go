@@ -29,11 +29,13 @@
 //
 // The model realised is the paper's: synchronous rounds over reliable
 // authenticated channels, where a Byzantine processor chooses message
-// contents but cannot change the round structure. Breaking the framing
-// itself — undecodable headers, misaligned step checksums, dropped
-// connections — is modelled as a crashed channel and fails the run;
-// undecodable payloads inside a well-formed frame degrade to ⊥, mirroring
-// the simulator's treatment of garbage adversarial payloads.
+// contents but cannot change the round structure. A misaligned step
+// checksum fails the run. A broken channel — undecodable headers, dropped
+// connections, a peer silent past the stall timeout — makes the peer one of
+// the t faulty processors: within the run's fault budget its rounds complete
+// with ⊥, beyond it (or with no budget) the run fails. Undecodable payloads
+// inside a well-formed frame degrade to ⊥, mirroring the simulator's
+// treatment of garbage adversarial payloads.
 package node
 
 import (
@@ -50,18 +52,13 @@ import (
 	"byzcons/internal/wire"
 )
 
-// DefaultStepTimeout bounds how long a barrier step may stay parked. In a
-// lock-step protocol a missing peer frame means the round can never complete,
-// so waiting longer only delays the failure report.
-const DefaultStepTimeout = 30 * time.Second
-
-// DefaultStallTimeout bounds how long one peer may stay silent while a parked
-// round waits on its frame, before the stall detector marks the peer down
-// for the cycle. Where the step timeout fails the run without naming anyone,
-// the stall detector attributes the silence to the peer and isolates it for
-// the current cycle only — the failure lives in the cycle's inboxes, not the
-// persistent router state, so the peer participates again from the next
-// epoch. Deliberately below DefaultStepTimeout, and generous enough that a
+// DefaultStallTimeout bounds how long a parked round may wait before the
+// stall detector marks down every peer whose frame it still lacks. A peer
+// missing from the head row has delivered nothing since the park began, so
+// the park's length is the peer's silence. The detector attributes that
+// silence to the peer and isolates it for the current cycle only — the
+// failure lives in the cycle's inboxes, not the persistent router state, so
+// the peer participates again from the next epoch. Generous enough that a
 // compute-bound honest peer on a loaded host is not convicted.
 const DefaultStallTimeout = 20 * time.Second
 
@@ -80,10 +77,9 @@ type options struct {
 	// into the shared meter (every node executes the same barriers, so
 	// counting at each would multiply the round count by n).
 	countRounds bool
-	stepTimeout time.Duration
-	// stallTimeout enables the per-peer stall detector (0 = default,
-	// negative = disabled); onStall, when set, is notified once per peer the
-	// detector isolates (used for the cycle's membership report).
+	// stallTimeout is the stall detector's park bound (0 = default);
+	// onStall, when set, is notified once per peer the detector isolates
+	// (used for the cycle's membership report).
 	stallTimeout time.Duration
 	onStall      func(peer int)
 	// degrade, when > 0, is the fault budget of graceful degradation: a round
@@ -122,14 +118,8 @@ type runtime struct {
 }
 
 func newRuntime(opts options) *runtime {
-	if opts.stepTimeout <= 0 {
-		opts.stepTimeout = DefaultStepTimeout
-	}
-	switch {
-	case opts.stallTimeout == 0:
+	if opts.stallTimeout <= 0 {
 		opts.stallTimeout = DefaultStallTimeout
-	case opts.stallTimeout < 0:
-		opts.stallTimeout = 0 // disabled
 	}
 	ib := newInbox(opts.n, opts.id)
 	ib.stallTimeout = opts.stallTimeout
@@ -386,7 +376,7 @@ func (rt *runtime) sendTolerated(err error) bool {
 
 // await runs the round synchronizer and converts its failures into aborts.
 func (rt *runtime) await(step sim.StepID, kind wire.StepKind, sum uint16) []*wire.Frame {
-	frames, err := rt.inbox.await(kind, sum, rt.opts.stepTimeout)
+	frames, err := rt.inbox.await(kind, sum)
 	if err != nil {
 		rt.Fail(rt.errf("step %q: %w", step, err))
 		rt.mu.Lock()
@@ -439,23 +429,16 @@ type inbox struct {
 	err      error   // run-level failure (body error latch)
 	// One timer guards the parked await instead of one timer per round
 	// (arming/stopping a runtime timer per barrier step was a measurable
-	// slice of the round hot path). It is armed while the body is parked,
-	// fires at stall granularity, and marks timedOut — failing the await —
-	// once the park has lasted a full step timeout.
-	parked      bool
-	timer       *time.Timer
-	timerPeriod time.Duration // firing granularity: min(stall, step timeout)
-	timerArmed  time.Time     // when the period began (guards stale fires)
-	deadline    time.Time     // park start + step timeout
-	timedOut    bool
-	// Stall detector (see DefaultStallTimeout): lastSeen stamps each peer's
-	// most recent frame; the timer convicts a peer that stayed silent for a
-	// full stallTimeout while the parked await was missing its frame. The
-	// conviction writes down[peer] — inbox state, hence scoped to this cycle
-	// — and notifies onStall for the cycle's membership report.
-	stallTimeout time.Duration // 0 = disabled
+	// slice of the round hot path). It is armed when the body parks and, once
+	// the park has lasted stallTimeout, marks down every peer the head row
+	// still lacks (see DefaultStallTimeout). The conviction writes
+	// down[peer] — inbox state, hence scoped to this cycle — and notifies
+	// onStall for the cycle's membership report.
+	parked       bool
+	timer        *time.Timer
+	timerArmed   time.Time // when the park began (guards stale fires)
+	stallTimeout time.Duration
 	onStall      func(peer int)
-	lastSeen     []time.Time
 	// depth, if non-nil, gauges the frames currently buffered in the inbox
 	// (options.inboxDepth; nil-safe).
 	depth *obs.Gauge
@@ -486,9 +469,6 @@ func (ib *inbox) push(from int, f *wire.Frame) {
 	}
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	if ib.stallTimeout > 0 && ib.lastSeen != nil {
-		ib.lastSeen[from] = time.Now()
-	}
 	if ib.defaulted != nil && ib.defaulted[from] {
 		return
 	}
@@ -540,7 +520,7 @@ func (ib *inbox) missing(j int) bool {
 // round its final frames completed. Per-peer FIFO order makes the arrival
 // ordinal the round identity; a head with a mismatched header is protocol
 // divergence and fails the round.
-func (ib *inbox) await(kind wire.StepKind, sum uint16, timeout time.Duration) ([]*wire.Frame, error) {
+func (ib *inbox) await(kind wire.StepKind, sum uint16) ([]*wire.Frame, error) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	defer func() {
@@ -615,18 +595,9 @@ func (ib *inbox) await(kind wire.StepKind, sum uint16, timeout time.Duration) ([
 				continue // the head row is complete now; take the pop path
 			}
 		}
-		if ib.timedOut {
-			var missing []int
-			for j := 0; j < ib.n; j++ {
-				if ib.missing(j) {
-					missing = append(missing, j)
-				}
-			}
-			return nil, fmt.Errorf("no round completed for %v while waiting for frames from nodes %v", timeout, missing)
-		}
 		if !ib.parked {
 			ib.parked = true
-			ib.armTimerLocked(timeout)
+			ib.armTimerLocked()
 		}
 		ib.cond.Wait()
 	}
@@ -674,92 +645,48 @@ func (ib *inbox) degradedPeers() []int {
 	return peers
 }
 
-// armTimerLocked (re)arms the timer for a fresh park. With the stall detector
-// enabled the timer fires at stall granularity (detection within one period
-// of the deadline) and the step timeout is judged across fires via deadline;
-// without it the single period is the step timeout. Arming restamps every
-// peer's lastSeen: silence is measured from the start of the park, so a peer
-// idle while this node computed is not convicted the moment the node parks.
-// Caller holds ib.mu.
-func (ib *inbox) armTimerLocked(timeout time.Duration) {
-	period := timeout
-	if ib.stallTimeout > 0 && ib.stallTimeout < period {
-		period = ib.stallTimeout
-	}
-	ib.timerPeriod = period
-	now := time.Now()
-	ib.timerArmed = now
-	ib.deadline = now.Add(timeout)
-	if ib.stallTimeout > 0 {
-		if ib.lastSeen == nil {
-			ib.lastSeen = make([]time.Time, ib.n)
-		}
-		for j := range ib.lastSeen {
-			ib.lastSeen[j] = now
-		}
-	}
+// armTimerLocked (re)arms the stall timer for a fresh park. Caller holds
+// ib.mu.
+func (ib *inbox) armTimerLocked() {
+	ib.timerArmed = time.Now()
 	if ib.timer == nil {
-		ib.timer = time.AfterFunc(period, ib.timerFire)
+		ib.timer = time.AfterFunc(ib.stallTimeout, ib.timerFire)
 	} else {
-		ib.timer.Reset(period)
+		ib.timer.Reset(ib.stallTimeout)
 	}
 }
 
-// timerFire is the timer callback: convict individually stalled peers at
-// stall granularity, and fail the parked await once it has waited a full
-// step timeout.
+// timerFire is the timer callback: once the park has lasted stallTimeout it
+// marks down every peer the head row still lacks — failing the await like
+// any other per-peer channel failure, but scoped to this inbox and hence to
+// this cycle.
 func (ib *inbox) timerFire() {
 	ib.mu.Lock()
 	if !ib.parked {
 		ib.mu.Unlock()
 		return
 	}
-	now := time.Now()
-	if remaining := ib.timerPeriod - now.Sub(ib.timerArmed); remaining > 0 {
+	if remaining := ib.stallTimeout - time.Since(ib.timerArmed); remaining > 0 {
 		// A stale fire: the timer was stopped and re-armed while this
-		// callback was blocked on the mutex. The current period has not
-		// elapsed — sleep out its remainder instead of judging it early.
+		// callback was blocked on the mutex. The current park has not lasted
+		// stallTimeout yet — sleep out its remainder instead of judging it
+		// early.
 		ib.timer.Reset(remaining)
 		ib.mu.Unlock()
 		return
 	}
-	if !now.Before(ib.deadline) {
-		ib.timedOut = true
-		ib.cond.Broadcast()
-		ib.mu.Unlock()
-		return
-	}
 	var stalled []int
-	if ib.stallTimeout > 0 {
-		stalled = ib.stallCheckLocked(now)
+	for j := 0; j < ib.n; j++ {
+		if ib.missing(j) && ib.down[j] == nil {
+			ib.down[j] = fmt.Errorf("peer %d stalled: no frame for %v while a round waits on it", j, ib.stallTimeout)
+			stalled = append(stalled, j)
+		}
 	}
-	ib.timerArmed = now
-	ib.timer.Reset(ib.timerPeriod)
+	ib.cond.Broadcast()
 	ib.mu.Unlock()
 	if ib.onStall != nil {
 		for _, peer := range stalled {
 			ib.onStall(peer)
 		}
 	}
-}
-
-// stallCheckLocked scans the parked round for peers whose frame it is missing
-// and who delivered nothing for a full stallTimeout, and marks them down —
-// failing the await like any other per-peer channel failure, but scoped to
-// this inbox and hence to this cycle. Caller holds ib.mu.
-func (ib *inbox) stallCheckLocked(now time.Time) []int {
-	var stalled []int
-	for j := 0; j < ib.n; j++ {
-		if !ib.missing(j) || ib.down[j] != nil {
-			continue
-		}
-		if now.Sub(ib.lastSeen[j]) >= ib.stallTimeout {
-			ib.down[j] = fmt.Errorf("peer %d stalled: no frame for %v while a round waits on it", j, ib.stallTimeout)
-			stalled = append(stalled, j)
-		}
-	}
-	if len(stalled) > 0 {
-		ib.cond.Broadcast()
-	}
-	return stalled
 }

@@ -222,7 +222,7 @@ func TestClusterBodyErrorFailsOnlyItsInstance(t *testing.T) {
 	t.Parallel()
 	c := NewCluster(transport.BusFactory{})
 	defer c.Close()
-	c.StepTimeout = 5 * time.Second
+	c.StallTimeout = 5 * time.Second
 	res := c.RunBatch(sim.BatchConfig{N: 3, Seed: 5, Instances: 3}, func(inst int, p *sim.Proc) any {
 		if inst == 0 && p.ID == 1 {
 			panic("boom")
@@ -255,7 +255,7 @@ func TestClusterDivergentNodeFailsRun(t *testing.T) {
 			t.Parallel()
 			c := NewCluster(f)
 			defer c.Close()
-			c.StepTimeout = 2 * time.Second
+			c.StallTimeout = 2 * time.Second
 			res := c.Run(sim.RunConfig{N: 3, Seed: 1}, func(p *sim.Proc) any {
 				if p.ID == 2 {
 					return "left early" // never joins the round
@@ -274,7 +274,7 @@ func TestClusterStepMismatchIsDetected(t *testing.T) {
 	t.Parallel()
 	c := NewCluster(transport.BusFactory{})
 	defer c.Close()
-	c.StepTimeout = 5 * time.Second
+	c.StallTimeout = 5 * time.Second
 	res := c.Run(sim.RunConfig{N: 2, Seed: 1}, func(p *sim.Proc) any {
 		if p.ID == 0 {
 			p.Exchange("stepA", nil, nil)
@@ -363,9 +363,9 @@ func TestClusterReservedKindBitsConvictSender(t *testing.T) {
 			cf := &capturingFactory{inner: f}
 			c := NewCluster(cf)
 			defer c.Close()
-			// No stall detector: only the routers' refusal to decode may
-			// convict node 2, not its silence.
-			c.StallTimeout = -1
+			// No stall within the test: only the routers' refusal to decode
+			// may convict node 2, not its silence.
+			c.StallTimeout = time.Hour
 			if err := c.Connect(n); err != nil {
 				t.Fatal(err)
 			}
@@ -464,7 +464,7 @@ func TestClusterStaleFramesOfAbortedRunAreDropped(t *testing.T) {
 			const n = 3
 			c := NewCluster(f)
 			defer c.Close()
-			c.StepTimeout = 5 * time.Second
+			c.StallTimeout = 5 * time.Second
 			// Round 1 completes everywhere; node 2 then dies, so nodes 0 and
 			// 1 send round-2 frames (to node 2 among others) that no await
 			// will ever consume before the failure latch aborts them.

@@ -78,9 +78,10 @@ const histBuckets = 65
 
 // Histogram is a fixed-bucket log-scale histogram. Record costs three
 // atomic adds plus a bounded CAS loop for the max — no locks, no
-// allocation. Quantiles reported by Snapshot are bucket upper bounds, so
-// they overestimate by at most 2x; that is plenty to tell a 50µs decision
-// path from a 5ms one, which is what the histogram is for.
+// allocation. Quantiles reported by Snapshot are bucket upper bounds clamped
+// to the exact maximum, so they overestimate by at most 2x and never exceed
+// Max; that is plenty to tell a 50µs decision path from a 5ms one, which is
+// what the histogram is for.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
@@ -108,7 +109,8 @@ func (h *Histogram) Record(v int64) {
 }
 
 // HistSnapshot is a point-in-time summary of a Histogram. P50/P90/P99 are
-// log-bucket upper bounds (≤2x overestimates); Max is exact. The bucket
+// log-bucket upper bounds clamped to Max (≤2x overestimates, never above
+// the largest sample); Max is exact. The bucket
 // counts ride along unexported so snapshots of the same metric from several
 // registries merge into real quantiles (Snapshot.Merge).
 type HistSnapshot struct {
@@ -139,11 +141,12 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// setQuantiles derives P50/P90/P99 from the bucket counts and Count.
+// setQuantiles derives P50/P90/P99 from the bucket counts and Count,
+// clamped to Max: a bucket's upper bound can lie above every sample in it.
 func (s *HistSnapshot) setQuantiles() {
-	s.P50 = quantile(&s.buckets, s.Count, 50)
-	s.P90 = quantile(&s.buckets, s.Count, 90)
-	s.P99 = quantile(&s.buckets, s.Count, 99)
+	s.P50 = min(quantile(&s.buckets, s.Count, 50), s.Max)
+	s.P90 = min(quantile(&s.buckets, s.Count, 90), s.Max)
+	s.P99 = min(quantile(&s.buckets, s.Count, 99), s.Max)
 }
 
 // quantile returns the upper bound of the bucket containing the q-th

@@ -10,8 +10,8 @@ import (
 
 func TestHistogramBucketBoundaries(t *testing.T) {
 	// Each value must land in the bucket whose upper bound is the smallest
-	// 2^k-1 >= v; a histogram holding only v must report exactly that
-	// bound for every quantile.
+	// 2^k-1 >= v; a histogram holding only v must place every quantile in
+	// that bucket, and report the quantile clamped to the exact max, v.
 	cases := []struct {
 		v    int64
 		want int64
@@ -31,8 +31,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		if s.Count != 1 {
 			t.Fatalf("Record(%d): count = %d, want 1", c.v, s.Count)
 		}
-		if s.P50 != c.want || s.P99 != c.want {
-			t.Errorf("Record(%d): p50=%d p99=%d, want %d", c.v, s.P50, s.P99, c.want)
+		if b50, b99 := quantile(&s.buckets, s.Count, 50), quantile(&s.buckets, s.Count, 99); b50 != c.want || b99 != c.want {
+			t.Errorf("Record(%d): p50 bucket bound %d, p99 bucket bound %d, want %d", c.v, b50, b99, c.want)
 		}
 		wantMax := c.v
 		if wantMax < 0 {
@@ -40,6 +40,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		}
 		if s.Max != wantMax {
 			t.Errorf("Record(%d): max = %d, want %d", c.v, s.Max, wantMax)
+		}
+		if s.P50 != wantMax || s.P99 != wantMax {
+			t.Errorf("Record(%d): p50=%d p99=%d, want the clamp to max %d", c.v, s.P50, s.P99, wantMax)
 		}
 	}
 }
@@ -54,8 +57,9 @@ func TestHistogramQuantileRanks(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want count=100 sum=5050 max=100", s)
 	}
 	// Rank 50 is value 50 -> bucket upper 63; rank 90 is value 90 -> 127;
-	// rank 99 is value 99 -> 127. Upper bounds, never under-estimates.
-	wantUpper := func(v int64) int64 { return int64(1)<<bits.Len64(uint64(v)) - 1 }
+	// rank 99 is value 99 -> 127. Upper bounds, never under-estimates, and
+	// clamped to the max: 127 reads as 100.
+	wantUpper := func(v int64) int64 { return min(int64(1)<<bits.Len64(uint64(v))-1, 100) }
 	if s.P50 != wantUpper(50) {
 		t.Errorf("p50 = %d, want %d", s.P50, wantUpper(50))
 	}
@@ -143,7 +147,7 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 		"engine_queue_depth 7\n",
 		"transport_conns 12\n",
 		"decision_ns_count 1\n",
-		"decision_ns_p99 127\n",
+		"decision_ns_p99 100\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
@@ -188,6 +192,27 @@ func TestSnapshotMergeQuantiles(t *testing.T) {
 	merged.Merge(slow.Snapshot())
 	if got, want := merged.Histograms["write_ns"], slow.Snapshot().Histograms["write_ns"]; got != want {
 		t.Errorf("one-sided merge = %+v, want %+v", got, want)
+	}
+}
+
+// TestHistogramQuantilesNeverExceedMax: when every sample sits low in its
+// log bucket, the bucket's upper bound lies far above all of them — 12ms
+// falls in the bucket ending at 16.78ms — and the quantiles must read the
+// exact max instead, in a snapshot and after a merge.
+func TestHistogramQuantilesNeverExceedMax(t *testing.T) {
+	const v = 12_000_000 // 12ms in ns
+	a, b := NewRegistry(), NewRegistry()
+	for i := 0; i < 50; i++ {
+		a.Histogram("decision_ns").Record(v)
+		b.Histogram("decision_ns").Record(v)
+	}
+	s := a.Snapshot()
+	merged := a.Snapshot()
+	merged.Merge(b.Snapshot())
+	for what, h := range map[string]HistSnapshot{"snapshot": s.Histograms["decision_ns"], "merge": merged.Histograms["decision_ns"]} {
+		if h.Max != v || h.P50 != h.Max || h.P90 != h.Max || h.P99 != h.Max {
+			t.Errorf("%s: p50=%d p90=%d p99=%d max=%d, want every quantile == max == %d", what, h.P50, h.P90, h.P99, h.Max, v)
+		}
 	}
 }
 

@@ -29,7 +29,9 @@ type BatchConfig struct {
 	// synthesized ⊥ frames, and a node whose own run fails on a
 	// peer-attributed fault yields a missing value instead of failing the
 	// whole instance — as long as, at each node, the degraded peers and the
-	// Faulty processors together number at most DegradePeers. The
+	// Faulty processors together number at most DegradePeers, and across
+	// nodes some DegradePeers processors — among them the Faulty ones and
+	// every node whose own run failed — touch every degraded channel. The
 	// simulator's shared-memory barrier has no channels to lose, so it
 	// ignores the field.
 	DegradePeers int

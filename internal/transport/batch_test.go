@@ -157,7 +157,7 @@ func TestTCPDropConnMidBatch(t *testing.T) {
 	defer closeEndpoints(eps)
 	sinks := []*recSink{{}, {}}
 	for i, ep := range eps {
-		ep.(PushCapable).SetSink(sinks[i])
+		ep.SetSink(sinks[i])
 	}
 
 	// Each sender queues a few frames back to back, then pauses, until its
@@ -255,7 +255,7 @@ func TestTCPNonReadingPeerDoesNotStallOthers(t *testing.T) {
 	}
 	defer closeEndpoints(eps)
 	sink := &recSink{}
-	eps[0].(PushCapable).SetSink(sink)
+	eps[0].SetSink(sink)
 	// Node 1 echoes every frame; node 2's connection reader is stopped for
 	// good by a sink that never returns.
 	go func() {
@@ -271,7 +271,7 @@ func TestTCPNonReadingPeerDoesNotStallOthers(t *testing.T) {
 	}()
 	block := make(chan struct{})
 	defer close(block)
-	eps[2].(PushCapable).SetSink(blockingSink{block})
+	eps[2].SetSink(blockingSink{block})
 
 	frame := make([]byte, 32<<10)
 	rounds, down := 0, false
@@ -345,7 +345,7 @@ func TestTCPCloseBoundedByNonReadingPeer(t *testing.T) {
 	eps := tcpPair(t)
 	block := make(chan struct{})
 	defer close(block)
-	eps[1].(PushCapable).SetSink(blockingSink{block})
+	eps[1].SetSink(blockingSink{block})
 	// Fill the socket buffers until the backlog stays put: the writer is
 	// blocked mid-Write with frames queued behind it.
 	frame := make([]byte, 256<<10)

@@ -29,7 +29,7 @@ type busEndpoint struct {
 	bytesRecv  atomic.Int64
 }
 
-// SetSink implements PushCapable.
+// SetSink implements Endpoint.
 func (ep *busEndpoint) SetSink(s Sink) { ep.sink.Store(&s) }
 
 // NewBus returns n connected in-process endpoints, endpoint i for

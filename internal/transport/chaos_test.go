@@ -21,7 +21,7 @@ func TestFaultyFactoryPartition(t *testing.T) {
 	sinks := make([]*recSink, 4)
 	for i, ep := range eps {
 		sinks[i] = &recSink{}
-		ep.(PushCapable).SetSink(sinks[i])
+		ep.SetSink(sinks[i])
 	}
 
 	// Nodes 2 and 3 are unlisted: they form the implicit remainder group.
@@ -79,7 +79,7 @@ func TestFaultyFactoryIsolateNode(t *testing.T) {
 	sinks := make([]*recSink, 3)
 	for i, ep := range eps {
 		sinks[i] = &recSink{}
-		ep.(PushCapable).SetSink(sinks[i])
+		ep.SetSink(sinks[i])
 	}
 
 	ff.IsolateNode(2)
@@ -119,7 +119,7 @@ func TestFaultyFactoryDelayPreservesChannelFIFO(t *testing.T) {
 	}
 	defer closeEndpoints(eps)
 	sink := &recSink{}
-	eps[1].(PushCapable).SetSink(sink)
+	eps[1].SetSink(sink)
 
 	ff.DelayPair(0, 1, 3*time.Millisecond, 2*time.Millisecond)
 	ff.ThrottlePair(0, 1, 1<<20)
@@ -155,7 +155,7 @@ func TestFaultyFactoryDelayedFrameDiesOnCut(t *testing.T) {
 	}
 	defer closeEndpoints(eps)
 	sink := &recSink{}
-	eps[1].(PushCapable).SetSink(sink)
+	eps[1].SetSink(sink)
 
 	ff.DelayPair(0, 1, 30*time.Millisecond, 0)
 	if err := eps[0].Send(1, []byte("doomed")); err != nil {
@@ -228,7 +228,7 @@ func TestTCPCloseDuringBackoff(t *testing.T) {
 	}
 	sinks := []*recSink{{}, {}}
 	for i, ep := range eps {
-		ep.(PushCapable).SetSink(sinks[i])
+		ep.SetSink(sinks[i])
 	}
 
 	// Kill the lower id for good: the higher id (the pair's dialer) enters

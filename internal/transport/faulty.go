@@ -72,9 +72,7 @@ func (f *FaultyFactory) Mesh(n int) ([]Endpoint, error) {
 			jitter:    rand.New(rand.NewSource(f.Seed*0x5851F42D4C957F2D + int64(i) + 1)),
 			delayWake: make(chan struct{}, 1),
 		}
-		if pc, ok := inner[i].(PushCapable); ok {
-			pc.SetSink(&filterSink{ep: fe})
-		}
+		inner[i].SetSink(&filterSink{ep: fe})
 		f.eps[i] = fe
 		out[i] = fe
 	}
@@ -338,7 +336,7 @@ func (ep *faultyEndpoint) Send(to int, data []byte) error {
 	return ep.inner.Send(to, data)
 }
 
-// SetSink implements PushCapable: the consumer's sink receives the filtered
+// SetSink implements Endpoint: the consumer's sink receives the filtered
 // stream (the inner endpoint already delivers into the wrapper's filter).
 func (ep *faultyEndpoint) SetSink(s Sink) {
 	ep.mu.Lock()

@@ -70,7 +70,7 @@ func TestTCPReconnectHealsChannel(t *testing.T) {
 	defer closeEndpoints(eps)
 	sinks := []*recSink{{}, {}}
 	for i, ep := range eps {
-		ep.(PushCapable).SetSink(sinks[i])
+		ep.SetSink(sinks[i])
 	}
 
 	if err := eps[0].Send(1, []byte("before")); err != nil {
@@ -138,7 +138,7 @@ func TestTCPCleanCloseNoPeerDown(t *testing.T) {
 	}
 	sinks := []*recSink{{}, {}}
 	for i, ep := range eps {
-		ep.(PushCapable).SetSink(sinks[i])
+		ep.SetSink(sinks[i])
 	}
 	if err := eps[0].Send(1, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestFaultyFactoryCutAndHeal(t *testing.T) {
 	defer closeEndpoints(eps)
 	sinks := []*recSink{{}, {}}
 	for i, ep := range eps {
-		ep.(PushCapable).SetSink(sinks[i])
+		ep.SetSink(sinks[i])
 	}
 
 	if err := eps[0].Send(1, []byte("pre")); err != nil {

@@ -154,7 +154,7 @@ type tcpEndpoint struct {
 	recv *queue
 	// sink, when set (atomic.Value of Sink), receives inbound frames
 	// directly on the per-connection reader goroutines instead of through
-	// the recv queue (see PushCapable).
+	// the recv queue (see Endpoint.SetSink).
 	sink   atomic.Value
 	conns  []atomic.Pointer[connBox] // indexed by peer id; nil slot = down (or self)
 	closed atomic.Bool
@@ -197,7 +197,7 @@ type tcpEndpoint struct {
 	writeLat *obs.Histogram
 }
 
-// SetSink implements PushCapable.
+// SetSink implements Endpoint.
 func (ep *tcpEndpoint) SetSink(s Sink) { ep.sink.Store(&s) }
 
 func (ep *tcpEndpoint) NodeID() int { return ep.id }
@@ -529,9 +529,9 @@ func (ep *tcpEndpoint) connLost(peer int, box *connBox, err error, transient boo
 	}
 }
 
-// notifyDown reports a broken peer channel to the sink (or the fallback
-// receive queue) unless the endpoint itself is closing — a deliberate local
-// Close is not a peer failure.
+// notifyDown reports a broken peer channel to the sink (or the Recv queue
+// when no sink is set) unless the endpoint itself is closing — a deliberate
+// local Close is not a peer failure.
 func (ep *tcpEndpoint) notifyDown(peer int, err error, transient bool) {
 	if ep.closed.Load() {
 		return

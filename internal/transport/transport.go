@@ -156,15 +156,6 @@ type RecoverySink interface {
 	PeerUp(peer int)
 }
 
-// PushCapable is implemented by endpoints that can bypass the Recv queue and
-// deliver frames synchronously to a Sink — removing one queue hop and two
-// goroutine wakeups from every frame of the lock-step hot path. SetSink must
-// be called before any traffic flows; afterwards Recv returns only ErrClosed
-// at teardown.
-type PushCapable interface {
-	SetSink(s Sink)
-}
-
 // bufPool recycles frame byte buffers across the send and receive sides of
 // the in-process hot path: a sender (or TCP connection reader) obtains a
 // buffer with GetBuf, and the consuming sink returns it with PutBuf once
@@ -228,8 +219,10 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Endpoint is one node's attachment to the deployment's n-processor mesh.
-// Send is safe for concurrent use (pipelined instances share one endpoint);
-// Recv is intended for a single dispatcher goroutine.
+// Send is safe for concurrent use (pipelined instances share one endpoint).
+// Received frames reach the consumer either pushed to a Sink (SetSink) or
+// pulled through Recv, never both: once a sink is set, Recv returns only
+// ErrClosed at teardown.
 type Endpoint interface {
 	// NodeID returns this endpoint's processor id in [0, N).
 	NodeID() int
@@ -240,16 +233,22 @@ type Endpoint interface {
 	// keeps a reference); when it reports false the implementation has
 	// copied the bytes by the time Send returns and the caller may recycle
 	// the buffer. A nil return means the frame was accepted for delivery; a
-	// channel that breaks afterwards is reported through Recv or the Sink.
+	// channel that breaks afterwards is reported through the Sink or Recv.
 	Send(to int, data []byte) error
 	// Retains reports whether Send keeps a reference to the data slice
 	// (true for the in-process bus, which moves frames by reference; false
 	// for TCP, which copies into the peer's batch buffer). Callers use it to
 	// gate send-buffer pooling.
 	Retains() bool
-	// Recv blocks for the next received frame. It returns a *PeerError when
-	// a peer channel breaks or misbehaves, and ErrClosed after Close once
-	// all delivered frames have been consumed.
+	// SetSink switches the endpoint to push delivery: frames and peer
+	// lifecycle events go synchronously to s in the transport's delivery
+	// context — no receive queue hop, no dispatcher goroutine. Call it before
+	// any traffic flows.
+	SetSink(s Sink)
+	// Recv blocks for the next received frame of an endpoint without a
+	// sink. It returns a *PeerError when a peer channel breaks or
+	// misbehaves, and ErrClosed after Close once all delivered frames have
+	// been consumed.
 	Recv() (Frame, error)
 	// Close tears the endpoint down. Frames already received remain
 	// readable via Recv.

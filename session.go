@@ -9,7 +9,6 @@ import (
 	"byzcons/internal/chaos"
 	"byzcons/internal/engine"
 	"byzcons/internal/obs"
-	"byzcons/internal/transport"
 )
 
 // ErrClosed is the sentinel failing work that outlives its Session: Propose
@@ -68,65 +67,6 @@ func (p FlushPolicy) normalized(batchValues, instances int) engine.Policy {
 	return out
 }
 
-// PeerRetry tunes the peer-lifecycle layer of a networked session: how a
-// dropped peer connection is reconnected, when a flapping peer is demoted
-// for good, and how quickly an unresponsive peer is isolated from a cycle.
-// The zero value enables recovery with defaults. Only the TCP transport has
-// real connections to reconnect; the stall detector applies to every
-// networked backend.
-//
-// Failure semantics under the policy: a transient channel loss fails only
-// rounds of the cycle that observed it — the peer is isolated for that cycle
-// and, once the transport re-establishes the channel, participates again
-// from the next flush cycle (rejoin happens at epoch boundaries only, never
-// mid-cycle). Protocol-level violations remain permanent convictions.
-type PeerRetry struct {
-	// Disable turns reconnection off: any connection loss permanently fails
-	// that peer's channel, the pre-recovery behaviour.
-	Disable bool
-	// MinBackoff is the first re-dial delay (0 = 25ms); each failed attempt
-	// doubles it up to MaxBackoff, with jitter.
-	MinBackoff time.Duration
-	// MaxBackoff caps the re-dial delay (0 = 1s).
-	MaxBackoff time.Duration
-	// MaxAttempts bounds re-dial attempts per outage before the peer is
-	// demoted permanently (0 = 20; negative = unlimited).
-	MaxAttempts int
-	// MaxFlaps bounds how many times a peer's channel may drop over the
-	// session's lifetime before it is demoted permanently (0 = 64;
-	// negative = unlimited).
-	MaxFlaps int
-	// StallTimeout bounds how long a peer may stay silent while a round
-	// waits on its frame before the stall detector isolates it for the
-	// current cycle (0 = 20s; negative = disabled).
-	StallTimeout time.Duration
-}
-
-// validate rejects nonsensical bounds.
-func (p PeerRetry) validate() error {
-	if p.MinBackoff < 0 {
-		return fmt.Errorf("byzcons: PeerRetry.MinBackoff must be >= 0, got %v", p.MinBackoff)
-	}
-	if p.MaxBackoff < 0 {
-		return fmt.Errorf("byzcons: PeerRetry.MaxBackoff must be >= 0, got %v", p.MaxBackoff)
-	}
-	if p.MinBackoff > 0 && p.MaxBackoff > 0 && p.MinBackoff > p.MaxBackoff {
-		return fmt.Errorf("byzcons: PeerRetry.MinBackoff %v exceeds MaxBackoff %v", p.MinBackoff, p.MaxBackoff)
-	}
-	return nil
-}
-
-// policy maps the public knobs onto the transport's retry policy.
-func (p PeerRetry) policy() transport.RetryPolicy {
-	return transport.RetryPolicy{
-		Disabled:    p.Disable,
-		MinBackoff:  p.MinBackoff,
-		MaxBackoff:  p.MaxBackoff,
-		MaxAttempts: p.MaxAttempts,
-		MaxFlaps:    p.MaxFlaps,
-	}
-}
-
 // SessionConfig configures a consensus Session.
 type SessionConfig struct {
 	// Config carries the protocol parameters (N, T, broadcast substrate,
@@ -141,13 +81,12 @@ type SessionConfig struct {
 	// TransportTCP (networked nodes over a loopback TCP mesh). Networked
 	// backends dial the mesh once at Open and reuse it across every flush
 	// cycle; successive cycles are demultiplexed by an epoch tag in the
-	// frame headers, not by fresh connections.
+	// frame headers, not by fresh connections. On a networked backend a
+	// peer whose channels break or stay silent is one of the T faults: up
+	// to T peers, Scenario.Faulty included, degrade to attributed ⊥
+	// contributions (FlushReport.Degraded/DegradedPeers) instead of failing
+	// the cycle.
 	Transport TransportKind
-	// PeerRetry tunes the peer-lifecycle layer of a networked transport:
-	// reconnect backoff bounds, the flap budget before permanent demotion,
-	// and the stall detector (see PeerRetry). The zero value enables
-	// recovery with defaults; ignored by TransportSim.
-	PeerRetry PeerRetry
 	// Chaos, when non-empty, runs the session under a deterministic fault
 	// schedule: a "seed:events" spec (see internal/chaos.Parse, e.g.
 	// "7:cut(1,3)@c1;heal(1,3)@c2" or "7:partition(3)@c1;crash(2)@c2") whose
@@ -155,15 +94,8 @@ type SessionConfig struct {
 	// flush-cycle boundaries or wall-clock offsets against the session's
 	// mesh. The seed drives all injected jitter, so one (seed, schedule)
 	// replays one fault timeline (Session.ChaosLog returns the fired-event
-	// log). Requires a networked transport, and implies Degrade so faulted
-	// cycles complete with attributed defaults instead of failing.
+	// log). Requires a networked transport.
 	Chaos string
-	// Degrade enables graceful degradation on a networked transport: cycles
-	// whose rounds miss frames only from peers with broken channels keep
-	// completing — up to T peers degrade to attributed ⊥ contributions
-	// (FlushReport.Degraded/DegradedPeers) — instead of failing the cycle.
-	// Implied by Chaos; no effect on TransportSim.
-	Degrade bool
 	// BatchValues caps how many proposals are coalesced into one consensus
 	// instance (0 = 64). Bigger batches mean longer inputs and fewer
 	// amortized bits per value — the paper's large-L regime.
@@ -228,9 +160,6 @@ func (cfg SessionConfig) Validate() error {
 		return err
 	}
 	if _, err := cfg.Transport.factory(); err != nil {
-		return err
-	}
-	if err := cfg.PeerRetry.validate(); err != nil {
 		return err
 	}
 	if cfg.BatchValues < 1 {
@@ -355,7 +284,8 @@ type MetricsSnapshot = obs.Snapshot
 
 // HistogramSnapshot summarizes one latency histogram: count, sum and exact
 // max, plus p50/p90/p99 estimates from log-scale buckets (quantiles are
-// bucket upper bounds, so at most 2x above the true value).
+// bucket upper bounds clamped to the max, so at most 2x above the true
+// value and never above the max).
 type HistogramSnapshot = obs.HistSnapshot
 
 // TraceEvent is one structured protocol event (see Session.TraceEvents):

@@ -1,0 +1,58 @@
+package byzcons
+
+import (
+	"bytes"
+	"context"
+	"slices"
+	"testing"
+	"time"
+
+	"byzcons/internal/transport"
+)
+
+// TestSessionDefaultDegradesAroundDisconnectedPeer: a networked session with
+// default settings — no chaos schedule — treats a peer whose channels all
+// went quiet as one of its t faults. At n=4, t=1, node 3 is cut off from
+// every peer before the first flush; the other three nodes degrade around it,
+// decide the proposal and attribute node 3, on the bus and over TCP.
+func TestSessionDefaultDegradesAroundDisconnectedPeer(t *testing.T) {
+	t.Parallel()
+	for name, inner := range map[string]transport.Factory{
+		"bus": transport.BusFactory{},
+		"tcp": transport.TCPFactory{},
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			faulty := &transport.FaultyFactory{Inner: inner}
+			d, err := open(SessionConfig{
+				Config:      Config{N: 4, T: 1, Seed: 3},
+				BatchValues: 4,
+				Policy:      FlushPolicy{MaxValues: -1, MaxBytes: -1, MaxDelay: -1},
+			}, 1, faulty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			faulty.IsolateNode(3)
+
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			val := bytes.Repeat([]byte{0xD3, 0x07}, 8)
+			p, err := d.submit(ctx, 0, val)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := d.Flush()
+			if err != nil {
+				t.Fatalf("flush with one disconnected peer failed: %v", err)
+			}
+			dec := p.Wait(ctx)
+			if dec.Err != nil || !bytes.Equal(dec.Value, val) {
+				t.Fatalf("decision = %x (err %v), want the proposal %x", dec.Value, dec.Err, val)
+			}
+			if !slices.Equal(rep.DegradedPeers, []int{3}) {
+				t.Errorf("DegradedPeers = %v, want [3]", rep.DegradedPeers)
+			}
+		})
+	}
+}
