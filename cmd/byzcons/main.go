@@ -14,7 +14,7 @@
 // -ingest client goroutines propose values concurrently, the background
 // flush policy (a full cycle of batches, bounded by -maxdelay) coalesces
 // them into long per-instance inputs pipelined over the deployment, and
-// per-cycle reports stream as they commit. A networked -transport (bus or
+// per-cycle reports print as they commit. A networked -transport (bus or
 // tcp) dials its mesh exactly once for the whole run — the summary's
 // meshDials/conns counters prove the reuse. With -sweep it instead repeats
 // the workload at doubling batch sizes to show the amortization curve:
@@ -332,8 +332,8 @@ type serveOpts struct {
 }
 
 // served is what serve uses of either surface — a Session, or a Fleet when
-// -shards > 1 — beyond proposing, reading the report stream and Stats, whose
-// shapes differ between the two.
+// -shards > 1 — beyond proposing and Stats, whose shapes differ between the
+// two.
 type served interface {
 	debugSource
 	Drain(context.Context) error
@@ -348,14 +348,14 @@ type served interface {
 // Fleet — over a synthetic ingest workload: `ingest` client goroutines
 // propose values concurrently, flush cycles are triggered by the background
 // policy (a full cycle of batches, or maxDelay for a trickle), per-cycle
-// reports stream live, and the mesh of a networked transport is dialed
+// reports print live, and the mesh of a networked transport is dialed
 // exactly once for the whole run. With sweep it instead repeats the workload
 // at doubling batch sizes to show the amortization curve.
 //
-// All output funnels through one printer goroutine: the per-cycle report
-// stream commits asynchronously with the ingest loop and the summary, and a
-// shared line channel is what keeps concurrent lines whole instead of
-// interleaved mid-line.
+// All output funnels through one printer goroutine: per-cycle reports are
+// printed from OnFlush on each shard's flushing goroutine, concurrently with
+// the ingest loop and the summary, and a shared line channel is what keeps
+// concurrent lines whole instead of interleaved mid-line.
 func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.TransportKind, opts serveOpts) error {
 	if opts.values < 1 || opts.valBytes < 1 || opts.batch < 1 || opts.instances < 1 || opts.ingest < 1 {
 		return fmt.Errorf("serve: values, valbytes, batch, instances and ingest must all be >= 1")
@@ -421,14 +421,43 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 		fcfg.TraceRing = 4096
 	}
 
+	// Live per-cycle reporting from OnFlush (on a fleet each line names the
+	// shard whose policy fired the cycle). Close waits out every cycle, so
+	// no report line follows the summary.
+	shardCol := func(v any) string {
+		if !sharded {
+			return ""
+		}
+		return fmt.Sprintf("%6v ", v)
+	}
+	fcfg.OnFlush = func(rep byzcons.FlushReport) {
+		var prounds int64
+		for _, bs := range rep.Batches {
+			prounds = max(prounds, bs.PipelinedRounds)
+		}
+		perValue := 0.0
+		if rep.Values > 0 {
+			perValue = float64(rep.Bits) / float64(rep.Values)
+		}
+		line := fmt.Sprintf("%s%6d %8d %8d %10d %10d %12.1f %10.2f",
+			shardCol(rep.Shard), rep.Cycle, len(rep.Batches), rep.Values, rep.Bits, prounds, perValue,
+			float64(rep.Timing.Cycle)/float64(time.Millisecond))
+		if len(rep.PeersDown) > 0 {
+			line += fmt.Sprintf("  peersDown=%v", rep.PeersDown)
+		}
+		if len(rep.DegradedPeers) > 0 {
+			line += fmt.Sprintf("  degraded=%v", rep.DegradedPeers)
+		}
+		lines <- line
+	}
+
 	// The two surfaces differ in the propose call (a fleet routes by key:
 	// value i proposes under "key-i", so the value→shard mapping is the
-	// partitioner's, not the client's), in the report stream's element type
-	// and in the shape of Stats; everything else below is shared.
+	// partitioner's, not the client's) and in the shape of Stats; everything
+	// else below is shared.
 	var (
 		d       served
 		propose func(ctx context.Context, i int, val []byte) (byzcons.Decision, error)
-		reports func(emit func(shard int, rep byzcons.FlushReport))
 		stats   func() byzcons.FleetStats
 	)
 	if sharded {
@@ -440,11 +469,6 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 		propose = func(ctx context.Context, i int, val []byte) (byzcons.Decision, error) {
 			return f.Propose(ctx, []byte(fmt.Sprintf("key-%d", i)), val)
 		}
-		reports = func(emit func(int, byzcons.FlushReport)) {
-			for rep := range f.Reports() {
-				emit(rep.Shard, rep.FlushReport)
-			}
-		}
 	} else {
 		s, err := byzcons.Open(fcfg.SessionConfig)
 		if err != nil {
@@ -454,11 +478,6 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 		stats = func() byzcons.FleetStats { return byzcons.FleetStats{Shards: 1, Aggregate: s.Stats()} }
 		propose = func(ctx context.Context, _ int, val []byte) (byzcons.Decision, error) {
 			return s.Propose(ctx, val)
-		}
-		reports = func(emit func(int, byzcons.FlushReport)) {
-			for rep := range s.Reports() {
-				emit(0, rep)
-			}
 		}
 	}
 	defer d.Close()
@@ -472,45 +491,8 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 		printf("debug endpoint: http://%s (/metrics /events /debug/vars /debug/pprof)", addr)
 	}
 
-	// Live per-cycle reporting off the Reports stream (on a fleet each line
-	// names the shard whose policy fired the cycle); the goroutine exits when
-	// Close retires the stream.
-	var reporting sync.WaitGroup
-	reporting.Add(1)
-	go func() {
-		defer reporting.Done()
-		shardCol := func(v any) string {
-			if !sharded {
-				return ""
-			}
-			return fmt.Sprintf("%6v ", v)
-		}
-		printf("%s%6s %8s %8s %10s %10s %12s %10s",
-			shardCol("shard"), "cycle", "batches", "values", "bits", "prounds", "bits/value", "cycleMs")
-		reports(func(shard int, rep byzcons.FlushReport) {
-			var prounds int64
-			for _, bs := range rep.Batches {
-				prounds = max(prounds, bs.PipelinedRounds)
-			}
-			perValue := 0.0
-			if rep.Values > 0 {
-				perValue = float64(rep.Bits) / float64(rep.Values)
-			}
-			line := fmt.Sprintf("%s%6d %8d %8d %10d %10d %12.1f %10.2f",
-				shardCol(shard), rep.Cycle, len(rep.Batches), rep.Values, rep.Bits, prounds, perValue,
-				float64(rep.Timing.Cycle)/float64(time.Millisecond))
-			if len(rep.PeersDown) > 0 {
-				line += fmt.Sprintf("  peersDown=%v", rep.PeersDown)
-			}
-			if rep.Degraded {
-				line += fmt.Sprintf("  degraded=%v", rep.DegradedPeers)
-			}
-			lines <- line
-		})
-	}()
-	// Once the stream retires, no goroutine but this one writes lines.
-	defer reporting.Wait()
-	defer d.Close()
+	printf("%s%6s %8s %8s %10s %10s %12s %10s",
+		shardCol("shard"), "cycle", "batches", "values", "bits", "prounds", "bits/value", "cycleMs")
 
 	// The ingest loop: each client goroutine proposes its share of the
 	// workload and blocks per proposal, like a real submitter would.
@@ -552,8 +534,7 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 	dials := d.MeshDials()
 	snap := d.Snapshot()
 	chaosLog := d.ChaosLog()
-	d.Close() // retire the Reports stream before the summary
-	reporting.Wait()
+	d.Close() // the last report line before the summary
 
 	for _, rec := range chaosLog {
 		line := fmt.Sprintf("chaos[%d] %s fired@c%d", rec.Index, rec.Event, rec.Cycle)

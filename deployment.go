@@ -102,34 +102,33 @@ func open(cfg SessionConfig, shards int, inject transport.Factory) (*deployment,
 		if d.cluster != nil {
 			runner = d.cluster.ShardRunner(s)
 		}
-		// FlushReport = engine.Report, so the OnFlush hook passes through.
-		// A chaos schedule anchors on shard 0's cycle clock, chained behind
-		// the hook: the user sees a cycle's report before the next cycle's
-		// faults fire.
-		onCycle := cfg.OnFlush
-		if d.chaos != nil && s == 0 {
-			onCycle = func(r FlushReport) {
-				if cfg.OnFlush != nil {
-					cfg.OnFlush(r)
-				}
+		// FlushReport = engine.Report: the hook stamps the shard on each
+		// cycle's report and passes it to OnFlush. A chaos schedule anchors
+		// on shard 0's cycle clock, chained behind the hook: the user sees a
+		// cycle's report before the next cycle's faults fire.
+		onCycle := func(r FlushReport) {
+			r.Shard = s
+			if cfg.OnFlush != nil {
+				cfg.OnFlush(r)
+			}
+			if d.chaos != nil && s == 0 {
 				d.chaos.OnCycle(r.Cycle)
 			}
 		}
 		sreg := obs.NewRegistry()
 		eng, err := engine.New(engine.Config{
-			Consensus:    cfg.consensusParams(),
-			Runner:       runner,
-			Seed:         shardSeed(cfg.Seed, s),
-			Faulty:       cfg.Scenario.Faulty,
-			Adversary:    cfg.Scenario.Behavior,
-			BatchValues:  cfg.BatchValues,
-			BatchBytes:   cfg.BatchBytes,
-			Instances:    cfg.Instances,
-			Policy:       cfg.Policy.normalized(cfg.BatchValues, cfg.Instances),
-			ReportBuffer: cfg.ReportBuffer,
-			OnCycle:      onCycle,
-			Metrics:      sreg,
-			Tracer:       d.tracer,
+			Consensus:   cfg.consensusParams(),
+			Runner:      runner,
+			Seed:        shardSeed(cfg.Seed, s),
+			Faulty:      cfg.Scenario.Faulty,
+			Adversary:   cfg.Scenario.Behavior,
+			BatchValues: cfg.BatchValues,
+			BatchBytes:  cfg.BatchBytes,
+			Instances:   cfg.Instances,
+			Policy:      cfg.Policy.normalized(cfg.BatchValues, cfg.Instances),
+			OnCycle:     onCycle,
+			Metrics:     sreg,
+			Tracer:      d.tracer,
 		})
 		if err != nil {
 			d.Close()
@@ -230,9 +229,10 @@ func (d *deployment) Drain(ctx context.Context) error {
 // Close shuts the deployment down: further proposals are rejected with
 // ErrClosed, proposals still queued fail promptly with ErrClosed (their Wait
 // callers unblock — Close never strands a Pending), a flush cycle already in
-// flight completes with real decisions, the Reports stream closes, and the
-// transport mesh is torn down. Close is idempotent. Callers that want
-// queued work decided instead of failed should Drain first.
+// flight completes with real decisions (no OnFlush call runs after Close
+// returns), and the transport mesh is torn down. Close is idempotent.
+// Callers that want queued work decided instead of failed should Drain
+// first.
 func (d *deployment) Close() error {
 	if d.chaos != nil {
 		// Stop injecting before tearing anything down: a wall-clock fault

@@ -23,7 +23,8 @@
 //     long input per consensus instance (the paper's large-L regime, where
 //     the per-generation broadcast overhead amortizes away), several
 //     instances are pipelined concurrently, flush cycles are driven by a
-//     background FlushPolicy, and per-cycle FlushReports stream back;
+//     background FlushPolicy, and each cycle's FlushReport reaches the
+//     OnFlush hook;
 //   - a real message-passing runtime via ClusterConsensus and
 //     SessionConfig.Transport: one networked node per processor, every
 //     protocol payload crossing a self-describing wire codec over a pluggable
@@ -69,12 +70,12 @@
 //			MaxValues: 128,                  // flush at a full cycle
 //			MaxDelay:  byzcons.DefaultMaxDelay, // ... or after 5ms, whichever first
 //		},
+//		OnFlush: func(rep byzcons.FlushReport) { ... }, // one report per cycle
 //	})
 //	d, err := s.Propose(ctx, []byte("one client command"))
 //	// d.Value is this client's decision; errors are ctx.Err(), ErrClosed
 //	// or the batch's failure.
-//	for rep := range s.Reports() { ... } // one FlushReport per cycle
-//	s.Drain(ctx)                         // flush stragglers and wait
+//	s.Drain(ctx) // flush stragglers and wait
 //	s.Close()
 //
 // ProposeAsync returns a *Pending immediately (it never blocks on consensus
@@ -121,8 +122,10 @@
 // participates again from the next flush cycle (failures are scoped to the
 // cycles that observe them, never latched across the session), and a peer
 // that stays silent for 20 s while a round waits on it is isolated for that
-// cycle with an attributed error. FlushReport.PeersDown names the peers
-// each cycle ran without (WireStats().Reconnects and PeerFlaps count the
+// cycle with an attributed error. FlushReport.PeersDown names the
+// processors charged with each cycle's down channels: a down channel is
+// explained by either end, so a partitioned node is named alone and a cut
+// link names both ends (WireStats().Reconnects and PeerFlaps count the
 // churn).
 //
 // # Robustness under sustained faults
@@ -132,7 +135,7 @@
 // accordingly: a cycle whose rounds miss frames only from peers with broken
 // channels keeps completing — those peers contribute ⊥ (a legal Byzantine
 // behavior, so agreement among the live processors is untouched) instead
-// of failing the cycle. FlushReport.Degraded/DegradedPeers carry the
+// of failing the cycle. FlushReport.DegradedPeers carries the
 // attribution, and the decision cross-check tolerates missing honest
 // outputs while still requiring unanimity of the outputs that exist. The
 // budget is one budget: the Byzantine processors and every processor a
@@ -176,13 +179,13 @@
 //			Transport:   byzcons.TransportTCP,
 //			BatchValues: 32,
 //			Instances:   4,
+//			OnFlush:     func(rep byzcons.FlushReport) { ... }, // rep.Shard names the shard
 //		},
 //		Shards: 8,
 //	})
 //	d, err := f.Propose(ctx, []byte("user:17"), []byte("one command"))
 //	// d is the decision of shard ShardOf([]byte("user:17"), 8).
-//	for rep := range f.Reports() { ... } // shard-tagged FlushReports
-//	st := f.Stats()                      // per-shard rows + aggregate
+//	st := f.Stats() // per-shard rows + aggregate
 //	f.Drain(ctx)
 //	f.Close()
 //

@@ -6,9 +6,9 @@
 // own — a full cycle of batches when traffic is heavy, or after MaxDelay
 // when it is not — so a lone command still decides interactively while a
 // burst amortizes the per-generation broadcast overhead across whole
-// batches (the paper's O(nL) large-L regime). Per-cycle reports stream live,
-// and the run ends with the precise lifecycle: Drain (flush stragglers and
-// wait), then Close.
+// batches (the paper's O(nL) large-L regime). Per-cycle reports print live
+// from the OnFlush hook, and the run ends with the precise lifecycle: Drain
+// (flush stragglers and wait), then Close.
 package main
 
 import (
@@ -38,22 +38,17 @@ func main() {
 			MaxValues: 64,                   // a full cycle triggers immediately...
 			MaxDelay:  2 * time.Millisecond, // ...a straggler waits at most 2ms
 		},
+		// Per-cycle observability: one report per flush cycle, as it
+		// commits, on the flushing goroutine.
+		OnFlush: func(rep byzcons.FlushReport) {
+			fmt.Printf("cycle %d: %d values in %d batches, %d bits (%.0f bits/value)\n",
+				rep.Cycle, rep.Values, len(rep.Batches), rep.Bits,
+				float64(rep.Bits)/float64(max(rep.Values, 1)))
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Per-cycle observability: one report per flush cycle, as it commits.
-	var reports sync.WaitGroup
-	reports.Add(1)
-	go func() {
-		defer reports.Done()
-		for rep := range s.Reports() {
-			fmt.Printf("cycle %d: %d values in %d batches, %d bits (%.0f bits/value)\n",
-				rep.Cycle, rep.Values, len(rep.Batches), rep.Bits,
-				float64(rep.Bits)/float64(max(rep.Values, 1)))
-		}
-	}()
 
 	// A lone command first: nothing else is queued, so only the MaxDelay
 	// trigger can flush it — this is the interactive path.
@@ -88,10 +83,9 @@ func main() {
 		log.Fatal(err)
 	}
 	st := s.Stats()
-	if err := s.Close(); err != nil { // closes the Reports stream too
+	if err := s.Close(); err != nil {
 		log.Fatal(err)
 	}
-	reports.Wait()
 
 	fmt.Printf("\n%d commands decided in %d batches over %d cycles, %d pipelined rounds\n",
 		st.Decided, st.Batches, st.Cycles, st.Rounds)

@@ -3,10 +3,7 @@ package byzcons
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
-	"byzcons/internal/transport"
 	"byzcons/internal/wire"
 )
 
@@ -49,10 +46,10 @@ func ShardOf(key []byte, shards int) int {
 // The embedded SessionConfig applies per shard, with two deviations: Seed
 // seeds shard 0 directly and derives the other shards' seeds (so a
 // one-shard fleet is bit-identical to a Session), and OnFlush is invoked
-// for every shard's cycles (use Reports for shard attribution). Chaos needs
-// Shards == 1: a chaos schedule anchors on shard 0's flush cycle clock,
-// which says nothing about when the other, concurrently flushing shards'
-// cycles begin.
+// for every shard's cycles, concurrently across shards; FlushReport.Shard
+// names the shard. Chaos needs Shards == 1: a chaos schedule anchors on
+// shard 0's flush cycle clock, which says nothing about when the other,
+// concurrently flushing shards' cycles begin.
 type FleetConfig struct {
 	SessionConfig
 	// Shards is the number of independent consensus groups (0 = 1; at most
@@ -84,21 +81,12 @@ func (cfg FleetConfig) Validate() error {
 	return cfg.SessionConfig.Validate()
 }
 
-// ShardReport is one shard's flush-cycle report on the fleet's merged
-// Reports stream: the engine report plus the shard that ran the cycle.
-type ShardReport struct {
-	// Shard identifies the consensus group the cycle ran in.
-	Shard int
-	FlushReport
-}
-
 // FleetStats is the fleet's cumulative accounting: the per-shard engine
 // stats and their sum.
 type FleetStats struct {
 	// Shards is the fleet's shard count.
 	Shards int
-	// Aggregate sums the per-shard stats (ReportsDropped additionally
-	// counts reports the merged fleet stream dropped).
+	// Aggregate sums the per-shard stats.
 	Aggregate SessionStats
 	// PerShard holds each shard's own accounting, indexed by shard id.
 	PerShard []SessionStats
@@ -121,10 +109,6 @@ type FleetStats struct {
 //	f.Close()
 type Fleet struct {
 	*deployment
-
-	reports    chan ShardReport
-	repDropped atomic.Int64
-	fwd        sync.WaitGroup
 }
 
 // OpenFleet validates cfg, dials the shared transport mesh (networked
@@ -134,44 +118,12 @@ func OpenFleet(cfg FleetConfig) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return openFleet(cfg, nil)
-}
-
-// openFleet opens the deployment and starts the merged report stream; inject
-// is open's factory-injection seam.
-func openFleet(cfg FleetConfig, inject transport.Factory) (*Fleet, error) {
 	cfg = cfg.withDefaults()
-	d, err := open(cfg.SessionConfig, cfg.Shards, inject)
+	d, err := open(cfg.SessionConfig, cfg.Shards, nil)
 	if err != nil {
 		return nil, err
 	}
-	repBuf := cfg.ReportBuffer
-	if repBuf == 0 {
-		repBuf = 16
-	}
-	f := &Fleet{deployment: d, reports: make(chan ShardReport, repBuf)}
-	// Forward every shard's report stream onto the merged, shard-tagged
-	// stream. The merged stream stays lossy like a Session's: a lagging (or
-	// absent) consumer drops reports instead of stalling any shard's
-	// flushes, so the forwarders always retire once the engines close.
-	for s, sh := range f.shards {
-		f.fwd.Add(1)
-		go func() {
-			defer f.fwd.Done()
-			for rep := range sh.eng.Reports() {
-				select {
-				case f.reports <- ShardReport{Shard: s, FlushReport: rep}:
-				default:
-					f.repDropped.Add(1)
-				}
-			}
-		}()
-	}
-	go func() {
-		f.fwd.Wait()
-		close(f.reports)
-	}()
-	return f, nil
+	return &Fleet{d}, nil
 }
 
 // Propose submits one keyed value to the key's shard and blocks until its
@@ -196,22 +148,6 @@ func (f *Fleet) ShardFor(key []byte) int { return ShardOf(key, len(f.shards)) }
 // NumShards returns the fleet's shard count.
 func (f *Fleet) NumShards() int { return len(f.shards) }
 
-// Close shuts the fleet down as a Session's Close does, for every shard, and
-// additionally retires the merged Reports stream once the per-shard streams
-// drained.
-func (f *Fleet) Close() error {
-	err := f.deployment.Close()
-	f.fwd.Wait()
-	return err
-}
-
-// Reports returns the merged per-cycle report stream: every shard's flush
-// cycles, tagged with their shard id, in each shard's commit order (cycles
-// of different shards interleave in flush-completion order). The stream is
-// buffered and lossy; Stats().Aggregate.ReportsDropped counts what a
-// lagging consumer missed. Closed by Close.
-func (f *Fleet) Reports() <-chan ShardReport { return f.reports }
-
 // Stats returns the fleet's cumulative accounting: per-shard engine stats
 // and their aggregate.
 func (f *Fleet) Stats() FleetStats {
@@ -227,9 +163,7 @@ func (f *Fleet) Stats() FleetStats {
 		st.Aggregate.Cycles += s.Cycles
 		st.Aggregate.Bits += s.Bits
 		st.Aggregate.Rounds += s.Rounds
-		st.Aggregate.ReportsDropped += s.ReportsDropped
 	}
-	st.Aggregate.ReportsDropped += int(f.repDropped.Load())
 	return st
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,14 +185,29 @@ func TestFleetSingleShardMatchesSession(t *testing.T) {
 // over loopback TCP runs at least one policy-triggered cycle per shard —
 // cycles interleaving across shards — on exactly one mesh dial with a flat
 // n(n-1) connection count, and every decision is bit-identical to the same
-// workload on a simulator-backed twin fleet.
+// workload on a simulator-backed twin fleet. OnFlush names each shard once
+// per cycle that shard ran.
 func TestFleetSharedMeshTCP(t *testing.T) {
 	t.Parallel()
 	const n, tf, shards, perShard = 4, 1, 4, 4
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
+	var repMu sync.Mutex
+	reported := make([]int, shards) // OnFlush calls per shard, TCP fleet only
 	run := func(tk byzcons.TransportKind) ([]byzcons.Decision, *byzcons.Fleet) {
+		var onFlush func(byzcons.FlushReport)
+		if tk == byzcons.TransportTCP {
+			onFlush = func(rep byzcons.FlushReport) {
+				repMu.Lock()
+				defer repMu.Unlock()
+				if rep.Shard < 0 || rep.Shard >= shards {
+					t.Errorf("report names shard %d, want [0,%d)", rep.Shard, shards)
+					return
+				}
+				reported[rep.Shard]++
+			}
+		}
 		f, err := byzcons.OpenFleet(byzcons.FleetConfig{
 			SessionConfig: byzcons.SessionConfig{
 				Config:      byzcons.Config{N: n, T: tf, Seed: 5},
@@ -201,7 +217,8 @@ func TestFleetSharedMeshTCP(t *testing.T) {
 				Instances:   1,
 				// The perShard-th proposal of a shard trips its trigger: one
 				// policy-driven cycle per shard, no delay backstop.
-				Policy: byzcons.FlushPolicy{MaxValues: perShard, MaxBytes: -1, MaxDelay: -1},
+				Policy:  byzcons.FlushPolicy{MaxValues: perShard, MaxBytes: -1, MaxDelay: -1},
+				OnFlush: onFlush,
 			},
 			Shards: shards,
 		})
@@ -267,21 +284,18 @@ func TestFleetSharedMeshTCP(t *testing.T) {
 		}
 	}
 
-	// Shard-tagged reports: every report names a shard that actually ran a
-	// cycle, and ≥2 distinct shards appear.
-	reports := tcpFleet.Reports()
+	// Shard-tagged reports: OnFlush names each shard exactly once per cycle
+	// it ran. Close waits out every cycle, so the counts are final after it.
 	if err := tcpFleet.Close(); err != nil {
 		t.Fatal(err)
 	}
-	shardsSeen := map[int]bool{}
-	for rep := range reports {
-		if rep.Shard < 0 || rep.Shard >= shards {
-			t.Errorf("report names shard %d, want [0,%d)", rep.Shard, shards)
+	st = tcpFleet.Stats()
+	repMu.Lock()
+	defer repMu.Unlock()
+	for s, ps := range st.PerShard {
+		if reported[s] != ps.Cycles {
+			t.Errorf("OnFlush named shard %d %d times, want its %d cycles", s, reported[s], ps.Cycles)
 		}
-		shardsSeen[rep.Shard] = true
-	}
-	if len(shardsSeen) < 2 {
-		t.Errorf("reports cover %d shards, want >= 2", len(shardsSeen))
 	}
 }
 

@@ -200,7 +200,7 @@ func (s Schedule) Validate(n int) error {
 //	cut(1,3)@c2          sever the 1–3 channel before flush cycle 2
 //	heal(1,3)@c3         restore it before cycle 3
 //	partition(0,1|2,3)@c1  split the mesh into node sets {0,1} and {2,3}
-//	healall@c4           restore a pristine mesh (cuts, delays, throttles)
+//	healall@c4           restore a pristine mesh (cuts and delays)
 //	delay(0,2,5ms,2ms)@c1  delay the 0–2 channel: 5ms + jitter in [0,2ms]
 //	delayall(5ms,2ms)@c1   mesh-wide delay storm
 //	healdelays@c3        end the storm

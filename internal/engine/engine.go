@@ -107,14 +107,11 @@ type Config struct {
 	// Policy drives background flushing; the zero value keeps the engine
 	// fully manual (Flush/Drain/Close only).
 	Policy Policy
-	// ReportBuffer is the capacity of the Reports stream (0 = 16). The
-	// stream is lossy: when the consumer lags, new per-cycle reports are
-	// dropped (counted in Stats.ReportsDropped) rather than stalling flushes.
-	ReportBuffer int
 	// OnCycle, if non-nil, is called synchronously after every flush cycle
-	// with that cycle's report — the per-cycle observability hook. It runs on
-	// the flushing goroutine, so it must not block on engine progress, and it
-	// must treat the report (including its Batches slice) as read-only.
+	// with that cycle's report — the engine's one per-cycle report surface.
+	// It runs on the flushing goroutine once the cycle's submissions have
+	// resolved, so it must not block on engine progress, and it must treat
+	// the report (including its Batches slice) as read-only.
 	OnCycle func(Report)
 	// Metrics is the registry the engine records runtime metrics into
 	// (queue depth and wait, cycle/decision latency histograms, per-phase
@@ -216,30 +213,30 @@ type BatchStats struct {
 	BitsPerValue float64
 }
 
-// Report summarises flushed work: one cycle on the Reports stream and the
-// OnCycle hook, or every cycle a manual Flush/Drain ran.
+// Report summarises flushed work: one cycle on the OnCycle hook, or every
+// cycle a manual Flush/Drain ran.
 type Report struct {
 	// Cycle is the cycle id of a per-cycle report; -1 on the aggregated
 	// reports returned by Flush.
-	Cycle   int
+	Cycle int
+	// Shard is the consensus group that ran the cycle. The engine leaves it
+	// 0; a sharded deployment stamps it on each per-cycle report.
+	Shard   int
 	Batches []BatchStats
 	Values  int
 	Bits    int64
 	// Rounds is the pipelined round count: the maximum per-instance rounds
 	// within a cycle (summed over cycles for aggregated reports).
 	Rounds int64
-	// PeersDown lists (sorted, deduplicated) the processors whose channels
-	// were observed down during the covered cycles — dropped connections and
-	// stall-detector isolations on a networked backend. A peer listed for
-	// one cycle and absent from the next recovered and rejoined at the epoch
-	// boundary; always empty on the simulator backend.
+	// PeersDown lists (sorted, deduplicated) the processors charged with the
+	// channels observed down during the covered cycles (see
+	// sim.BatchResult.PeersDown). A peer listed for one cycle and absent
+	// from the next recovered and rejoined at the epoch boundary; always
+	// empty on the simulator backend.
 	PeersDown []int
-	// Degraded reports that some round of the covered cycles completed
-	// against synthesized ⊥ contributions on a networked runner — the
-	// cycle's decisions stand, but fewer than n processors produced them.
-	Degraded bool
 	// DegradedPeers lists (sorted, deduplicated) the peers whose silence the
-	// covered cycles degraded around: the fault-attribution view of Degraded.
+	// covered cycles degraded around: some round completed against their
+	// synthesized ⊥ contributions, so fewer than n processors decided.
 	DegradedPeers []int
 	// Timing is the cycle's wall-clock breakdown: total duration, the
 	// per-phase partition of the consensus work, and exact decision-latency
@@ -301,7 +298,6 @@ func (r *Report) Merge(c Report) {
 	r.Bits += c.Bits
 	r.Rounds += c.Rounds
 	r.PeersDown = mergePeers(r.PeersDown, c.PeersDown)
-	r.Degraded = r.Degraded || c.Degraded
 	r.DegradedPeers = mergePeers(r.DegradedPeers, c.DegradedPeers)
 	r.Timing.merge(c.Timing)
 	if r.Err == nil {
@@ -341,9 +337,6 @@ type Stats struct {
 	Cycles  int
 	Bits    int64
 	Rounds  int64 // pipelined rounds, summed over all cycles
-	// ReportsDropped counts per-cycle reports the lossy Reports stream had
-	// to drop because its consumer lagged.
-	ReportsDropped int
 }
 
 type submission struct {
@@ -378,6 +371,10 @@ type Engine struct {
 	closed     bool
 	timer      *time.Timer
 	timerArmed bool
+	// owed counts the queue-head values the background flusher owes a
+	// cycle, however many cycles that takes: the whole queue when the
+	// MaxDelay timer fires or a size trigger trips with nothing owed.
+	owed int
 
 	// flushMu serializes cycle execution across the background flusher and
 	// manual Flush/Drain callers.
@@ -386,10 +383,6 @@ type Engine struct {
 	trigger     chan struct{} // wakes the background flusher (cap 1)
 	stop        chan struct{} // closed by Close to retire the flusher
 	flusherDone chan struct{} // closed when the flusher goroutine exits; nil if never started
-
-	repMu     sync.Mutex
-	reports   chan Report
-	repClosed bool
 
 	reg *obs.Registry
 	met engineMetrics
@@ -431,7 +424,6 @@ func (e *Engine) registerMetrics() {
 		{"engine_failed", func(s Stats) int64 { return int64(s.Failed) }},
 		{"engine_batches", func(s Stats) int64 { return int64(s.Batches) }},
 		{"engine_cycles", func(s Stats) int64 { return int64(s.Cycles) }},
-		{"engine_reports_dropped", func(s Stats) int64 { return int64(s.ReportsDropped) }},
 	} {
 		read := sf.read
 		e.reg.Func(sf.name, func() int64 { return read(e.Stats()) })
@@ -465,12 +457,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Instances < 1 {
 		return nil, fmt.Errorf("engine: Instances must be >= 1, got %d", cfg.Instances)
 	}
-	if cfg.ReportBuffer == 0 {
-		cfg.ReportBuffer = 16
-	}
-	if cfg.ReportBuffer < 1 {
-		return nil, fmt.Errorf("engine: ReportBuffer must be >= 1, got %d", cfg.ReportBuffer)
-	}
 	if cfg.Runner == nil {
 		cfg.Runner = simRunner{}
 	}
@@ -478,7 +464,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		trigger: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
-		reports: make(chan Report, cfg.ReportBuffer),
 		reg:     cfg.Metrics,
 	}
 	if e.reg == nil {
@@ -514,9 +499,12 @@ func (e *Engine) Submit(value []byte) (*Pending, error) {
 	e.stats.Submitted++
 	e.met.queueDepth.Set(int64(len(e.queue)))
 	pol := e.cfg.Policy
-	byValues := pol.MaxValues > 0 && len(e.queue) >= pol.MaxValues
-	byBytes := pol.MaxBytes > 0 && e.queueBytes >= pol.MaxBytes
+	byValues, byBytes := e.sizeTrippedLocked()
 	trigger := byValues || byBytes
+	if trigger && e.owed == 0 {
+		// Owe all the queue it sees; a trip while values are owed is served.
+		e.owed = len(e.queue)
+	}
 	if pol.MaxDelay > 0 && !e.timerArmed {
 		// Arm the delay trigger for the oldest unflushed value. The flag is
 		// cleared only when the timer fires, so the timer always fires within
@@ -543,6 +531,12 @@ func (e *Engine) Submit(value []byte) (*Pending, error) {
 	return p, nil
 }
 
+// sizeTrippedLocked reports which size trigger the queue trips; e.mu held.
+func (e *Engine) sizeTrippedLocked() (byValues, byBytes bool) {
+	pol := e.cfg.Policy
+	return pol.MaxValues > 0 && len(e.queue) >= pol.MaxValues, pol.MaxBytes > 0 && e.queueBytes >= pol.MaxBytes
+}
+
 // signal nudges the background flusher; a nudge already pending is enough.
 func (e *Engine) signal() {
 	select {
@@ -555,7 +549,8 @@ func (e *Engine) signal() {
 func (e *Engine) delayFire() {
 	e.mu.Lock()
 	e.timerArmed = false
-	pending := len(e.queue) > 0
+	e.owed = len(e.queue)
+	pending := e.owed > 0
 	e.mu.Unlock()
 	if pending {
 		if e.cfg.Tracer.Enabled() {
@@ -574,7 +569,7 @@ func (e *Engine) flusher() {
 		case <-e.stop:
 			return
 		case <-e.trigger:
-			e.flushAll() // failures land in the affected decisions and reports
+			e.flushAll(false) // failures land in the affected decisions and reports
 		}
 	}
 }
@@ -593,16 +588,12 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Reports returns the per-cycle report stream: one Report per flush cycle,
-// in commit order. The channel is buffered and lossy (see
-// Config.ReportBuffer) and is closed by Close once no further cycle can run.
-func (e *Engine) Reports() <-chan Report { return e.reports }
-
 // Close rejects further submissions and promptly fails every submission
 // still queued with ErrClosed — a Pending.Wait never hangs on a closed
 // engine. A cycle already in flight completes and resolves its own
 // submissions with real decisions; Close waits for it, retires the
-// background flusher, and closes the Reports stream. Close is idempotent.
+// background flusher, and waits out a manual Flush/Drain cycle, so no
+// OnCycle call runs after Close returns. Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -611,7 +602,7 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	orphans := e.queue
-	e.queue, e.queueBytes = nil, 0
+	e.queue, e.queueBytes, e.owed = nil, 0, 0
 	e.stats.Failed += len(orphans)
 	if e.timer != nil {
 		e.timer.Stop()
@@ -627,17 +618,10 @@ func (e *Engine) Close() error {
 	if e.flusherDone != nil {
 		<-e.flusherDone
 	}
-	// Wait out a manual Flush/Drain cycle still running, then retire the
-	// report stream: emissions only happen under flushMu, so after this
-	// handover no send can race the close.
+	// Wait out a manual Flush/Drain cycle still running: OnCycle only runs
+	// under flushMu.
 	e.flushMu.Lock()
 	e.flushMu.Unlock() //nolint:staticcheck // lock/unlock is the handover barrier
-	e.repMu.Lock()
-	if !e.repClosed {
-		e.repClosed = true
-		close(e.reports)
-	}
-	e.repMu.Unlock()
 	return nil
 }
 
@@ -658,7 +642,7 @@ func (e *Engine) Flush() (*Report, error) {
 	if e.cfg.Tracer.Enabled() {
 		e.cfg.Tracer.Emit(obs.Event{Cat: "flush", Name: "trigger", Detail: "manual"})
 	}
-	return e.flushAll()
+	return e.flushAll(true)
 }
 
 // Drain flushes everything queued and waits until those cycles committed, or
@@ -669,7 +653,7 @@ func (e *Engine) Flush() (*Report, error) {
 func (e *Engine) Drain(ctx context.Context) error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.flushAll()
+		_, err := e.flushAll(true)
 		done <- err
 	}()
 	select {
@@ -680,11 +664,12 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 }
 
-// flushAll runs flush cycles until the queue is empty. It is the single
-// cycle-execution path shared by the background flusher, Flush and Drain;
-// flushMu makes cycles mutually exclusive while the queue stays open for
-// concurrent Submits.
-func (e *Engine) flushAll() (*Report, error) {
+// flushAll runs flush cycles until the queue is empty (Flush and Drain) or,
+// for the background flusher, while owed values remain or a size trigger
+// holds, so values queued during a cycle below every threshold never leave
+// early as a partial one. It is the single cycle-execution path; flushMu
+// makes cycles mutually exclusive while Submits continue.
+func (e *Engine) flushAll(untilEmpty bool) (*Report, error) {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 
@@ -692,6 +677,12 @@ func (e *Engine) flushAll() (*Report, error) {
 	var firstErr error
 	for {
 		e.mu.Lock()
+		if !untilEmpty && e.owed == 0 {
+			if byValues, byBytes := e.sizeTrippedLocked(); !byValues && !byBytes {
+				e.mu.Unlock()
+				break
+			}
+		}
 		cycle := e.takeCycleLocked()
 		if len(cycle) == 0 {
 			if len(e.queue) == 0 {
@@ -720,7 +711,9 @@ func (e *Engine) flushAll() (*Report, error) {
 		if rep.Err != nil && firstErr == nil {
 			firstErr = rep.Err
 		}
-		e.emit(rep)
+		if e.cfg.OnCycle != nil {
+			e.cfg.OnCycle(rep)
+		}
 	}
 	return agg, firstErr
 }
@@ -745,29 +738,11 @@ func (e *Engine) takeCycleLocked() [][]submission {
 			size += need
 			e.queueBytes -= need
 			e.queue = e.queue[1:]
+			e.owed = max(e.owed-1, 0)
 		}
 		cycle = append(cycle, batch)
 	}
 	return cycle
-}
-
-// emit delivers one cycle's report to the observability surfaces: the
-// synchronous OnCycle hook and the lossy Reports stream.
-func (e *Engine) emit(rep Report) {
-	if e.cfg.OnCycle != nil {
-		e.cfg.OnCycle(rep)
-	}
-	e.repMu.Lock()
-	if !e.repClosed {
-		select {
-		case e.reports <- rep:
-		default:
-			e.mu.Lock()
-			e.stats.ReportsDropped++
-			e.mu.Unlock()
-		}
-	}
-	e.repMu.Unlock()
 }
 
 // runCycle runs one cycle of batches as pipelined consensus instances and
@@ -827,7 +802,7 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 	})
 
 	rep := Report{Cycle: cycleID, Rounds: res.Rounds, Bits: res.Bits, PeersDown: res.PeersDown,
-		Degraded: len(res.DegradedPeers) > 0, DegradedPeers: res.DegradedPeers}
+		DegradedPeers: res.DegradedPeers}
 	var decisionLats []time.Duration
 	if e.met.enabled {
 		decisionLats = make([]time.Duration, 0, len(batchIDs)*e.cfg.BatchValues)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -348,33 +349,133 @@ func TestEngineCloseFailsQueuedPendings(t *testing.T) {
 	if st := e.Stats(); st.Failed != 3 {
 		t.Errorf("Failed = %d, want 3", st.Failed)
 	}
-	if _, ok := <-e.Reports(); ok {
-		t.Error("Reports stream not closed by Close")
+}
+
+// TestEnginePolicyMaxValues: reaching MaxValues flushes every value that
+// tripped it with no manual Flush and no MaxDelay backstop, over as many
+// cycles as that takes when MaxValues exceeds one cycle's capacity.
+func TestEnginePolicyMaxValues(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name      string
+		instances int // 0 = the engine default
+		maxValues int
+		cycles    []int // values per expected cycle
+	}{
+		{"one cycle", 0, 4, []int{4}},
+		{"above one cycle", 1, 8, []int{4, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := testConfig()
+			cfg.BatchValues = 4
+			cfg.Instances = tc.instances
+			cfg.Policy = Policy{MaxValues: tc.maxValues}
+			// OnCycle runs after the cycle's pendings resolved, so the
+			// reports are awaited on the hook itself, not inferred from the
+			// Waits.
+			reports := make(chan Report, len(tc.cycles))
+			cfg.OnCycle = func(rep Report) { reports <- rep }
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			values, pendings := submitN(t, e, tc.maxValues, 8)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			for i, p := range pendings {
+				if d := p.Wait(ctx); d.Err != nil || !bytes.Equal(d.Value, values[i]) {
+					t.Fatalf("auto-flushed value %d: %+v", i, d)
+				}
+			}
+			for c, want := range tc.cycles {
+				if rep := <-reports; rep.Values != want || rep.Cycle != c {
+					t.Errorf("per-cycle report %d = %+v, want %d values", c, rep, want)
+				}
+			}
+		})
 	}
 }
 
-// TestEnginePolicyMaxValues: the background flusher must run a cycle once
-// the queued value count trips the policy — no manual Flush anywhere.
-func TestEnginePolicyMaxValues(t *testing.T) {
+// gateRunner holds its first cycle until release is closed, so a test can
+// queue values while a cycle is in flight.
+type gateRunner struct {
+	entered, release chan struct{}
+	first            *sync.Once
+}
+
+func (g gateRunner) RunBatch(cfg sim.BatchConfig, body func(int, *sim.Proc) any) *sim.BatchResult {
+	g.first.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return simRunner{}.RunBatch(cfg, body)
+}
+
+// TestEnginePolicyRefillWaitsForTrigger: values queued while a cycle runs
+// do not leave as a partial cycle when it ends, nor on the stale wake-up a
+// threshold already served left behind; they wait for their own trigger, so
+// a client refilling the queue as decisions arrive gets full cycles however
+// its submissions interleave with the flusher.
+func TestEnginePolicyRefillWaitsForTrigger(t *testing.T) {
 	t.Parallel()
-	cfg := testConfig()
-	cfg.BatchValues = 4
-	cfg.Policy = Policy{MaxValues: 4}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	values, pendings := submitN(t, e, 4, 8)
-	for i, p := range pendings {
-		d := p.Wait(context.Background())
-		if d.Err != nil || !bytes.Equal(d.Value, values[i]) {
-			t.Fatalf("auto-flushed value %d: %+v", i, d)
-		}
-	}
-	rep, ok := <-e.Reports()
-	if !ok || rep.Values != 4 || rep.Cycle != 0 {
-		t.Errorf("per-cycle report = %+v, %v", rep, ok)
+	for _, tc := range []struct {
+		name   string
+		during []int // Submit runs while cycle 0 holds
+		served []int // values of the cycles that follow cycle 0 at once
+	}{
+		{"refill below the threshold", []int{2}, nil},
+		{"threshold met again, then a remainder", []int{4, 2}, []int{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := testConfig()
+			cfg.BatchValues = 4
+			cfg.Instances = 1
+			cfg.Policy = Policy{MaxValues: 4}
+			gate := gateRunner{entered: make(chan struct{}), release: make(chan struct{}), first: new(sync.Once)}
+			cfg.Runner = gate
+			reports := make(chan Report, 8)
+			cfg.OnCycle = func(rep Report) { reports <- rep }
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			next := func() Report {
+				select {
+				case rep := <-reports:
+					return rep
+				case <-time.After(30 * time.Second):
+					t.Fatal("no cycle within 30s")
+					return Report{}
+				}
+			}
+			submitN(t, e, 4, 8) // trips MaxValues: cycle 0 starts and holds
+			<-gate.entered
+			for _, k := range tc.during {
+				submitN(t, e, k, 8)
+			}
+			close(gate.release)
+			if rep := next(); rep.Values != 4 {
+				t.Fatalf("cycle 0 carried %d values, want 4", rep.Values)
+			}
+			for i, want := range tc.served {
+				if rep := next(); rep.Values != want {
+					t.Fatalf("cycle %d carried %d values, want %d", i+1, rep.Values, want)
+				}
+			}
+			// A partial cycle, if the flusher ran one, lands well within this.
+			time.Sleep(50 * time.Millisecond)
+			if got := e.PendingCount(); got != 2 {
+				t.Fatalf("%d values queued below the threshold, want 2: the remainder left as a partial cycle", got)
+			}
+			submitN(t, e, 2, 8) // the queue reaches the threshold again
+			if rep := next(); rep.Values != 4 {
+				t.Errorf("next cycle carried %d values, want 4", rep.Values)
+			}
+		})
 	}
 }
 

@@ -96,8 +96,8 @@ func TestClusterPartitionMinorityDegrades(t *testing.T) {
 	if slices.Contains(degRes.DegradedPeers, 0) || slices.Contains(degRes.DegradedPeers, 1) {
 		t.Errorf("DegradedPeers = %v names majority-side nodes: a failed degrade leaked partial marks", degRes.DegradedPeers)
 	}
-	if !slices.Contains(degRes.PeersDown, 3) {
-		t.Errorf("PeersDown = %v, want the isolated node 3", degRes.PeersDown)
+	if !slices.Equal(degRes.PeersDown, []int{3}) {
+		t.Errorf("PeersDown = %v, want [3]: only the isolated node is charged", degRes.PeersDown)
 	}
 	requireLiveAgreement(t, "partitioned cycle", degRes, 3)
 	// The isolated node cannot resolve its rounds (3 silent peers exceed its
@@ -298,5 +298,59 @@ func TestClusterCrashGuards(t *testing.T) {
 	}
 	if err := c.Restart(1); err == nil || !strings.Contains(err.Error(), "not dead") {
 		t.Errorf("Restart of a live node = %v, want a not-dead error", err)
+	}
+}
+
+// TestCoverUnionsSmallestCovers pins the one cover enumerator behind both the
+// fault budget and PeersDown: it returns the union of every smallest set
+// that contains the forced processors and touches every pair, and nil once
+// the smallest sets outgrow the limit.
+func TestCoverUnionsSmallestCovers(t *testing.T) {
+	t.Parallel()
+	const n = 100
+	forced := func(ids ...int) []bool {
+		f := make([]bool, n)
+		for _, id := range ids {
+			f[id] = true
+		}
+		return f
+	}
+	members := func(in []bool) []int {
+		var out []int
+		for v, x := range in {
+			if x {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	partition3 := [][2]int{{0, 3}, {1, 3}, {2, 3}, {3, 0}, {3, 1}, {3, 2}}
+	// 34 disjoint flapped links at n=100, t=33: no cover fits, and the
+	// search must say so without exploring 2^33 branches.
+	var flapped [][2]int
+	for i := 0; i < 68; i += 2 {
+		flapped = append(flapped, [2]int{i, i + 1})
+	}
+	for _, tc := range []struct {
+		name   string
+		forced []bool
+		pairs  [][2]int
+		limit  int
+		want   []int
+	}{
+		{"no pairs", forced(), nil, 1, []int{}},
+		{"partitioned node", forced(), partition3, 1, []int{3}},
+		{"partitioned node, spent", forced(3), partition3, 1, []int{3}},
+		{"cut link: both ends", forced(), [][2]int{{1, 3}, {3, 1}}, 1, []int{1, 3}},
+		{"cut link at a faulty end", forced(1), [][2]int{{1, 3}, {3, 1}}, 1, []int{1}},
+		{"two disjoint links", forced(), [][2]int{{0, 1}, {2, 3}}, 2, []int{0, 1, 2, 3}},
+		{"two disjoint links over the limit", forced(), [][2]int{{0, 1}, {2, 3}}, 1, nil},
+		{"forced over the limit", forced(0, 1), nil, 1, nil},
+		{"many disjoint links over the limit", forced(), flapped, 33, nil},
+	} {
+		c := cover(tc.forced, tc.pairs, tc.limit)
+		if got := members(c); (c == nil) != (tc.want == nil) || !slices.Equal(got, tc.want) {
+			t.Errorf("%s: cover = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -489,8 +489,8 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 	// Detach the epoch. Honest traffic is fully consumed once every body
 	// returned (one frame per peer per step, every step awaited); whatever a
 	// failed run left in flight is dropped by the next epoch's base check.
-	// Each router also reports which peers it observed down during the cycle;
-	// the union is the cycle's membership gap.
+	// Each router also reports which peers it observed down during the cycle,
+	// as (observer, down peer) pairs: the cycle's membership gap.
 	// Nodes killed during the cycle are excluded as observers: a dead node's
 	// router saw every channel sever at once, which says nothing about the
 	// surviving membership.
@@ -499,7 +499,8 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 	c.mu.Unlock()
 	downSet := make([]bool, cfg.N)
 	degradedSet := make([]bool, cfg.N)
-	var pairs [][2]int // (observer, degraded peer), each once
+	var downPairs [][2]int // (observer, down peer)
+	var pairs [][2]int     // (observer, degraded peer), each once
 	for i := range routers {
 		down := routers[i].end(shard)
 		if dead[i] || deadNow[i] {
@@ -508,6 +509,7 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 		}
 		for _, peer := range down {
 			downSet[peer] = true
+			downPairs = append(downPairs, [2]int{i, peer})
 		}
 		seen := make([]bool, cfg.N)
 		for k := 0; k < b; k++ {
@@ -526,6 +528,13 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 				if instErrs[k] == nil {
 					instErrs[k] = err
 				}
+			}
+		}
+		// Charge down channels as degraded ones are charged; past the
+		// budget the raw union of observed-down peers stands.
+		if len(downPairs) > 0 {
+			if charged := cover(spent, downPairs, degrade); charged != nil {
+				downSet = charged
 			}
 		}
 	}
@@ -564,17 +573,16 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 // channel fault, explained by either end being faulty — so a cut link costs
 // one unit, not two. The cycle is within budget when some set of at most
 // budget processors contains every spent one and touches every pair: a
-// vertex cover, searched by branching on an uncovered pair's two ends, so
-// the cost is exponential only in the budget.
+// vertex cover (see cover).
 func checkFaultBudget(spent []bool, pairs [][2]int, budget int) error {
+	if cover(spent, pairs, budget) != nil {
+		return nil
+	}
 	var charged []int
 	for i, sp := range spent {
 		if sp {
 			charged = append(charged, i)
 		}
-	}
-	if budget-len(charged) >= 0 && coverPairs(slices.Clone(spent), pairs, budget-len(charged)) {
-		return nil
 	}
 	var chans []string
 	for _, p := range pairs {
@@ -584,9 +592,42 @@ func checkFaultBudget(spent []bool, pairs [][2]int, budget int) error {
 		budget, budget, charged, strings.Join(chans, " "))
 }
 
-// coverPairs reports whether at most k processors added to in touch every
-// pair not already touched.
-func coverPairs(in []bool, pairs [][2]int, k int) bool {
+// cover returns the union of every smallest processor set that contains
+// each forced processor and touches every pair, restricted to the pairs'
+// ends, or nil when those sets exceed limit. It branches on an uncovered pair's two ends, one added
+// processor deeper at a time (cost exponential only in limit); at the first
+// depth that completes a cover, the leaves are exactly the smallest covers.
+// A greedy matching of the pairs no forced processor touches needs one
+// added processor per matched pair, so it sets the first depth and rules
+// out, in O(pairs), a cover that cannot fit.
+func cover(forced []bool, pairs [][2]int, limit int) []bool {
+	in := slices.Clone(forced)
+	for _, f := range forced {
+		if f {
+			limit-- // the headroom left for added processors
+		}
+	}
+	matched := slices.Clone(forced)
+	minAdded := 0
+	for _, p := range pairs {
+		if !matched[p[0]] && !matched[p[1]] {
+			matched[p[0]], matched[p[1]] = true, true
+			minAdded++
+		}
+	}
+	for k := minAdded; k <= limit; k++ {
+		union := make([]bool, len(forced))
+		if coverLeaves(in, pairs, k, union) {
+			return union
+		}
+	}
+	return nil
+}
+
+// coverLeaves adds at most k processors to in, branching on every pair not
+// yet touched, and marks in union each completed cover it reaches. It
+// reports whether it reached one; in is restored before it returns.
+func coverLeaves(in []bool, pairs [][2]int, k int, union []bool) bool {
 	for _, p := range pairs {
 		if in[p[0]] || in[p[1]] {
 			continue
@@ -594,15 +635,18 @@ func coverPairs(in []bool, pairs [][2]int, k int) bool {
 		if k == 0 {
 			return false
 		}
+		found := false
 		for _, v := range p {
 			in[v] = true
-			ok := coverPairs(in, pairs, k-1)
+			found = coverLeaves(in, pairs, k-1, union) || found
 			in[v] = false
-			if ok {
-				return true
-			}
 		}
-		return false
+		return found
+	}
+	for _, p := range pairs {
+		for _, v := range p {
+			union[v] = union[v] || in[v]
+		}
 	}
 	return true
 }

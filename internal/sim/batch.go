@@ -55,11 +55,11 @@ type BatchResult struct {
 	Rounds int64
 	// Bits is the total protocol traffic summed over all instances.
 	Bits int64
-	// PeersDown lists (sorted, deduplicated) the processors whose channels
-	// were observed down at any node during the batch — broken or dropped
-	// connections, stall-detector isolations. It is filled by the networked
-	// cluster backend (internal/node); the simulator's shared-memory barrier
-	// has no channels to lose, so it leaves the list empty.
+	// PeersDown lists (sorted, deduplicated) the processors charged with the
+	// channels observed down during the batch: the smallest fault covers'
+	// members within DegradePeers (a partitioned node alone, both ends of a
+	// cut link), else every observed-down peer. The simulator, with no
+	// channels to lose, leaves it empty.
 	PeersDown []int
 	// DegradedPeers lists (sorted, deduplicated) the peers whose missing
 	// frames some round completed against with synthesized ⊥ values under

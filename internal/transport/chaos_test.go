@@ -107,8 +107,8 @@ func TestFaultyFactoryIsolateNode(t *testing.T) {
 }
 
 // TestFaultyFactoryDelayPreservesChannelFIFO pins the delay layer's model
-// contract: injected latency (with jitter and a throttle) postpones delivery
-// but never reorders one channel against itself — per-peer FIFO is what the
+// contract: injected latency (with jitter) postpones delivery but never
+// reorders one channel against itself — per-peer FIFO is what the
 // round synchronizer's arrival-ordinal identity depends on.
 func TestFaultyFactoryDelayPreservesChannelFIFO(t *testing.T) {
 	t.Parallel()
@@ -122,7 +122,6 @@ func TestFaultyFactoryDelayPreservesChannelFIFO(t *testing.T) {
 	eps[1].SetSink(sink)
 
 	ff.DelayPair(0, 1, 3*time.Millisecond, 2*time.Millisecond)
-	ff.ThrottlePair(0, 1, 1<<20)
 	start := time.Now()
 	const frames = 16
 	for i := 0; i < frames; i++ {
@@ -133,6 +132,46 @@ func TestFaultyFactoryDelayPreservesChannelFIFO(t *testing.T) {
 	waitFor(t, "delayed deliveries", func() bool { f, _, _ := sink.counts(); return f == frames })
 	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
 		t.Errorf("all frames delivered in %v, want at least the 3ms base delay", elapsed)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	for i, data := range sink.frames {
+		if want := string([]byte{'a' + byte(i)}); data != want {
+			t.Fatalf("frame %d = %q, want %q: injected delay reordered a channel against itself", i, data, want)
+		}
+	}
+}
+
+// TestFaultyFactoryDelayIsLatency pins what an injected delay models: a
+// latency, not a per-channel serializer. A burst sent at once arrives, in
+// order, about one delay later — not one delay per frame (20 frames at 25ms
+// would take 500ms if each frame waited behind the previous one's delay).
+func TestFaultyFactoryDelayIsLatency(t *testing.T) {
+	t.Parallel()
+	ff := &FaultyFactory{Inner: BusFactory{}}
+	eps, err := ff.Mesh(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeEndpoints(eps)
+	sink := &recSink{}
+	eps[1].SetSink(sink)
+
+	const delay, frames = 25 * time.Millisecond, 20
+	ff.DelayPair(0, 1, delay, 0)
+	start := time.Now()
+	for i := 0; i < frames; i++ {
+		if err := eps[0].Send(1, []byte{'a' + byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "delayed burst", func() bool { f, _, _ := sink.counts(); return f == frames })
+	elapsed := time.Since(start)
+	if elapsed < delay {
+		t.Errorf("burst delivered in %v, want at least the %v delay", elapsed, delay)
+	}
+	if elapsed > 10*delay {
+		t.Errorf("burst of %d frames delivered in %v, want about one %v delay: the delay serialized the channel", frames, elapsed, delay)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()

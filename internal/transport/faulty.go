@@ -20,13 +20,14 @@ import (
 //   - IsolateNode / HealNode cut one node off from every peer — the
 //     transport-level image of a crashed node.
 //   - DelayPair / DelayAll / HealDelays inject per-channel delivery latency
-//     with bounded deterministic jitter, and ThrottlePair adds a bandwidth
-//     cap (frames pay size/rate of serialization delay). Delays apply at the
-//     receiver: each (receiver, sender) channel releases frames in FIFO
-//     order with monotone release times, so the per-peer FIFO guarantee the
-//     round synchronizer depends on survives, while differential delays
-//     across senders reorder frames between peers and streams — exactly the
-//     reordering the synchronous-round model permits.
+//     with bounded deterministic jitter. A delay is a latency, not a
+//     serializer: a burst of frames sent together arrives together, one
+//     delay later. Delays apply at the receiver: each (receiver, sender)
+//     channel releases frames in FIFO order with monotone release times, so
+//     the per-peer FIFO guarantee the round synchronizer depends on
+//     survives, while differential delays across senders reorder frames
+//     between peers and streams — exactly the reordering the
+//     synchronous-round model permits.
 //
 // The wrapper operates above the inner transport, so every primitive
 // composes with any backend (bus or TCP) and gives chaos schedules an exact
@@ -156,7 +157,7 @@ func (f *FaultyFactory) Partition(groups ...[]int) error {
 }
 
 // HealAll restores a pristine mesh: every cut is healed and every injected
-// delay, jitter and throttle removed. Frames already queued behind a delay
+// delay and jitter removed. Frames already queued behind a delay
 // still release on their original schedule (draining them early would
 // reorder a channel against itself).
 func (f *FaultyFactory) HealAll() {
@@ -199,7 +200,8 @@ func (f *FaultyFactory) HealNode(i int) {
 
 // DelayPair injects delivery latency on the channel between nodes i and j in
 // both directions: every frame waits d plus a deterministic jitter in
-// [0, jitter] before reaching the consumer's sink. Per-channel FIFO order is
+// [0, jitter] — or, if later, until the channel's previous frame is
+// released — before reaching the consumer's sink. Per-channel FIFO order is
 // preserved (release times are monotone per sender); reordering happens only
 // across senders, which the model permits. d <= 0 with jitter <= 0 removes
 // the pair's delay.
@@ -222,23 +224,13 @@ func (f *FaultyFactory) DelayAll(d, jitter time.Duration) {
 	}
 }
 
-// HealDelays removes every injected delay, jitter and throttle, mesh-wide.
+// HealDelays removes every injected delay and jitter, mesh-wide.
 // Frames already queued keep their assigned release times.
 func (f *FaultyFactory) HealDelays() {
 	eps := f.endpoints("HealDelays")
 	for i := range eps {
 		eps[i].clearDelays()
 	}
-}
-
-// ThrottlePair caps the bandwidth of the channel between nodes i and j in
-// both directions: each delivered frame pays size/bytesPerSec of
-// serialization delay on top of any DelayPair latency. bytesPerSec <= 0
-// removes the cap.
-func (f *FaultyFactory) ThrottlePair(i, j int, bytesPerSec int64) {
-	eps := f.endpoints("ThrottlePair", i, j)
-	eps[i].setThrottle(j, bytesPerSec)
-	eps[j].setThrottle(i, bytesPerSec)
 }
 
 // errInjected is the failure a cut channel reports.
@@ -253,7 +245,6 @@ type chanFault struct {
 	cut    bool
 	delay  time.Duration
 	jitter time.Duration
-	bps    int64 // bandwidth cap, bytes/sec; 0 = unlimited
 	// lastRelease is the release time assigned to the channel's most recent
 	// delayed frame; keeping each new release at or after it preserves the
 	// per-channel FIFO guarantee whatever the delay parameters do.
@@ -267,7 +258,7 @@ type chanFault struct {
 // delayed reports whether deliveries on the channel must go through the
 // delay queue.
 func (c *chanFault) delayed() bool {
-	return c.delay > 0 || c.jitter > 0 || c.bps > 0 || c.pending > 0
+	return c.delay > 0 || c.jitter > 0 || c.pending > 0
 }
 
 // faultyEndpoint is one node's fault-filtered view of its inner endpoint.
@@ -394,21 +385,11 @@ func (ep *faultyEndpoint) setDelay(peer int, d, jitter time.Duration) {
 	ep.mu.Unlock()
 }
 
-// setThrottle configures one inbound channel's bandwidth cap.
-func (ep *faultyEndpoint) setThrottle(peer int, bps int64) {
-	if bps < 0 {
-		bps = 0
-	}
-	ep.mu.Lock()
-	ep.chans[peer].bps = bps
-	ep.mu.Unlock()
-}
-
-// clearDelays removes every inbound channel's delay and throttle.
+// clearDelays removes every inbound channel's delay.
 func (ep *faultyEndpoint) clearDelays() {
 	ep.mu.Lock()
 	for i := range ep.chans {
-		ep.chans[i].delay, ep.chans[i].jitter, ep.chans[i].bps = 0, 0, 0
+		ep.chans[i].delay, ep.chans[i].jitter = 0, 0
 	}
 	ep.mu.Unlock()
 }
@@ -534,17 +515,14 @@ func (fs *filterSink) Deliver(f Frame) {
 		PutBuf(f.Data)
 		return
 	}
-	now := time.Now()
-	rel := ch.lastRelease
-	if rel.Before(now) {
-		rel = now
-	}
-	rel = rel.Add(ch.delay)
+	// The frame is due one delay (plus jitter) after it arrived, but never
+	// before the channel's previous frame: FIFO without serializing a burst.
+	rel := time.Now().Add(ch.delay)
 	if ch.jitter > 0 {
 		rel = rel.Add(time.Duration(ep.jitter.Int63n(int64(ch.jitter) + 1)))
 	}
-	if ch.bps > 0 {
-		rel = rel.Add(time.Duration(int64(len(f.Data)) * int64(time.Second) / ch.bps))
+	if rel.Before(ch.lastRelease) {
+		rel = ch.lastRelease
 	}
 	ch.lastRelease = rel
 	ch.pending++

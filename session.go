@@ -24,7 +24,9 @@ var ErrClosed = engine.ErrClosed
 // particular the MaxDelay backstop stays armed (at DefaultMaxDelay) even
 // when only a size trigger was set explicitly — a trickle of proposals
 // below the size threshold must still decide. Disabling all three triggers
-// makes the session fully manual (Flush/Drain/Close only).
+// makes the session fully manual (Flush/Drain/Close only). Proposals that
+// arrive while a cycle runs wait for a trigger of their own; they do not
+// ride out as a partial cycle just because the flusher is already running.
 type FlushPolicy struct {
 	// MaxValues flushes once at least this many proposals are queued
 	// (0 = one full cycle: BatchValues × Instances; negative = disabled).
@@ -84,8 +86,8 @@ type SessionConfig struct {
 	// frame headers, not by fresh connections. On a networked backend a
 	// peer whose channels break or stay silent is one of the T faults: up
 	// to T peers, Scenario.Faulty included, degrade to attributed ⊥
-	// contributions (FlushReport.Degraded/DegradedPeers) instead of failing
-	// the cycle.
+	// contributions (FlushReport.DegradedPeers) instead of failing the
+	// cycle.
 	Transport TransportKind
 	// Chaos, when non-empty, runs the session under a deterministic fault
 	// schedule: a "seed:events" spec (see internal/chaos.Parse, e.g.
@@ -108,14 +110,12 @@ type SessionConfig struct {
 	// Policy drives background flushing (see FlushPolicy; the zero value
 	// selects the defaults).
 	Policy FlushPolicy
-	// ReportBuffer is the capacity of the Reports stream (0 = 16). The
-	// stream is lossy: a lagging consumer drops reports instead of stalling
-	// flushes.
-	ReportBuffer int
 	// OnFlush, if non-nil, is called synchronously after every flush cycle
-	// with that cycle's report — the per-cycle observability hook. It runs
-	// on the flushing goroutine: treat the report as read-only and return
-	// quickly.
+	// with that cycle's report, in commit order, on the flushing goroutine
+	// once the cycle's proposals resolved: treat the report as read-only,
+	// return quickly, and do not call Close from it (Close waits for the
+	// cycle). For an asynchronous stream, send from the hook in a select
+	// with a default case.
 	OnFlush func(FlushReport)
 	// TraceRing enables protocol event tracing with a bounded in-memory
 	// ring of this many events; once full, the oldest event is dropped per
@@ -170,9 +170,6 @@ func (cfg SessionConfig) Validate() error {
 	}
 	if cfg.Instances < 1 {
 		return fmt.Errorf("byzcons: Instances must be >= 1, got %d", cfg.Instances)
-	}
-	if cfg.ReportBuffer < 0 {
-		return fmt.Errorf("byzcons: ReportBuffer must be >= 0, got %d", cfg.ReportBuffer)
 	}
 	if cfg.TraceRing < 0 {
 		return fmt.Errorf("byzcons: TraceRing must be >= 0, got %d", cfg.TraceRing)
@@ -246,12 +243,6 @@ func (s *Session) ProposeAsync(ctx context.Context, value []byte) (*Pending, err
 	return s.submit(ctx, 0, value)
 }
 
-// Reports returns the per-cycle report stream: one FlushReport per flush
-// cycle in commit order, closed by Close. The stream is buffered and lossy
-// (SessionConfig.ReportBuffer); Stats().ReportsDropped counts what a lagging
-// consumer missed.
-func (s *Session) Reports() <-chan FlushReport { return s.shards[0].eng.Reports() }
-
 // Stats returns the session's cumulative accounting.
 func (s *Session) Stats() SessionStats { return s.shards[0].eng.Stats() }
 
@@ -273,7 +264,7 @@ type Pending = engine.Pending
 // BatchStats is the per-batch (= per consensus instance) metric record.
 type BatchStats = engine.BatchStats
 
-// FlushReport summarises flushed work: one cycle on the Reports stream, or
+// FlushReport summarises flushed work: one cycle on the OnFlush hook, or
 // everything one manual Flush ran.
 type FlushReport = engine.Report
 

@@ -14,7 +14,9 @@ import (
 // default settings — no chaos schedule — treats a peer whose channels all
 // went quiet as one of its t faults. At n=4, t=1, node 3 is cut off from
 // every peer before the first flush; the other three nodes degrade around it,
-// decide the proposal and attribute node 3, on the bus and over TCP.
+// decide the proposal and attribute node 3, on the bus and over TCP. Node 3
+// alone is reported down: it observed every peer down, but the one processor
+// that explains all those channels is node 3 itself.
 func TestSessionDefaultDegradesAroundDisconnectedPeer(t *testing.T) {
 	t.Parallel()
 	for name, inner := range map[string]transport.Factory{
@@ -52,6 +54,9 @@ func TestSessionDefaultDegradesAroundDisconnectedPeer(t *testing.T) {
 			}
 			if !slices.Equal(rep.DegradedPeers, []int{3}) {
 				t.Errorf("DegradedPeers = %v, want [3]", rep.DegradedPeers)
+			}
+			if !slices.Equal(rep.PeersDown, []int{3}) {
+				t.Errorf("PeersDown = %v, want [3]: only the isolated node is charged", rep.PeersDown)
 			}
 		})
 	}

@@ -391,15 +391,23 @@ func TestSessionConcurrentPropose(t *testing.T) {
 // over TCP completes three policy-triggered flush cycles on a single mesh —
 // no re-dial between cycles, asserted via the transport connection counters —
 // with every decision bit-identical to the same workload on the simulator
-// backend, and every cycle's report reaching a draining Reports consumer in
-// commit order with none dropped (the session hands out its engine's stream
-// directly; there is no forwarding hop to lag).
+// backend, and OnFlush receiving exactly one report per cycle in commit
+// order.
 func TestSessionTCPPersistentMesh(t *testing.T) {
 	t.Parallel()
 	const n, tf = 4, 1
 	const waves, perWave = 3, 8
 
-	runWaves := func(tk byzcons.TransportKind) (decisions []byzcons.Decision, s *byzcons.Session, streamed <-chan []byzcons.FlushReport) {
+	runWaves := func(tk byzcons.TransportKind) (decisions []byzcons.Decision, s *byzcons.Session, collected func() []byzcons.FlushReport) {
+		// OnFlush runs on the flusher goroutine; Close waits it out, so the
+		// collected reports are final once the session closed.
+		var mu sync.Mutex
+		var reps []byzcons.FlushReport
+		collected = func() []byzcons.FlushReport {
+			mu.Lock()
+			defer mu.Unlock()
+			return reps
+		}
 		s, err := byzcons.Open(byzcons.SessionConfig{
 			Config:      byzcons.Config{N: n, T: tf, Seed: 21},
 			Scenario:    byzcons.Scenario{Faulty: []int{1}, Behavior: byzcons.Equivocator{}},
@@ -408,19 +416,15 @@ func TestSessionTCPPersistentMesh(t *testing.T) {
 			Instances:   2,
 			// Exactly one cycle per wave: the 8th proposal trips the trigger.
 			Policy: byzcons.FlushPolicy{MaxValues: perWave, MaxBytes: -1, MaxDelay: -1},
+			OnFlush: func(rep byzcons.FlushReport) {
+				mu.Lock()
+				reps = append(reps, rep)
+				mu.Unlock()
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The draining consumer: collects the stream until Close retires it.
-		collected := make(chan []byzcons.FlushReport, 1)
-		go func() {
-			var reps []byzcons.FlushReport
-			for rep := range s.Reports() {
-				reps = append(reps, rep)
-			}
-			collected <- reps
-		}()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
 		var connsAfterFirstCycle int64
@@ -450,7 +454,7 @@ func TestSessionTCPPersistentMesh(t *testing.T) {
 		return decisions, s, collected
 	}
 
-	tcpDecisions, tcpSession, tcpReports := runWaves(byzcons.TransportTCP)
+	tcpDecisions, tcpSession, tcpCollected := runWaves(byzcons.TransportTCP)
 	simDecisions, simSession, _ := runWaves(byzcons.TransportSim)
 
 	// ≥3 policy-triggered cycles over exactly one mesh dial.
@@ -476,21 +480,20 @@ func TestSessionTCPPersistentMesh(t *testing.T) {
 		}
 	}
 
-	// Per-cycle reports streamed in commit order, one per cycle, none
-	// dropped; Close retires the stream.
+	// Per-cycle reports in commit order, one per cycle.
 	if err := tcpSession.Close(); err != nil {
 		t.Fatal(err)
 	}
 	simSession.Close()
 	var cycles []int
-	for _, rep := range <-tcpReports {
+	for _, rep := range tcpCollected() {
 		cycles = append(cycles, rep.Cycle)
 		if rep.Values != perWave {
 			t.Errorf("cycle %d report carries %d values, want %d", rep.Cycle, rep.Values, perWave)
 		}
 	}
-	if st = tcpSession.Stats(); len(cycles) != st.Cycles || st.ReportsDropped != 0 {
-		t.Fatalf("draining consumer got %d reports of %d cycles, %d dropped", len(cycles), st.Cycles, st.ReportsDropped)
+	if st = tcpSession.Stats(); len(cycles) != st.Cycles {
+		t.Fatalf("OnFlush got %d reports of %d cycles", len(cycles), st.Cycles)
 	}
 	for i, c := range cycles {
 		if c != i {
