@@ -165,7 +165,7 @@ func BenchmarkSessionAmortization(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if _, err := s.Flush(); err != nil {
+				if err := s.Drain(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 				for _, p := range pendings {
@@ -206,7 +206,7 @@ func BenchmarkSessionPipelining(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if _, err := s.Flush(); err != nil {
+				if err := s.Drain(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 				for _, p := range pendings {

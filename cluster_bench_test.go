@@ -39,7 +39,7 @@ func BenchmarkTransportThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := s.Flush(); err != nil {
+		if err := s.Drain(ctx); err != nil {
 			b.Fatal(err)
 		}
 		for _, p := range pendings {
@@ -55,7 +55,7 @@ func BenchmarkTransportThroughput(b *testing.B) {
 			Transport:   tk,
 			BatchValues: 8,
 			Instances:   2,
-			Policy:      byzcons.FlushPolicy{MaxValues: -1, MaxBytes: -1, MaxDelay: -1},
+			Policy:      byzcons.FlushPolicy{MaxValues: -1, MaxDelay: -1},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -168,7 +168,7 @@ func TestSessionOverNetworkedBackends(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := s.Flush(); err != nil {
+			if err := s.Drain(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			for i, p := range pendings {
@@ -202,7 +202,7 @@ func TestSessionSimBackendUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Flush(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if d := p.Wait(context.Background()); d.Err != nil || !bytes.Equal(d.Value, []byte("hello")) {

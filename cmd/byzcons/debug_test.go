@@ -18,7 +18,7 @@ import (
 func TestDebugServerEndpoints(t *testing.T) {
 	s, err := byzcons.Open(byzcons.SessionConfig{
 		Config:    byzcons.Config{N: 4, T: 1, Seed: 3},
-		Policy:    byzcons.FlushPolicy{MaxValues: -1, MaxBytes: -1, MaxDelay: -1},
+		Policy:    byzcons.FlushPolicy{MaxValues: -1, MaxDelay: -1},
 		TraceRing: 128,
 	})
 	if err != nil {
@@ -31,7 +31,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Flush(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

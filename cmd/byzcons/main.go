@@ -581,7 +581,7 @@ func serveSweep(printf func(string, ...any), cfg byzcons.Config, sc byzcons.Scen
 			Transport:   tk,
 			BatchValues: b,
 			Instances:   instances,
-			Policy:      byzcons.FlushPolicy{MaxValues: -1, MaxBytes: -1, MaxDelay: -1},
+			Policy:      byzcons.FlushPolicy{MaxValues: -1, MaxDelay: -1},
 		})
 		if err != nil {
 			return err

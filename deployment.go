@@ -194,34 +194,14 @@ func (d *deployment) eachShard(fn func(s int, sh *shard) error) error {
 	return nil
 }
 
-// Flush drains the queue synchronously and returns the aggregated per-batch
-// metrics (Cycle == -1) — the manual override next to the background policy,
-// for callers that want explicit batch boundaries. A fleet flushes its
-// shards concurrently and merges their reports; the error is the first
-// shard failure, if any.
-func (d *deployment) Flush() (*FlushReport, error) {
-	if len(d.shards) == 1 {
-		// Nothing to merge: hand back the engine's own report.
-		return d.shards[0].eng.Flush()
-	}
-	reps := make([]*FlushReport, len(d.shards))
-	err := d.eachShard(func(s int, sh *shard) (err error) {
-		reps[s], err = sh.eng.Flush()
-		return err
-	})
-	agg := &FlushReport{Cycle: -1}
-	for _, rep := range reps {
-		if rep != nil {
-			agg.Merge(*rep)
-		}
-	}
-	return agg, err
-}
-
 // Drain flushes everything queued (on every shard, concurrently) and waits
 // until those cycles committed, or until ctx is done: after a nil return,
-// every proposal accepted before Drain was called has resolved. Cancellation
-// abandons only the wait; the flushing runs to completion in the background.
+// every proposal accepted before Drain was called has resolved. It is the
+// manual flush next to the background policy, for callers that want
+// explicit batch boundaries; each cycle it runs reports through OnFlush.
+// The error is ErrClosed after Close, the first shard's first failed cycle,
+// or ctx.Err(). Cancellation abandons only the wait; the flushing runs to
+// completion in the background.
 func (d *deployment) Drain(ctx context.Context) error {
 	return d.eachShard(func(_ int, sh *shard) error { return sh.eng.Drain(ctx) })
 }

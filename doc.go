@@ -80,9 +80,12 @@
 //
 // ProposeAsync returns a *Pending immediately (it never blocks on consensus
 // progress); Pending.Wait(ctx) honors cancellation and deadlines, and a
-// cancelled wait does not lose the proposal. With every FlushPolicy trigger
-// disabled (negative values) nothing runs until Flush or Drain — the manual
-// batch pump.
+// cancelled wait does not lose the proposal. A cycle is due once MaxValues
+// proposals are queued (capped at one full cycle, counting the cycles
+// BatchBytes fills early, so a full cycle never waits) or once the oldest
+// has waited MaxDelay; the flusher runs cycles while one is due. With both FlushPolicy triggers disabled (negative
+// values) nothing runs until Drain — the manual batch pump, whose cycles
+// report through OnFlush like background ones.
 //
 // # Observability
 //
@@ -190,7 +193,7 @@
 //	f.Close()
 //
 // A Session is a one-shard Fleet: both handles embed the same deployment,
-// so Flush, Drain, Close and the observability surface are one
+// so Drain, Close and the observability surface are one
 // implementation. Observability aggregates across the fleet: Snapshot
 // merges every shard's registry (counters and gauges sum; histograms add
 // their buckets, so merged quantiles are those of all shards' samples) over

@@ -1,10 +1,10 @@
 // Streaming: a long-lived consensus Session fed by concurrent clients.
 //
 // Eight producer goroutines propose commands as they "arrive" (a trickle at
-// first, then a burst), and nobody ever calls Flush: the session's
-// FlushPolicy coalesces queued proposals into long consensus inputs on its
-// own — a full cycle of batches when traffic is heavy, or after MaxDelay
-// when it is not — so a lone command still decides interactively while a
+// first, then a burst), and nobody drains by hand until the end: the
+// session's FlushPolicy coalesces queued proposals into long consensus
+// inputs on its own — a cycle is due once a full cycle of batches is queued
+// or once the oldest proposal has waited MaxDelay — so a lone command still decides interactively while a
 // burst amortizes the per-generation broadcast overhead across whole
 // batches (the paper's O(nL) large-L regime). Per-cycle reports print live
 // from the OnFlush hook, and the run ends with the precise lifecycle: Drain

@@ -22,7 +22,7 @@ func TestFleetCrossShardFaultIsolation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	manual := FlushPolicy{MaxValues: -1, MaxBytes: -1, MaxDelay: -1}
+	manual := FlushPolicy{MaxValues: -1, MaxDelay: -1}
 	cfg := FleetConfig{
 		SessionConfig: SessionConfig{
 			Config:      Config{N: n, T: tf, Seed: 11},
@@ -37,6 +37,15 @@ func TestFleetCrossShardFaultIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg = cfg.withDefaults()
+	twinCfg := cfg
+	twinCfg.Transport = TransportSim
+
+	// Each shard's cycle reports land on the shard's own channel.
+	reports := make([]chan FlushReport, shards)
+	for s := range reports {
+		reports[s] = make(chan FlushReport, 4)
+	}
+	cfg.OnFlush = func(rep FlushReport) { reports[rep.Shard] <- rep }
 
 	// The fleet under test runs over a fault-injection wrapper of the bus;
 	// the twin runs the same workload on the simulator backend.
@@ -47,8 +56,6 @@ func TestFleetCrossShardFaultIsolation(t *testing.T) {
 	}
 	fleet := &Fleet{d}
 	defer fleet.Close()
-	twinCfg := cfg
-	twinCfg.Transport = TransportSim
 	twin, err := OpenFleet(twinCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,20 +97,33 @@ func TestFleetCrossShardFaultIsolation(t *testing.T) {
 		return fp, tp
 	}
 
+	// drain flushes shard s of the fleet under test and returns the report
+	// of the one cycle its three queued values make.
+	drain := func(phase string, s int) FlushReport {
+		t.Helper()
+		if err := fleet.shards[s].eng.Drain(ctx); err != nil {
+			t.Fatalf("%s: shard %d drain: %v", phase, s, err)
+		}
+		select {
+		case rep := <-reports[s]:
+			return rep
+		default:
+			t.Fatalf("%s: shard %d drained without a cycle report", phase, s)
+			return FlushReport{}
+		}
+	}
+
 	// checkClean flushes one healthy shard on both fleets and asserts an
 	// undegraded, attribution-free cycle deciding bit-identically to the twin.
 	checkClean := func(phase string, s int, fp, tp [][]*Pending) {
 		t.Helper()
-		rep, err := fleet.shards[s].eng.Flush()
-		if err != nil {
-			t.Fatalf("%s: shard %d flush: %v", phase, s, err)
-		}
+		rep := drain(phase, s)
 		if len(rep.DegradedPeers) > 0 || len(rep.PeersDown) > 0 {
 			t.Fatalf("%s: healthy shard %d's cycle carries fault attribution: degradedPeers=%v peersDown=%v",
 				phase, s, rep.DegradedPeers, rep.PeersDown)
 		}
-		if _, err := twin.shards[s].eng.Flush(); err != nil {
-			t.Fatalf("%s: twin shard %d flush: %v", phase, s, err)
+		if err := twin.shards[s].eng.Drain(ctx); err != nil {
+			t.Fatalf("%s: twin shard %d drain: %v", phase, s, err)
 		}
 		for i := range fp[s] {
 			fd, td := fp[s][i].Wait(ctx), tp[s][i].Wait(ctx)
@@ -118,7 +138,7 @@ func TestFleetCrossShardFaultIsolation(t *testing.T) {
 
 	// attributed asserts the afflicted shard's report names only peers from
 	// the expected set.
-	attributed := func(phase string, rep *FlushReport, want map[int]bool) {
+	attributed := func(phase string, rep FlushReport, want map[int]bool) {
 		t.Helper()
 		named := append(append([]int(nil), rep.PeersDown...), rep.DegradedPeers...)
 		if len(named) == 0 {
@@ -136,15 +156,11 @@ func TestFleetCrossShardFaultIsolation(t *testing.T) {
 	// the other shards flush clean and match the twin.
 	fp, tp := propose(1)
 	faulty.CutPair(0, 2)
-	rep, err := fleet.shards[1].eng.Flush()
-	if err != nil {
-		t.Fatalf("cut: afflicted shard flush: %v", err)
-	}
-	attributed("cut", rep, map[int]bool{0: true, 2: true})
+	attributed("cut", drain("cut", 1), map[int]bool{0: true, 2: true})
 	faulty.HealPair(0, 2)
 	// The twin's shard 1 must still flush (decisions may differ from the
 	// degraded cycle; only the healthy shards are compared).
-	if _, err := twin.shards[1].eng.Flush(); err != nil {
+	if err := twin.shards[1].eng.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []int{0, 2, 3} {
@@ -158,15 +174,11 @@ func TestFleetCrossShardFaultIsolation(t *testing.T) {
 	if err := fleet.cluster.Kill(3); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = fleet.shards[2].eng.Flush()
-	if err != nil {
-		t.Fatalf("crash: afflicted shard flush: %v", err)
-	}
-	attributed("crash", rep, map[int]bool{3: true})
+	attributed("crash", drain("crash", 2), map[int]bool{3: true})
 	if err := fleet.cluster.Restart(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := twin.shards[2].eng.Flush(); err != nil {
+	if err := twin.shards[2].eng.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []int{0, 1, 3} {

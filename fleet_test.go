@@ -118,7 +118,7 @@ func TestFleetSingleShardMatchesSession(t *testing.T) {
 			t.Parallel()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			manual := byzcons.FlushPolicy{MaxValues: -1, MaxBytes: -1, MaxDelay: -1}
+			manual := byzcons.FlushPolicy{MaxValues: -1, MaxDelay: -1}
 			base := byzcons.SessionConfig{
 				Config:   byzcons.Config{N: n, T: tf, Seed: 9},
 				Scenario: tc.sc,
@@ -157,10 +157,10 @@ func TestFleetSingleShardMatchesSession(t *testing.T) {
 				}
 				fp, sp = append(fp, p1), append(sp, p2)
 			}
-			if _, err := fleet.Flush(); err != nil {
+			if err := fleet.Drain(context.Background()); err != nil {
 				t.Fatalf("fleet flush: %v", err)
 			}
-			if _, err := sess.Flush(); err != nil {
+			if err := sess.Drain(context.Background()); err != nil {
 				t.Fatalf("session flush: %v", err)
 			}
 			for i := range fp {
@@ -217,7 +217,7 @@ func TestFleetSharedMeshTCP(t *testing.T) {
 				Instances:   1,
 				// The perShard-th proposal of a shard trips its trigger: one
 				// policy-driven cycle per shard, no delay backstop.
-				Policy:  byzcons.FlushPolicy{MaxValues: perShard, MaxBytes: -1, MaxDelay: -1},
+				Policy:  byzcons.FlushPolicy{MaxValues: perShard, MaxDelay: -1},
 				OnFlush: onFlush,
 			},
 			Shards: shards,

@@ -6,10 +6,10 @@
 // demultiplexing the decided batches back into per-client decisions with
 // per-instance and per-batch metrics.
 //
-// Flushing is driven by a background Policy (value-count, byte-size and delay
-// triggers) so callers submit from any number of goroutines and decisions
-// stream back; the manual Flush entry point remains for callers that want
-// explicit batch boundaries. Each flush cycle runs over the configured Runner
+// Flushing is driven by a background Policy (a full cycle or a delay bound) so
+// callers submit from any number of goroutines and decisions stream back;
+// Drain is the manual entry point for callers that want explicit batch
+// boundaries. Each flush cycle runs over the configured Runner
 // — the in-memory simulator by default, or a networked cluster whose
 // transport mesh persists across cycles (internal/node).
 //
@@ -60,24 +60,23 @@ func (simRunner) RunBatch(cfg sim.BatchConfig, body func(inst int, p *sim.Proc) 
 	return sim.RunBatch(cfg, body)
 }
 
-// Policy drives background flushing. A trigger with a non-positive value is
-// disabled; the zero Policy disables auto-flushing entirely (manual Flush /
-// Drain only).
+// Policy drives background flushing. A background cycle is due while the
+// queue holds at least MaxValues values or a full cycle, or its oldest value
+// has waited MaxDelay; the flusher runs cycles while one is due. A
+// non-positive field disables its trigger, and the zero Policy disables
+// background flushing entirely (Drain and Close only).
 type Policy struct {
-	// MaxValues flushes once at least this many values are queued.
+	// MaxValues makes a cycle due once this many values are queued. A value
+	// above one cycle's capacity (BatchValues × Instances) acts as that
+	// capacity. While MaxValues is set, a queue head that already fills
+	// Instances batches is due too, so a cycle that BatchBytes fills before
+	// that many values never waits either. What is left after the full
+	// cycles, short of one, waits for the next trigger.
 	MaxValues int
-	// MaxBytes flushes once the queued values' packed payload bytes reach
-	// this threshold.
-	MaxBytes int
-	// MaxDelay flushes at most this long after a value was enqueued, so a
-	// trickle of submissions never waits indefinitely for a full batch.
+	// MaxDelay makes a cycle due once the oldest queued value has waited
+	// this long, so a trickle of submissions never waits indefinitely for a
+	// full batch.
 	MaxDelay time.Duration
-}
-
-// active reports whether any trigger is enabled (the engine only runs a
-// background flusher when one is).
-func (p Policy) active() bool {
-	return p.MaxValues > 0 || p.MaxBytes > 0 || p.MaxDelay > 0
 }
 
 // Config configures an Engine.
@@ -105,7 +104,7 @@ type Config struct {
 	// over the deployment per flush cycle (0 = 4).
 	Instances int
 	// Policy drives background flushing; the zero value keeps the engine
-	// fully manual (Flush/Drain/Close only).
+	// fully manual (Drain/Close only).
 	Policy Policy
 	// OnCycle, if non-nil, is called synchronously after every flush cycle
 	// with that cycle's report — the engine's one per-cycle report surface.
@@ -213,11 +212,9 @@ type BatchStats struct {
 	BitsPerValue float64
 }
 
-// Report summarises flushed work: one cycle on the OnCycle hook, or every
-// cycle a manual Flush/Drain ran.
+// Report summarises one flush cycle (the OnCycle hook's argument).
 type Report struct {
-	// Cycle is the cycle id of a per-cycle report; -1 on the aggregated
-	// reports returned by Flush.
+	// Cycle is the cycle's id, counting from 0 in commit order.
 	Cycle int
 	// Shard is the consensus group that ran the cycle. The engine leaves it
 	// 0; a sharded deployment stamps it on each per-cycle report.
@@ -226,16 +223,16 @@ type Report struct {
 	Values  int
 	Bits    int64
 	// Rounds is the pipelined round count: the maximum per-instance rounds
-	// within a cycle (summed over cycles for aggregated reports).
+	// within the cycle.
 	Rounds int64
 	// PeersDown lists (sorted, deduplicated) the processors charged with the
-	// channels observed down during the covered cycles (see
+	// channels observed down during the cycle (see
 	// sim.BatchResult.PeersDown). A peer listed for one cycle and absent
 	// from the next recovered and rejoined at the epoch boundary; always
 	// empty on the simulator backend.
 	PeersDown []int
 	// DegradedPeers lists (sorted, deduplicated) the peers whose silence the
-	// covered cycles degraded around: some round completed against their
+	// cycle degraded around: some round completed against their
 	// synthesized ⊥ contributions, so fewer than n processors decided.
 	DegradedPeers []int
 	// Timing is the cycle's wall-clock breakdown: total duration, the
@@ -243,7 +240,7 @@ type Report struct {
 	// percentiles for the values the cycle resolved. Zeroed when the
 	// engine's metrics are disabled.
 	Timing Timing
-	// Err is the first instance failure of the covered cycles, if any.
+	// Err is the cycle's first instance failure, if any.
 	Err error
 }
 
@@ -266,65 +263,6 @@ type Timing struct {
 	Decisions int
 }
 
-// merge folds a cycle's timing into an aggregate: durations and sample
-// counts sum, percentiles keep the worst cycle's value (percentiles do not
-// compose across cycles; the worst is the honest summary).
-func (t *Timing) merge(c Timing) {
-	t.Cycle += c.Cycle
-	t.Match += c.Match
-	t.Broadcast += c.Broadcast
-	t.RS += c.RS
-	t.Diagnosis += c.Diagnosis
-	t.Decisions += c.Decisions
-	t.DecisionP50 = maxDur(t.DecisionP50, c.DecisionP50)
-	t.DecisionP90 = maxDur(t.DecisionP90, c.DecisionP90)
-	t.DecisionP99 = maxDur(t.DecisionP99, c.DecisionP99)
-	t.DecisionMax = maxDur(t.DecisionMax, c.DecisionMax)
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Merge folds another report into an aggregate: a cycle into a Flush's
-// summary, or one shard's summary into a fleet's. Counts sum, peer lists
-// union, timing follows Timing.merge, and the first error wins.
-func (r *Report) Merge(c Report) {
-	r.Batches = append(r.Batches, c.Batches...)
-	r.Values += c.Values
-	r.Bits += c.Bits
-	r.Rounds += c.Rounds
-	r.PeersDown = mergePeers(r.PeersDown, c.PeersDown)
-	r.DegradedPeers = mergePeers(r.DegradedPeers, c.DegradedPeers)
-	r.Timing.merge(c.Timing)
-	if r.Err == nil {
-		r.Err = c.Err
-	}
-}
-
-// mergePeers unions two sorted peer-id lists.
-func mergePeers(a, b []int) []int {
-	if len(b) == 0 {
-		return a
-	}
-	seen := make(map[int]bool, len(a)+len(b))
-	for _, p := range a {
-		seen[p] = true
-	}
-	out := append([]int(nil), a...)
-	for _, p := range b {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Stats is the engine's cumulative accounting.
 type Stats struct {
 	Submitted int
@@ -342,9 +280,8 @@ type Stats struct {
 type submission struct {
 	value   []byte
 	pending *Pending
-	// enq stamps the submission's arrival for queue-wait and
-	// Propose-to-decision latency accounting. Zero when metrics are
-	// disabled (one time.Now saved per submission).
+	// enq stamps the submission's arrival: the MaxDelay deadline runs from
+	// it, and so do the queue-wait and decision latencies.
 	enq time.Time
 }
 
@@ -362,25 +299,22 @@ type Engine struct {
 
 	// mu guards the submission queue, counters and stats. It is never held
 	// across a cycle run.
-	mu         sync.Mutex
-	queue      []submission
-	queueBytes int
-	stats      Stats
-	nextBatch  int
-	nextCycle  int
-	closed     bool
-	timer      *time.Timer
-	timerArmed bool
-	// owed counts the queue-head values the background flusher owes a
-	// cycle, however many cycles that takes: the whole queue when the
-	// MaxDelay timer fires or a size trigger trips with nothing owed.
-	owed int
+	mu        sync.Mutex
+	queue     []submission
+	stats     Stats
+	nextBatch int
+	nextCycle int
+	closed    bool
+
+	// full is the queue length that makes a background cycle due: MaxValues
+	// capped at one cycle's capacity (0 = no size trigger).
+	full int
 
 	// flushMu serializes cycle execution across the background flusher and
-	// manual Flush/Drain callers.
+	// Drain callers.
 	flushMu sync.Mutex
 
-	trigger     chan struct{} // wakes the background flusher (cap 1)
+	nudge       chan struct{} // wakes the background flusher to re-check (cap 1)
 	stop        chan struct{} // closed by Close to retire the flusher
 	flusherDone chan struct{} // closed when the flusher goroutine exits; nil if never started
 
@@ -461,10 +395,11 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Runner = simRunner{}
 	}
 	e := &Engine{
-		cfg:     cfg,
-		trigger: make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		reg:     cfg.Metrics,
+		cfg:   cfg,
+		full:  max(min(cfg.Policy.MaxValues, cfg.BatchValues*cfg.Instances), 0),
+		nudge: make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		reg:   cfg.Metrics,
 	}
 	if e.reg == nil {
 		e.reg = obs.NewRegistry()
@@ -472,7 +407,7 @@ func New(cfg Config) (*Engine, error) {
 	if !cfg.DisableMetrics {
 		e.registerMetrics()
 	}
-	if cfg.Policy.active() {
+	if e.full > 0 || cfg.Policy.MaxDelay > 0 {
 		e.flusherDone = make(chan struct{})
 		go e.flusher()
 	}
@@ -482,7 +417,8 @@ func New(cfg Config) (*Engine, error) {
 // Submit queues a client value for the next flush cycle and returns a handle
 // on its decision. The value is copied; the caller may reuse the slice.
 // Submit never blocks on consensus progress: it only appends to the queue
-// and, when a policy threshold trips, nudges the background flusher.
+// and, when its value starts a new deadline or fills a cycle, nudges the
+// background flusher.
 func (e *Engine) Submit(value []byte) (*Pending, error) {
 	e.mu.Lock()
 	if e.closed {
@@ -490,86 +426,61 @@ func (e *Engine) Submit(value []byte) (*Pending, error) {
 		return nil, ErrClosed
 	}
 	p := newPending()
-	s := submission{value: append([]byte(nil), value...), pending: p}
-	if e.met.enabled {
-		s.enq = time.Now()
-	}
-	e.queue = append(e.queue, s)
-	e.queueBytes += s.packedSize()
+	e.queue = append(e.queue, submission{value: append([]byte(nil), value...), pending: p, enq: time.Now()})
+	n := len(e.queue)
+	nudge := n == 1 || e.fullLocked()
 	e.stats.Submitted++
-	e.met.queueDepth.Set(int64(len(e.queue)))
-	pol := e.cfg.Policy
-	byValues, byBytes := e.sizeTrippedLocked()
-	trigger := byValues || byBytes
-	if trigger && e.owed == 0 {
-		// Owe all the queue it sees; a trip while values are owed is served.
-		e.owed = len(e.queue)
-	}
-	if pol.MaxDelay > 0 && !e.timerArmed {
-		// Arm the delay trigger for the oldest unflushed value. The flag is
-		// cleared only when the timer fires, so the timer always fires within
-		// MaxDelay of any enqueue it covers — at worst it fires early
-		// (a value enqueued mid-period is flushed sooner than MaxDelay).
-		e.timerArmed = true
-		if e.timer == nil {
-			e.timer = time.AfterFunc(pol.MaxDelay, e.delayFire)
-		} else {
-			e.timer.Reset(pol.MaxDelay)
-		}
-	}
+	e.met.queueDepth.Set(int64(n))
 	e.mu.Unlock()
-	if trigger {
-		if e.cfg.Tracer.Enabled() {
-			why := "values"
-			if !byValues {
-				why = "bytes"
-			}
-			e.cfg.Tracer.Emit(obs.Event{Cat: "flush", Name: "trigger", Detail: why})
+	if nudge {
+		// A nudge carries no state: a stale one costs the flusher a re-check.
+		select {
+		case e.nudge <- struct{}{}:
+		default:
 		}
-		e.signal()
 	}
 	return p, nil
 }
 
-// sizeTrippedLocked reports which size trigger the queue trips; e.mu held.
-func (e *Engine) sizeTrippedLocked() (byValues, byBytes bool) {
-	pol := e.cfg.Policy
-	return pol.MaxValues > 0 && len(e.queue) >= pol.MaxValues, pol.MaxBytes > 0 && e.queueBytes >= pol.MaxBytes
-}
-
-// signal nudges the background flusher; a nudge already pending is enough.
-func (e *Engine) signal() {
-	select {
-	case e.trigger <- struct{}{}:
-	default:
+// dueLocked is the background rule: it names why a cycle is due — "values"
+// when fullLocked holds, "delay" when the oldest queued value has waited
+// MaxDelay — or returns "" when none is. Caller holds e.mu.
+func (e *Engine) dueLocked() string {
+	switch n := len(e.queue); {
+	case n == 0:
+		return ""
+	case e.fullLocked():
+		return "values"
+	case e.cfg.Policy.MaxDelay > 0 && time.Since(e.queue[0].enq) >= e.cfg.Policy.MaxDelay:
+		return "delay"
 	}
+	return ""
 }
 
-// delayFire is the MaxDelay timer callback.
-func (e *Engine) delayFire() {
-	e.mu.Lock()
-	e.timerArmed = false
-	e.owed = len(e.queue)
-	pending := e.owed > 0
-	e.mu.Unlock()
-	if pending {
-		if e.cfg.Tracer.Enabled() {
-			e.cfg.Tracer.Emit(obs.Event{Cat: "flush", Name: "trigger", Detail: "delay"})
-		}
-		e.signal()
-	}
-}
-
-// flusher is the background goroutine draining the queue whenever a policy
-// trigger trips.
+// flusher is the background goroutine: it runs cycles while one is due, then
+// sleeps until the oldest queued value's deadline, a nudge, or Close.
 func (e *Engine) flusher() {
 	defer close(e.flusherDone)
+	// Reset discards a fire nobody read (Go 1.23 timers), so one timer is
+	// re-armed for each sleep.
+	timer := time.NewTimer(0)
+	defer timer.Stop()
 	for {
+		e.flush(e.dueLocked) // failures land in the affected decisions and reports
+		var deadline <-chan time.Time
+		if d := e.cfg.Policy.MaxDelay; d > 0 {
+			e.mu.Lock()
+			if len(e.queue) > 0 {
+				timer.Reset(time.Until(e.queue[0].enq.Add(d)))
+				deadline = timer.C
+			}
+			e.mu.Unlock()
+		}
 		select {
 		case <-e.stop:
 			return
-		case <-e.trigger:
-			e.flushAll(false) // failures land in the affected decisions and reports
+		case <-e.nudge:
+		case <-deadline:
 		}
 	}
 }
@@ -592,8 +503,8 @@ func (e *Engine) Stats() Stats {
 // still queued with ErrClosed — a Pending.Wait never hangs on a closed
 // engine. A cycle already in flight completes and resolves its own
 // submissions with real decisions; Close waits for it, retires the
-// background flusher, and waits out a manual Flush/Drain cycle, so no
-// OnCycle call runs after Close returns. Close is idempotent.
+// background flusher, and waits out a Drain cycle, so no OnCycle call runs
+// after Close returns. Close is idempotent.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -602,11 +513,8 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	orphans := e.queue
-	e.queue, e.queueBytes, e.owed = nil, 0, 0
+	e.queue = nil
 	e.stats.Failed += len(orphans)
-	if e.timer != nil {
-		e.timer.Stop()
-	}
 	e.mu.Unlock()
 
 	// Fail the queued-but-never-flushed submissions before waiting on the
@@ -618,43 +526,38 @@ func (e *Engine) Close() error {
 	if e.flusherDone != nil {
 		<-e.flusherDone
 	}
-	// Wait out a manual Flush/Drain cycle still running: OnCycle only runs
-	// under flushMu.
+	// Wait out a Drain cycle still running: OnCycle only runs under flushMu.
 	e.flushMu.Lock()
 	e.flushMu.Unlock() //nolint:staticcheck // lock/unlock is the handover barrier
 	return nil
 }
 
-// Flush drains the queue synchronously: values are coalesced into batches of
-// at most BatchValues values / BatchBytes bytes, batches run Instances at a
-// time as pipelined consensus instances, and every flushed submission's
-// Pending resolves with its per-client decision. Flush returns the
-// aggregated per-batch metrics of everything it ran. With an active Policy,
-// Flush remains the manual override — it serializes with the background
-// flusher.
-func (e *Engine) Flush() (*Report, error) {
+// Drain flushes everything queued and waits until those cycles committed, or
+// until ctx is done: values are coalesced into batches of at most
+// BatchValues values / BatchBytes bytes, batches run Instances at a time as
+// pipelined consensus instances, and every flushed submission's Pending
+// resolves with its per-client decision; each cycle's report goes to
+// OnCycle. A nil return means every value submitted before Drain was called
+// has resolved its Pending; otherwise the error is ErrClosed (the engine is
+// closed), the first failed cycle's error, or ctx.Err(). On cancellation the
+// flushing itself keeps running to completion in the background (cycles are
+// not abortable); only the wait is abandoned. Drain is the manual override
+// next to the background Policy and serializes with its flusher.
+func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
 	if closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	if e.cfg.Tracer.Enabled() {
-		e.cfg.Tracer.Emit(obs.Event{Cat: "flush", Name: "trigger", Detail: "manual"})
-	}
-	return e.flushAll(true)
-}
-
-// Drain flushes everything queued and waits until those cycles committed, or
-// until ctx is done. A nil return means every value submitted before Drain
-// was called has resolved its Pending. On cancellation the flushing itself
-// keeps running to completion in the background (cycles are not abortable);
-// only the wait is abandoned.
-func (e *Engine) Drain(ctx context.Context) error {
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.flushAll(true)
-		done <- err
+		done <- e.flush(func() string {
+			if len(e.queue) > 0 {
+				return "manual"
+			}
+			return ""
+		})
 	}()
 	select {
 	case err := <-done:
@@ -664,27 +567,21 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 }
 
-// flushAll runs flush cycles until the queue is empty (Flush and Drain) or,
-// for the background flusher, while owed values remain or a size trigger
-// holds, so values queued during a cycle below every threshold never leave
-// early as a partial one. It is the single cycle-execution path; flushMu
-// makes cycles mutually exclusive while Submits continue.
-func (e *Engine) flushAll(untilEmpty bool) (*Report, error) {
+// flush is the single cycle-execution path. Before each cycle it asks due,
+// under e.mu, why one should run; while due names a trigger, flush traces
+// it, runs the cycle and hands the report to OnCycle. It returns the first
+// cycle's error. Drain's due names "manual" until the queue is empty, the
+// background flusher's is dueLocked; flushMu makes cycles mutually
+// exclusive while Submits continue.
+func (e *Engine) flush(due func() string) error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 
-	agg := &Report{Cycle: -1}
 	var firstErr error
 	for {
 		e.mu.Lock()
-		if !untilEmpty && e.owed == 0 {
-			if byValues, byBytes := e.sizeTrippedLocked(); !byValues && !byBytes {
-				e.mu.Unlock()
-				break
-			}
-		}
-		cycle := e.takeCycleLocked()
-		if len(cycle) == 0 {
+		why := due()
+		if why == "" {
 			if len(e.queue) == 0 {
 				// Release the drained backing array: e.queue is a tail slice
 				// of it, and keeping it alive would pin every flushed
@@ -692,8 +589,9 @@ func (e *Engine) flushAll(untilEmpty bool) (*Report, error) {
 				e.queue = nil
 			}
 			e.mu.Unlock()
-			break
+			return firstErr
 		}
+		cycle := e.takeCycleLocked()
 		cycleID := e.nextCycle
 		e.nextCycle++
 		e.stats.Cycles++
@@ -706,8 +604,10 @@ func (e *Engine) flushAll(untilEmpty bool) (*Report, error) {
 		e.met.queueDepth.Set(int64(len(e.queue)))
 		e.mu.Unlock()
 
+		if e.cfg.Tracer.Enabled() {
+			e.cfg.Tracer.Emit(obs.Event{Cat: "flush", Name: "trigger", Cycle: cycleID, Detail: why})
+		}
 		rep := e.runCycle(cycleID, batchIDs, cycle)
-		agg.Merge(rep)
 		if rep.Err != nil && firstErr == nil {
 			firstErr = rep.Err
 		}
@@ -715,7 +615,6 @@ func (e *Engine) flushAll(untilEmpty bool) (*Report, error) {
 			e.cfg.OnCycle(rep)
 		}
 	}
-	return agg, firstErr
 }
 
 // takeCycleLocked carves up to Instances batches off the queue head.
@@ -723,26 +622,56 @@ func (e *Engine) flushAll(untilEmpty bool) (*Report, error) {
 func (e *Engine) takeCycleLocked() [][]submission {
 	var cycle [][]submission
 	for len(e.queue) > 0 && len(cycle) < e.cfg.Instances {
-		var batch []submission
-		size := 0
-		for len(e.queue) > 0 && len(batch) < e.cfg.BatchValues {
-			next := e.queue[0]
-			need := next.packedSize()
-			// The packed form also carries the count header; budget it so
-			// the blob never exceeds BatchBytes (see packedBits).
-			header := uvarintLen(uint64(len(batch) + 1))
-			if len(batch) > 0 && header+size+need > e.cfg.BatchBytes {
-				break
-			}
-			batch = append(batch, next)
-			size += need
-			e.queueBytes -= need
-			e.queue = e.queue[1:]
-			e.owed = max(e.owed-1, 0)
-		}
-		cycle = append(cycle, batch)
+		k, _ := e.batchLen(e.queue)
+		cycle = append(cycle, append([]submission(nil), e.queue[:k]...))
+		e.queue = e.queue[k:]
 	}
 	return cycle
+}
+
+// fullLocked is the size trigger: the queue holds full values, or its head
+// already fills a cycle because BatchBytes closed its batches early.
+// Caller holds e.mu.
+func (e *Engine) fullLocked() bool {
+	return e.full > 0 && (len(e.queue) >= e.full || e.headFullLocked())
+}
+
+// headFullLocked reports whether the queue head already fills a cycle:
+// Instances batches, each closed. It is the dry run of takeCycleLocked, so
+// it sees a cycle that BatchBytes fills before BatchValues × Instances
+// values. Caller holds e.mu.
+func (e *Engine) headFullLocked() bool {
+	q := e.queue
+	for range e.cfg.Instances {
+		if len(q) == 0 {
+			return false
+		}
+		k, closed := e.batchLen(q)
+		if !closed {
+			return false
+		}
+		q = q[k:]
+	}
+	return true
+}
+
+// batchLen returns how many values at the head of q form one batch — at
+// most BatchValues values and BatchBytes packed bytes, the first value
+// always — and whether that batch is closed: no further value could join
+// it.
+func (e *Engine) batchLen(q []submission) (k int, closed bool) {
+	size := 0
+	for ; k < len(q) && k < e.cfg.BatchValues; k++ {
+		need := q[k].packedSize()
+		// The packed form also carries the count header; budget it so the
+		// blob never exceeds BatchBytes (see packedBits).
+		if k > 0 && uvarintLen(uint64(k+1))+size+need > e.cfg.BatchBytes {
+			return k, true
+		}
+		size += need
+	}
+	// Even an empty value packs to one byte.
+	return k, k == e.cfg.BatchValues || uvarintLen(uint64(k+1))+size+1 > e.cfg.BatchBytes
 }
 
 // runCycle runs one cycle of batches as pipelined consensus instances and
@@ -755,9 +684,7 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 		values := make([][]byte, len(batch))
 		for i, s := range batch {
 			values[i] = s.value
-			if !s.enq.IsZero() {
-				e.met.queueWait.Record(int64(cycleStart.Sub(s.enq)))
-			}
+			e.met.queueWait.Record(int64(cycleStart.Sub(s.enq)))
 		}
 		inputs[k] = packValues(values)
 	}
@@ -845,7 +772,7 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 		if out.Defaulted {
 			defaulted += len(batch)
 			for _, s := range batch {
-				if !s.enq.IsZero() {
+				if e.met.enabled {
 					lat := time.Since(s.enq)
 					decisionLats = append(decisionLats, lat)
 					e.met.decision.Record(int64(lat))
@@ -869,7 +796,7 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 		}
 		for i, s := range batch {
 			decided++
-			if !s.enq.IsZero() {
+			if e.met.enabled {
 				lat := time.Since(s.enq)
 				decisionLats = append(decisionLats, lat)
 				e.met.decision.Record(int64(lat))

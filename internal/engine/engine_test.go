@@ -44,11 +44,38 @@ func submitN(t *testing.T, e *Engine, count, size int) ([][]byte, []*Pending) {
 	return values, pendings
 }
 
+// collectReports installs an OnCycle hook on cfg that sends each cycle's
+// report to the returned channel, buffered for size reports.
+func collectReports(cfg *Config, size int) <-chan Report {
+	reports := make(chan Report, size)
+	cfg.OnCycle = func(rep Report) { reports <- rep }
+	return reports
+}
+
+// drainReports drains e and returns the reports of the cycles that ran.
+// OnCycle runs before Drain returns, so every report is already buffered.
+func drainReports(t *testing.T, e *Engine, reports <-chan Report) []Report {
+	t.Helper()
+	if err := e.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var out []Report
+	for {
+		select {
+		case rep := <-reports:
+			out = append(out, rep)
+		default:
+			return out
+		}
+	}
+}
+
 func TestEngineBatchesAndDecides(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.BatchValues = 4
 	cfg.Instances = 2
+	reports := collectReports(&cfg, 4)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -57,16 +84,17 @@ func TestEngineBatchesAndDecides(t *testing.T) {
 	if got := e.PendingCount(); got != 10 {
 		t.Fatalf("PendingCount = %d", got)
 	}
-	report, err := e.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := drainReports(t, e, reports)
 	// 10 values at 4/batch -> batches of 4, 4, 2 over cycles of 2+1 instances.
-	if len(report.Batches) != 3 {
-		t.Fatalf("got %d batches, want 3: %+v", len(report.Batches), report.Batches)
+	if len(reps) != 2 {
+		t.Fatalf("got %d cycle reports, want 2: %+v", len(reps), reps)
+	}
+	batches := slices.Concat(reps[0].Batches, reps[1].Batches)
+	if len(batches) != 3 {
+		t.Fatalf("got %d batches, want 3: %+v", len(batches), batches)
 	}
 	wantSizes := []int{4, 4, 2}
-	for i, st := range report.Batches {
+	for i, st := range batches {
 		if st.Values != wantSizes[i] {
 			t.Errorf("batch %d carried %d values, want %d", i, st.Values, wantSizes[i])
 		}
@@ -80,11 +108,11 @@ func TestEngineBatchesAndDecides(t *testing.T) {
 			t.Errorf("batch %d BitsPerValue inconsistent", i)
 		}
 	}
-	if report.Batches[0].Cycle != 0 || report.Batches[1].Cycle != 0 || report.Batches[2].Cycle != 1 {
-		t.Errorf("cycle assignment wrong: %+v", report.Batches)
+	if batches[0].Cycle != 0 || batches[1].Cycle != 0 || batches[2].Cycle != 1 {
+		t.Errorf("cycle assignment wrong: %+v", batches)
 	}
-	if report.Batches[1].Instance != 1 {
-		t.Errorf("instance slot = %d, want 1", report.Batches[1].Instance)
+	if batches[1].Instance != 1 {
+		t.Errorf("instance slot = %d, want 1", batches[1].Instance)
 	}
 	for i, p := range pendings {
 		d := p.Wait(context.Background())
@@ -102,8 +130,8 @@ func TestEngineBatchesAndDecides(t *testing.T) {
 	if st.Submitted != 10 || st.Decided != 10 || st.Batches != 3 || st.Cycles != 2 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.Rounds != report.Rounds || st.Bits != report.Bits {
-		t.Errorf("stats/report accounting diverges: %+v vs %+v", st, report)
+	if rounds, bits := reps[0].Rounds+reps[1].Rounds, reps[0].Bits+reps[1].Bits; st.Rounds != rounds || st.Bits != bits {
+		t.Errorf("stats/report accounting diverges: %+v vs %d rounds, %d bits", st, rounds, bits)
 	}
 	if e.PendingCount() != 0 {
 		t.Error("queue not drained")
@@ -115,15 +143,17 @@ func TestEnginePipelinedRoundsBelowSequentialSum(t *testing.T) {
 	cfg := testConfig()
 	cfg.BatchValues = 2
 	cfg.Instances = 4
+	reports := collectReports(&cfg, 2)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	submitN(t, e, 8, 32) // 4 batches, one cycle
-	report, err := e.Flush()
-	if err != nil {
-		t.Fatal(err)
+	reps := drainReports(t, e, reports)
+	if len(reps) != 1 {
+		t.Fatalf("want 1 cycle, got %d", len(reps))
 	}
+	report := reps[0]
 	var sum int64
 	for _, st := range report.Batches {
 		sum += st.Rounds
@@ -142,15 +172,17 @@ func TestEngineBatchBytesCap(t *testing.T) {
 	cfg.BatchValues = 64
 	cfg.BatchBytes = 40 // two 16-byte values (+1 header byte each) fit; three don't
 	cfg.Instances = 8
+	reports := collectReports(&cfg, 2)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, pendings := submitN(t, e, 6, 16)
-	report, err := e.Flush()
-	if err != nil {
-		t.Fatal(err)
+	reps := drainReports(t, e, reports)
+	if len(reps) != 1 {
+		t.Fatalf("want 1 cycle, got %d", len(reps))
 	}
+	report := reps[0]
 	if len(report.Batches) != 3 {
 		t.Fatalf("byte cap ignored: %d batches, want 3", len(report.Batches))
 	}
@@ -179,7 +211,7 @@ func TestEngineOversizedValueGetsOwnBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Flush(); err != nil {
+	if err := e.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	d := p.Wait(context.Background())
@@ -201,7 +233,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, pendings := submitN(t, e, 7, 12)
-		if _, err := e.Flush(); err != nil {
+		if err := e.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pendings {
@@ -249,17 +281,15 @@ func TestEngineAdversaryGalleryAgreement(t *testing.T) {
 				BatchValues: 3,
 				Instances:   3,
 			}
+			reports := collectReports(&cfg, 2)
 			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			values, pendings := submitN(t, e, 9, 20)
-			report, err := e.Flush()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if report.Values != 9 {
-				t.Fatalf("report.Values = %d", report.Values)
+			reps := drainReports(t, e, reports)
+			if len(reps) != 1 || reps[0].Values != 9 {
+				t.Fatalf("cycle reports = %+v, want one of 9 values", reps)
 			}
 			for i, p := range pendings {
 				d := p.Wait(context.Background())
@@ -296,7 +326,7 @@ func TestEngineAmortizedBitsDecrease(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, pendings := submitN(t, e, workload, 64)
-		if _, err := e.Flush(); err != nil {
+		if err := e.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range pendings {
@@ -340,8 +370,8 @@ func TestEngineCloseFailsQueuedPendings(t *testing.T) {
 	if _, err := e.Submit([]byte{1}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after Close: %v, want ErrClosed", err)
 	}
-	if _, err := e.Flush(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Flush after Close: %v, want ErrClosed", err)
+	if err := e.Drain(context.Background()); !errors.Is(err, ErrClosed) {
+		t.Errorf("Drain after Close: %v, want ErrClosed", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
@@ -352,24 +382,34 @@ func TestEngineCloseFailsQueuedPendings(t *testing.T) {
 }
 
 // TestEnginePolicyMaxValues: reaching MaxValues flushes every value that
-// tripped it with no manual Flush and no MaxDelay backstop, over as many
-// cycles as that takes when MaxValues exceeds one cycle's capacity.
+// tripped it with no Drain and no MaxDelay backstop, over as many cycles as
+// that takes; a MaxValues above one cycle's capacity acts as that capacity,
+// so a full cycle leaves without waiting for MaxValues values, also when
+// BatchBytes fills the cycle's batches before BatchValues does.
 func TestEnginePolicyMaxValues(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
-		name      string
-		instances int // 0 = the engine default
-		maxValues int
-		cycles    []int // values per expected cycle
+		name       string
+		instances  int // 0 = the engine default
+		batchBytes int // 0 = the engine default
+		maxValues  int
+		submitted  int
+		cycles     []int // values per expected cycle
 	}{
-		{"one cycle", 0, 4, []int{4}},
-		{"above one cycle", 1, 8, []int{4, 4}},
+		{"one cycle", 0, 0, 4, 4, []int{4}},
+		{"above one cycle", 1, 0, 8, 8, []int{4, 4}},
+		{"full cycle below MaxValues", 1, 0, 8, 4, []int{4}},
+		// 19 bytes hold two 8-byte values (1-byte count header, 9 bytes
+		// each) and leave no room for a third, so a cycle of 2 instances
+		// carries 4 values, not BatchValues × Instances = 8.
+		{"BatchBytes splits the cycles", 2, 19, 8, 12, []int{4, 4, 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := testConfig()
 			cfg.BatchValues = 4
 			cfg.Instances = tc.instances
+			cfg.BatchBytes = tc.batchBytes
 			cfg.Policy = Policy{MaxValues: tc.maxValues}
 			// OnCycle runs after the cycle's pendings resolved, so the
 			// reports are awaited on the hook itself, not inferred from the
@@ -381,7 +421,7 @@ func TestEnginePolicyMaxValues(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			values, pendings := submitN(t, e, tc.maxValues, 8)
+			values, pendings := submitN(t, e, tc.submitted, 8)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			for i, p := range pendings {
@@ -519,7 +559,7 @@ func TestEngineWaitHonorsContext(t *testing.T) {
 	if d := p.Wait(ctx); !errors.Is(d.Err, context.DeadlineExceeded) {
 		t.Fatalf("Wait under expired ctx = %+v", d)
 	}
-	if _, err := e.Flush(); err != nil {
+	if err := e.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if d := p.Wait(context.Background()); d.Err != nil || !bytes.Equal(d.Value, []byte("parked")) {
@@ -574,18 +614,20 @@ func TestEngineConfigValidation(t *testing.T) {
 	}
 }
 
+// TestEngineEmptyFlush: draining an empty queue runs no cycle.
 func TestEngineEmptyFlush(t *testing.T) {
 	t.Parallel()
-	e, err := New(testConfig())
+	cfg := testConfig()
+	reports := collectReports(&cfg, 1)
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := e.Flush()
-	if err != nil {
-		t.Fatal(err)
+	if reps := drainReports(t, e, reports); len(reps) != 0 {
+		t.Errorf("empty drain produced work: %+v", reps)
 	}
-	if len(report.Batches) != 0 || report.Values != 0 {
-		t.Errorf("empty flush produced work: %+v", report)
+	if st := e.Stats(); st.Cycles != 0 {
+		t.Errorf("empty drain counted %d cycles", st.Cycles)
 	}
 }
 
@@ -603,8 +645,8 @@ func TestEngineRunErrorSurfacesInDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Flush(); err == nil {
-		t.Fatal("flush swallowed the run error")
+	if err := e.Drain(context.Background()); err == nil {
+		t.Fatal("drain swallowed the run error")
 	}
 	if d := p.Wait(context.Background()); d.Err == nil {
 		t.Fatal("decision swallowed the run error")
@@ -621,7 +663,7 @@ func TestEngineZeroByteValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Flush(); err != nil {
+	if err := e.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	d := p.Wait(context.Background())
@@ -641,7 +683,7 @@ func ExampleEngine() {
 		p, _ := e.Submit([]byte(fmt.Sprintf("command %d", i)))
 		pendings = append(pendings, p)
 	}
-	e.Flush()
+	e.Drain(context.Background())
 	d := pendings[2].Wait(context.Background())
 	fmt.Printf("%s batch=%d\n", d.Value, d.Batch)
 	// Output: command 2 batch=0
@@ -658,27 +700,26 @@ func (d downRunner) RunBatch(cfg sim.BatchConfig, body func(int, *sim.Proc) any)
 }
 
 // TestEngineReportsPeersDown pins the membership-report plumbing: a backend
-// reporting peers down per cycle surfaces them on the flush report, unioned,
-// deduplicated and sorted across the flush's cycles.
+// reporting peers down per cycle surfaces them on that cycle's report.
 func TestEngineReportsPeersDown(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.BatchValues = 2
 	cfg.Instances = 1
-	cfg.Runner = downRunner{peers: []int{5, 2}}
+	cfg.Runner = downRunner{peers: []int{2, 5}}
+	reports := collectReports(&cfg, 4)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitN(t, e, 4, 8) // two batches -> two cycles, each reporting {5, 2}
-	rep, err := e.Flush()
-	if err != nil {
-		t.Fatal(err)
+	submitN(t, e, 4, 8) // two batches -> two cycles, each reporting {2, 5}
+	reps := drainReports(t, e, reports)
+	if len(reps) != 2 {
+		t.Fatalf("got %d cycle reports, want 2", len(reps))
 	}
-	if len(rep.Batches) != 2 {
-		t.Fatalf("got %d batches, want 2", len(rep.Batches))
-	}
-	if want := []int{2, 5}; !slices.Equal(rep.PeersDown, want) {
-		t.Errorf("flush report PeersDown = %v, want %v", rep.PeersDown, want)
+	for _, rep := range reps {
+		if want := []int{2, 5}; len(rep.Batches) != 1 || !slices.Equal(rep.PeersDown, want) {
+			t.Errorf("cycle %d: %d batches, PeersDown = %v, want 1 batch and %v", rep.Cycle, len(rep.Batches), rep.PeersDown, want)
+		}
 	}
 }

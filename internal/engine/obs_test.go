@@ -20,41 +20,50 @@ func TestEngineTimingAndMetrics(t *testing.T) {
 	cfg.Metrics = obs.NewRegistry()
 	cfg.Tracer = obs.NewTracer(256, nil)
 	cfg.Tracer.SetEnabled(true)
+	reports := collectReports(&cfg, 4)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, pendings := submitN(t, e, 10, 16)
-	rep, err := e.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reps := drainReports(t, e, reports)
 	for _, p := range pendings {
 		if d := p.Wait(context.Background()); d.Err != nil {
 			t.Fatal(d.Err)
 		}
 	}
 
-	tm := rep.Timing
-	if tm.Cycle <= 0 {
-		t.Errorf("Timing.Cycle = %v, want > 0", tm.Cycle)
+	// 10 values over two cycles (8 + 2): each cycle times its own work.
+	if len(reps) != 2 {
+		t.Fatalf("got %d cycle reports, want 2", len(reps))
 	}
-	if tm.Decisions != 10 {
-		t.Errorf("Timing.Decisions = %d, want 10", tm.Decisions)
+	decisions := 0
+	for _, rep := range reps {
+		tm := rep.Timing
+		decisions += tm.Decisions
+		if tm.Cycle <= 0 {
+			t.Errorf("cycle %d: Timing.Cycle = %v, want > 0", rep.Cycle, tm.Cycle)
+		}
+		if tm.Decisions != rep.Values {
+			t.Errorf("cycle %d: Timing.Decisions = %d, want %d", rep.Cycle, tm.Decisions, rep.Values)
+		}
+		if tm.DecisionP50 <= 0 {
+			t.Errorf("cycle %d: DecisionP50 = %v, want > 0", rep.Cycle, tm.DecisionP50)
+		}
+		if tm.DecisionP90 < tm.DecisionP50 || tm.DecisionP99 < tm.DecisionP90 || tm.DecisionMax < tm.DecisionP99 {
+			t.Errorf("cycle %d: percentiles out of order: p50=%v p90=%v p99=%v max=%v",
+				rep.Cycle, tm.DecisionP50, tm.DecisionP90, tm.DecisionP99, tm.DecisionMax)
+		}
+		// Fail-free run: real matching/broadcast/RS work, no diagnoses.
+		if tm.Broadcast <= 0 || tm.RS <= 0 {
+			t.Errorf("cycle %d: phase partition empty: match=%v bcast=%v rs=%v", rep.Cycle, tm.Match, tm.Broadcast, tm.RS)
+		}
+		if tm.Match < 0 || tm.Diagnosis != 0 {
+			t.Errorf("cycle %d: unexpected phase values: match=%v diag=%v", rep.Cycle, tm.Match, tm.Diagnosis)
+		}
 	}
-	if tm.DecisionP50 <= 0 {
-		t.Errorf("DecisionP50 = %v, want > 0", tm.DecisionP50)
-	}
-	if tm.DecisionP90 < tm.DecisionP50 || tm.DecisionP99 < tm.DecisionP90 || tm.DecisionMax < tm.DecisionP99 {
-		t.Errorf("percentiles out of order: p50=%v p90=%v p99=%v max=%v",
-			tm.DecisionP50, tm.DecisionP90, tm.DecisionP99, tm.DecisionMax)
-	}
-	// Fail-free run: real matching/broadcast/RS work, no diagnoses.
-	if tm.Broadcast <= 0 || tm.RS <= 0 {
-		t.Errorf("phase partition empty: match=%v bcast=%v rs=%v", tm.Match, tm.Broadcast, tm.RS)
-	}
-	if tm.Match < 0 || tm.Diagnosis != 0 {
-		t.Errorf("unexpected phase values: match=%v diag=%v", tm.Match, tm.Diagnosis)
+	if decisions != 10 {
+		t.Errorf("Timing.Decisions sum to %d, want 10", decisions)
 	}
 
 	snap := e.Metrics().Snapshot()
@@ -102,17 +111,15 @@ func TestEngineTimingZeroWhenDisabled(t *testing.T) {
 	cfg := testConfig()
 	cfg.BatchValues = 4
 	cfg.DisableMetrics = true
+	reports := collectReports(&cfg, 2)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	submitN(t, e, 4, 16)
-	rep, err := e.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Timing != (Timing{}) {
-		t.Errorf("Timing recorded with metrics disabled: %+v", rep.Timing)
+	reps := drainReports(t, e, reports)
+	if len(reps) != 1 || reps[0].Timing != (Timing{}) {
+		t.Errorf("Timing recorded with metrics disabled: %+v", reps)
 	}
 	if snap := e.Metrics().Snapshot(); len(snap.Histograms) != 0 {
 		t.Errorf("histograms registered with metrics disabled: %v", snap.Histograms)
@@ -144,6 +151,7 @@ func cycleAllocs(t *testing.T, disable bool, values, size int) (allocs float64, 
 	cfg.BatchValues = values
 	cfg.Instances = 1
 	cfg.DisableMetrics = disable
+	cfg.OnCycle = func(rep Report) { gens = rep.Batches[0].Generations }
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -151,11 +159,9 @@ func cycleAllocs(t *testing.T, disable bool, values, size int) (allocs float64, 
 	defer e.Close()
 	allocs = testing.AllocsPerRun(10, func() {
 		_, pendings := submitN(t, e, values, size)
-		rep, err := e.Flush()
-		if err != nil {
+		if err := e.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		gens = rep.Batches[0].Generations
 		for _, p := range pendings {
 			if d := p.Wait(context.Background()); d.Err != nil {
 				t.Fatal(d.Err)

@@ -248,7 +248,8 @@ func TestTCPNonReadingPeerDoesNotStallOthers(t *testing.T) {
 	eps, err := NewTCPMesh(3, TCPOptions{
 		MaxFrame:     64 << 10,
 		SetupTimeout: 10 * time.Second,
-		Retry:        RetryPolicy{Disabled: true},
+		// No redial lands inside the test: node 2 dials node 0, 30s later.
+		Retry: RetryPolicy{MinBackoff: 30 * time.Second, MaxBackoff: 30 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,8 +42,7 @@ type TCPOptions struct {
 	// dialing side of the pair re-dials with capped exponential backoff and
 	// jitter, the accepting side keeps its listener open for re-handshakes,
 	// and a recovered channel is announced to the sink via RecoverySink.
-	// The zero value enables recovery with defaults; Retry.Disabled restores
-	// the old any-loss-is-permanent behaviour.
+	// The zero value enables recovery with defaults.
 	Retry RetryPolicy
 	// Obs, when set, receives sampled write timing: every 16th socket write
 	// of a peer's batch writer lands in the transport_write_ns histogram.
@@ -514,7 +513,7 @@ func (ep *tcpEndpoint) connLost(peer int, box *connBox, err error, transient boo
 	// re-checking closed there: Close sets closed and then passes through
 	// this mutex before it waits, so a loss that slipped past the earlier
 	// closed check can never Add against a Wait already in progress.
-	redial := transient && !retry.Disabled && peer < ep.id && !pl.redialing && !ep.closed.Load()
+	redial := transient && peer < ep.id && !pl.redialing && !ep.closed.Load()
 	if redial {
 		pl.redialing = true
 		ep.redials.Add(1)
@@ -673,9 +672,8 @@ func uvarintLen(x uint64) int {
 // listeners on 127.0.0.1, every pair connected by exactly one handshaked
 // connection (the higher id dials the lower). It returns only when every
 // connection is established, so the caller holds a ready mesh or an error —
-// never a half-connected one. Unless opt.Retry.Disabled is set, listeners
-// stay open for the endpoints' whole life so dropped connections can be
-// re-dialed and re-handshaked.
+// never a half-connected one. Listeners stay open for the endpoints' whole
+// life so dropped connections can be re-dialed and re-handshaked.
 func NewTCPMesh(n int, opt TCPOptions) ([]Endpoint, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: mesh needs n >= 1, got %d", n)
@@ -728,10 +726,8 @@ func NewTCPMesh(n int, opt TCPOptions) ([]Endpoint, error) {
 			return nil, err
 		}
 	}
-	// Mesh complete: start the readers. With recovery enabled the listeners
-	// stay attached — each endpoint keeps accepting re-handshakes from the
-	// peers that dial it; with recovery disabled they are dropped, restoring
-	// the fixed-mesh behaviour.
+	// Mesh complete: start the readers. The listeners stay attached: each
+	// endpoint keeps accepting re-handshakes from the peers that dial it.
 	out := make([]Endpoint, n)
 	for i, ep := range eps {
 		for peer := range ep.conns {
@@ -740,16 +736,12 @@ func NewTCPMesh(n int, opt TCPOptions) ([]Endpoint, error) {
 				go ep.readFrom(peer, box)
 			}
 		}
-		if opt.Retry.Disabled {
-			lns[i].Close()
-		} else {
-			type lnDeadline interface{ SetDeadline(time.Time) error }
-			if d, ok := lns[i].(lnDeadline); ok {
-				d.SetDeadline(time.Time{}) // undo the setup deadline
-			}
-			ep.ln = lns[i]
-			go ep.acceptLoop()
+		type lnDeadline interface{ SetDeadline(time.Time) error }
+		if d, ok := lns[i].(lnDeadline); ok {
+			d.SetDeadline(time.Time{}) // undo the setup deadline
 		}
+		ep.ln = lns[i]
+		go ep.acceptLoop()
 		out[i] = ep
 	}
 	return out, nil

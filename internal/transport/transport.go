@@ -64,13 +64,8 @@ func Transient(err error) bool {
 
 // RetryPolicy bounds a transport's peer-channel recovery: how aggressively a
 // lost connection is re-dialed and when a flapping peer is demoted for good.
-// The zero value enables recovery with the defaults below; Disabled restores
-// the old fail-forever behaviour (one connection per peer pair for the mesh's
-// whole life, any loss permanent).
+// The zero value enables recovery with the defaults below.
 type RetryPolicy struct {
-	// Disabled turns reconnection off entirely: listeners close after mesh
-	// setup and any connection loss permanently fails the peer's channel.
-	Disabled bool
 	// MinBackoff is the first re-dial delay (0 = 25ms). Each failed attempt
 	// doubles it, capped at MaxBackoff, with up to 50% random jitter added so
 	// a mesh-wide outage does not re-dial in lockstep.

@@ -24,12 +24,14 @@ func TestSessionObservabilityTCP(t *testing.T) {
 	const values = 8
 
 	var sink bytes.Buffer
+	reports := make(chan byzcons.FlushReport, 2)
 	s, err := byzcons.Open(byzcons.SessionConfig{
 		Config:      byzcons.Config{N: n, T: tf, Seed: 9},
 		Transport:   byzcons.TransportTCP,
 		BatchValues: 4,
 		Instances:   2,
-		Policy:      byzcons.FlushPolicy{MaxValues: -1, MaxBytes: -1, MaxDelay: -1},
+		Policy:      byzcons.FlushPolicy{MaxValues: -1, MaxDelay: -1},
+		OnFlush:     func(rep byzcons.FlushReport) { reports <- rep },
 		TraceRing:   512,
 		TraceSink:   &sink,
 	})
@@ -47,9 +49,13 @@ func TestSessionObservabilityTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.Flush()
-	if err != nil {
+	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
+	}
+	close(reports) // every cycle reported before Drain returned
+	rep, ok := <-reports
+	if !ok || len(reports) != 0 {
+		t.Fatalf("want exactly one cycle report for %d values", values)
 	}
 	for _, p := range pendings {
 		if d := p.Wait(ctx); d.Err != nil {

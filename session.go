@@ -18,26 +18,29 @@ import (
 var ErrClosed = engine.ErrClosed
 
 // FlushPolicy drives a Session's background flushing: instead of callers
-// pumping Flush by hand, queued proposals are coalesced into consensus
-// batches whenever a trigger trips. Each field stands on its own: 0 selects
-// that trigger's default, a negative value disables that trigger. In
-// particular the MaxDelay backstop stays armed (at DefaultMaxDelay) even
-// when only a size trigger was set explicitly — a trickle of proposals
-// below the size threshold must still decide. Disabling all three triggers
-// makes the session fully manual (Flush/Drain/Close only). Proposals that
-// arrive while a cycle runs wait for a trigger of their own; they do not
-// ride out as a partial cycle just because the flusher is already running.
+// draining by hand, queued proposals are coalesced into consensus batches
+// whenever a cycle is due — while at least MaxValues proposals are queued,
+// or once the oldest queued proposal has waited MaxDelay. The flusher runs
+// cycles while one is due, so proposals that arrive while a cycle runs leave
+// when the rule says so, not as a partial cycle just because the flusher is
+// already running. Each field stands on its own: 0 selects that trigger's
+// default, a negative value disables that trigger. In particular the
+// MaxDelay backstop stays armed (at DefaultMaxDelay) even when only
+// MaxValues was set explicitly — a trickle of proposals below it must still
+// decide. Disabling both triggers makes the session fully manual
+// (Drain/Close only).
 type FlushPolicy struct {
-	// MaxValues flushes once at least this many proposals are queued
-	// (0 = one full cycle: BatchValues × Instances; negative = disabled).
+	// MaxValues makes a cycle due once this many proposals are queued
+	// (0 = one full cycle: BatchValues × Instances; negative = disabled). A
+	// value above one full cycle acts as one full cycle, and while this
+	// trigger is on a queue head that BatchBytes already splits into
+	// Instances full batches is due too, so a full cycle never waits. What
+	// is left after the full cycles, short of one, waits for the next
+	// trigger.
 	MaxValues int
-	// MaxBytes flushes once the queued proposals' packed payload bytes reach
-	// this threshold (0 or negative = disabled; the batch-size caps already
-	// bound per-instance bytes).
-	MaxBytes int
-	// MaxDelay flushes at most this long after a proposal was enqueued, so a
-	// trickle of traffic never waits indefinitely for a full batch
-	// (0 = DefaultMaxDelay; negative = disabled).
+	// MaxDelay makes a cycle due once the oldest queued proposal has waited
+	// this long, so a trickle of traffic never waits indefinitely for a full
+	// batch (0 = DefaultMaxDelay; negative = disabled).
 	MaxDelay time.Duration
 }
 
@@ -56,9 +59,6 @@ func (p FlushPolicy) normalized(batchValues, instances int) engine.Policy {
 		out.MaxValues = p.MaxValues
 	case p.MaxValues == 0:
 		out.MaxValues = batchValues * instances
-	}
-	if p.MaxBytes > 0 {
-		out.MaxBytes = p.MaxBytes
 	}
 	switch {
 	case p.MaxDelay > 0:
@@ -204,8 +204,8 @@ func (cfg SessionConfig) Validate() error {
 //	s.Drain(ctx) // flush stragglers and wait
 //	s.Close()    // fail anything still queued with ErrClosed
 //
-// A Session is a deployment of one consensus group; Flush, Drain, Close and
-// the observability surface are the ones a Fleet has.
+// A Session is a deployment of one consensus group; Drain, Close and the
+// observability surface are the ones a Fleet has.
 type Session struct {
 	*deployment
 }
@@ -264,8 +264,7 @@ type Pending = engine.Pending
 // BatchStats is the per-batch (= per consensus instance) metric record.
 type BatchStats = engine.BatchStats
 
-// FlushReport summarises flushed work: one cycle on the OnFlush hook, or
-// everything one manual Flush ran.
+// FlushReport summarises one flush cycle: the OnFlush hook's argument.
 type FlushReport = engine.Report
 
 // MetricsSnapshot is a point-in-time copy of a session's runtime metrics
@@ -288,7 +287,9 @@ type TraceEvent = obs.Event
 // FlushTiming is the timing breakdown of one flush cycle (see
 // FlushReport.Timing): cycle wall clock, the per-phase partition
 // (match/broadcast/RS/diagnosis), and exact decision-latency percentiles
-// over the proposals the cycle resolved.
+// over the proposals the cycle resolved. There is no aggregate across
+// cycles: percentiles do not compose, so a caller wanting one keeps the
+// per-cycle reports.
 type FlushTiming = engine.Timing
 
 // Scenario validation: ids must be in range, distinct, and at most T.

@@ -26,10 +26,12 @@ func TestSessionDefaultDegradesAroundDisconnectedPeer(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			faulty := &transport.FaultyFactory{Inner: inner}
+			reports := make(chan FlushReport, 1)
 			d, err := open(SessionConfig{
 				Config:      Config{N: 4, T: 1, Seed: 3},
 				BatchValues: 4,
-				Policy:      FlushPolicy{MaxValues: -1, MaxBytes: -1, MaxDelay: -1},
+				Policy:      FlushPolicy{MaxValues: -1, MaxDelay: -1},
+				OnFlush:     func(rep FlushReport) { reports <- rep },
 			}, 1, faulty)
 			if err != nil {
 				t.Fatal(err)
@@ -44,10 +46,10 @@ func TestSessionDefaultDegradesAroundDisconnectedPeer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := d.Flush()
-			if err != nil {
+			if err := d.Drain(ctx); err != nil {
 				t.Fatalf("flush with one disconnected peer failed: %v", err)
 			}
+			rep := <-reports // the one cycle, reported before Drain returned
 			dec := p.Wait(ctx)
 			if dec.Err != nil || !bytes.Equal(dec.Value, val) {
 				t.Fatalf("decision = %x (err %v), want the proposal %x", dec.Value, dec.Err, val)

@@ -21,7 +21,7 @@ func transports() []byzcons.TransportKind {
 
 // manualPolicy disables every auto-flush trigger.
 func manualPolicy() byzcons.FlushPolicy {
-	return byzcons.FlushPolicy{MaxValues: -1, MaxBytes: -1, MaxDelay: -1}
+	return byzcons.FlushPolicy{MaxValues: -1, MaxDelay: -1}
 }
 
 // TestSessionCloseFailsPendingsPromptly is the Close-semantics regression
@@ -97,17 +97,19 @@ func closeFailsPendingsPromptly(t *testing.T, tk byzcons.TransportKind) {
 }
 
 // TestSessionManualFlushDecides drives the fully manual policy: nothing runs
-// until Flush, one Flush coalesces ten proposals into three batches under an
-// equivocating adversary, every proposal resolves to its own value, and the
-// report and stats account for all of it.
+// until Drain, one Drain coalesces ten proposals into three batches over two
+// cycles under an equivocating adversary, every proposal resolves to its own
+// value, and the cycle reports and stats account for all of it.
 func TestSessionManualFlushDecides(t *testing.T) {
 	t.Parallel()
+	reports := make(chan byzcons.FlushReport, 4)
 	s, err := byzcons.Open(byzcons.SessionConfig{
 		Config:      byzcons.Config{N: 7, T: 2, Seed: 3},
 		Scenario:    byzcons.Scenario{Faulty: []int{2, 5}, Behavior: byzcons.Equivocator{Victims: []int{6}}},
 		BatchValues: 4,
 		Instances:   2,
 		Policy:      manualPolicy(),
+		OnFlush:     func(rep byzcons.FlushReport) { reports <- rep },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,19 +128,25 @@ func TestSessionManualFlushDecides(t *testing.T) {
 		pendings = append(pendings, p)
 	}
 	if n := s.PendingCount(); n != 10 {
-		t.Fatalf("PendingCount = %d before any Flush, want 10", n)
+		t.Fatalf("PendingCount = %d before any Drain, want 10", n)
 	}
-	report, err := s.Flush()
-	if err != nil {
+	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if report.Values != 10 || len(report.Batches) != 3 {
-		t.Fatalf("report = %+v", report)
-	}
-	for _, st := range report.Batches {
-		if st.Bits <= 0 || st.BitsPerValue <= 0 {
-			t.Errorf("batch %d missing metrics: %+v", st.Batch, st)
+	close(reports) // every cycle reported before Drain returned
+	var cycles, valuesIn, batches int
+	for rep := range reports {
+		cycles++
+		valuesIn += rep.Values
+		batches += len(rep.Batches)
+		for _, st := range rep.Batches {
+			if st.Bits <= 0 || st.BitsPerValue <= 0 {
+				t.Errorf("batch %d missing metrics: %+v", st.Batch, st)
+			}
 		}
+	}
+	if cycles != 2 || valuesIn != 10 || batches != 3 {
+		t.Fatalf("%d cycle reports carried %d values in %d batches, want 2, 10 and 3", cycles, valuesIn, batches)
 	}
 	for i, p := range pendings {
 		d := p.Wait(ctx)
@@ -184,7 +192,7 @@ func TestSessionAmortizedBitsPerValueDecreases(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := s.Flush(); err != nil {
+		if err := s.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		perValue := float64(s.Stats().Bits) / workload
@@ -197,14 +205,14 @@ func TestSessionAmortizedBitsPerValueDecreases(t *testing.T) {
 }
 
 // TestSessionAutoFlushMaxValues: a full cycle's worth of proposals decides
-// with no Flush/Drain anywhere — the background policy does the pumping.
+// with no Drain anywhere — the background policy does the pumping.
 func TestSessionAutoFlushMaxValues(t *testing.T) {
 	t.Parallel()
 	s, err := byzcons.Open(byzcons.SessionConfig{
 		Config:      byzcons.Config{N: 4, T: 1, Seed: 3},
 		BatchValues: 2,
 		Instances:   2,
-		Policy:      byzcons.FlushPolicy{MaxValues: 4, MaxBytes: -1, MaxDelay: -1},
+		Policy:      byzcons.FlushPolicy{MaxValues: 4, MaxDelay: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +242,7 @@ func TestSessionAutoFlushMaxDelay(t *testing.T) {
 	t.Parallel()
 	s, err := byzcons.Open(byzcons.SessionConfig{
 		Config: byzcons.Config{N: 4, T: 1, Seed: 4},
-		Policy: byzcons.FlushPolicy{MaxValues: 1 << 30, MaxBytes: -1, MaxDelay: 5 * time.Millisecond},
+		Policy: byzcons.FlushPolicy{MaxValues: 1 << 30, MaxDelay: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +289,7 @@ func TestSessionProposeContextCancel(t *testing.T) {
 		t.Fatalf("ProposeAsync under cancelled ctx: %v", err)
 	}
 	// The cancelled proposal is still queued; a manual flush decides it.
-	if _, err := s.Flush(); err != nil {
+	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Decided != 1 {
@@ -415,7 +423,7 @@ func TestSessionTCPPersistentMesh(t *testing.T) {
 			BatchValues: 4,
 			Instances:   2,
 			// Exactly one cycle per wave: the 8th proposal trips the trigger.
-			Policy: byzcons.FlushPolicy{MaxValues: perWave, MaxBytes: -1, MaxDelay: -1},
+			Policy: byzcons.FlushPolicy{MaxValues: perWave, MaxDelay: -1},
 			OnFlush: func(rep byzcons.FlushReport) {
 				mu.Lock()
 				reps = append(reps, rep)
@@ -554,7 +562,7 @@ func TestSessionTCPCoalescesOnOneCore(t *testing.T) {
 			Transport:   tk,
 			BatchValues: 8,
 			Instances:   4,
-			Policy:      byzcons.FlushPolicy{MaxValues: perCycle, MaxBytes: -1, MaxDelay: -1},
+			Policy:      byzcons.FlushPolicy{MaxValues: perCycle, MaxDelay: -1},
 		})
 		if err != nil {
 			t.Fatal(err)
