@@ -182,8 +182,9 @@ func BenchmarkSessionAmortization(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionPipelining compares wall-clock and pipelined round counts
-// of the same workload run with 1 vs several concurrent instances.
+// BenchmarkSessionPipelining compares wall-clock and round counts of the
+// same workload run with 1 to 8 batches per cycle: more batches make fewer,
+// longer runs whose generations are as many times wider.
 func BenchmarkSessionPipelining(b *testing.B) {
 	const workload, batch = 32, 4
 	for _, instances := range []int{1, 2, 4, 8} {

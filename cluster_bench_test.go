@@ -10,8 +10,8 @@ import (
 
 // BenchmarkTransportThroughput pushes a batched workload through the two
 // networked backends at n=4 and n=7: 32 client values of 64 bytes per
-// iteration, coalesced 8 per consensus instance, 2 instances pipelined per
-// cycle. Each backend runs in two modes:
+// iteration, coalesced 8 per batch, 2 batches per cycle run as one
+// consensus input. Each backend runs in two modes:
 //
 //   - fresh: a new Session per iteration — every iteration pays the full
 //     mesh dial (the per-flush TCP handshake tax the persistent mesh

@@ -13,7 +13,7 @@
 // The serve mode drives the streaming Session as a real ingest loop:
 // -ingest client goroutines propose values concurrently, the background
 // flush policy (a full cycle of batches, bounded by -maxdelay) coalesces
-// them into long per-instance inputs pipelined over the deployment, and
+// them into one long input per cycle, run as one consensus run, and
 // per-cycle reports print as they commit. A networked -transport (bus or
 // tcp) dials its mesh exactly once for the whole run — the summary's
 // meshDials/conns counters prove the reuse. With -sweep it instead repeats
@@ -89,8 +89,8 @@ func run() error {
 
 		values    = flag.Int("values", 64, "serve: number of client values in the workload")
 		valBytes  = flag.Int("valbytes", 64, "serve: bytes per client value")
-		batch     = flag.Int("batch", 16, "serve: max values coalesced per consensus instance")
-		instances = flag.Int("instances", 4, "serve: concurrent pipelined instances per cycle")
+		batch     = flag.Int("batch", 16, "serve: max values per batch; a flush cycle carries -instances batches")
+		instances = flag.Int("instances", 4, "serve: batches per flush cycle, run together as one consensus input")
 		ingest    = flag.Int("ingest", 8, "serve: concurrent client goroutines proposing values")
 		maxDelay  = flag.Duration("maxdelay", byzcons.DefaultMaxDelay, "serve: flush-policy delay bound (values never wait longer than this for a full batch)")
 		sweep     = flag.Bool("sweep", false, "serve: rerun the workload at doubling batch sizes")
@@ -431,16 +431,12 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 		return fmt.Sprintf("%6v ", v)
 	}
 	fcfg.OnFlush = func(rep byzcons.FlushReport) {
-		var prounds int64
-		for _, bs := range rep.Batches {
-			prounds = max(prounds, bs.PipelinedRounds)
-		}
 		perValue := 0.0
 		if rep.Values > 0 {
 			perValue = float64(rep.Bits) / float64(rep.Values)
 		}
-		line := fmt.Sprintf("%s%6d %8d %8d %10d %10d %12.1f %10.2f",
-			shardCol(rep.Shard), rep.Cycle, len(rep.Batches), rep.Values, rep.Bits, prounds, perValue,
+		line := fmt.Sprintf("%s%6d %8d %10d %10d %12.1f %10.2f",
+			shardCol(rep.Shard), rep.Cycle, rep.Values, rep.Bits, rep.Batches[0].PipelinedRounds, perValue,
 			float64(rep.Timing.Cycle)/float64(time.Millisecond))
 		if len(rep.PeersDown) > 0 {
 			line += fmt.Sprintf("  peersDown=%v", rep.PeersDown)
@@ -491,8 +487,8 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 		printf("debug endpoint: http://%s (/metrics /events /debug/vars /debug/pprof)", addr)
 	}
 
-	printf("%s%6s %8s %8s %10s %10s %12s %10s",
-		shardCol("shard"), "cycle", "batches", "values", "bits", "prounds", "bits/value", "cycleMs")
+	printf("%s%6s %8s %10s %10s %12s %10s",
+		shardCol("shard"), "cycle", "values", "bits", "prounds", "bits/value", "cycleMs")
 
 	// The ingest loop: each client goroutine proposes its share of the
 	// workload and blocks per proposal, like a real submitter would.
@@ -548,10 +544,10 @@ func serve(w io.Writer, cfg byzcons.Config, sc byzcons.Scenario, tk byzcons.Tran
 	}
 
 	agg := st.Aggregate
-	printf("decided=%d defaulted=%d batches=%d cycles=%d%s meshDials=%d",
-		agg.Decided, agg.Defaulted, agg.Batches, agg.Cycles, shardsNote, dials)
+	printf("decided=%d defaulted=%d cycles=%d%s meshDials=%d",
+		agg.Decided, agg.Defaulted, agg.Cycles, shardsNote, dials)
 	for s, ss := range st.PerShard {
-		printf("shard %d: decided=%d batches=%d cycles=%d bits=%d", s, ss.Decided, ss.Batches, ss.Cycles, ss.Bits)
+		printf("shard %d: decided=%d cycles=%d bits=%d", s, ss.Decided, ss.Cycles, ss.Bits)
 	}
 	printf("pipelined rounds=%d totalBits=%d amortized=%.1f bits/value",
 		agg.Rounds, agg.Bits, float64(agg.Bits)/float64(opts.values))

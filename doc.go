@@ -20,11 +20,10 @@
 //     as in the paper;
 //   - a streaming consensus service via Session (Open / Propose / Drain /
 //     Close): proposals from any number of goroutines are coalesced into one
-//     long input per consensus instance (the paper's large-L regime, where
-//     the per-generation broadcast overhead amortizes away), several
-//     instances are pipelined concurrently, flush cycles are driven by a
-//     background FlushPolicy, and each cycle's FlushReport reaches the
-//     OnFlush hook;
+//     long input per flush cycle (the paper's large-L regime, where the
+//     per-generation broadcast overhead amortizes away), each cycle is one
+//     consensus run, flush cycles are driven by a background FlushPolicy,
+//     and each cycle's FlushReport reaches the OnFlush hook;
 //   - a real message-passing runtime via ClusterConsensus and
 //     SessionConfig.Transport: one networked node per processor, every
 //     protocol payload crossing a self-describing wire codec over a pluggable
@@ -58,14 +57,14 @@
 // as many goroutines as you like. A background FlushPolicy coalesces queued
 // proposals into long consensus inputs — amortized bits per value fall
 // strictly as batches fill (O(nL) total makes large L cheap per bit) — and
-// independent instances run pipelined over shared rounds. Every wait takes a
+// each flush cycle runs as one consensus run. Every wait takes a
 // context and returns promptly on cancellation; Drain flushes and waits;
 // Close fails anything still queued with ErrClosed instead of hanging:
 //
 //	s, err := byzcons.Open(byzcons.SessionConfig{
 //		Config:      byzcons.Config{N: 7, T: 2},
-//		BatchValues: 32, // values coalesced per consensus instance
-//		Instances:   4,  // instances pipelined per flush cycle
+//		BatchValues: 32, // values per batch
+//		Instances:   4,  // batches per flush cycle, run as one input
 //		Policy: byzcons.FlushPolicy{ // zero value = these defaults
 //			MaxValues: 128,                  // flush at a full cycle
 //			MaxDelay:  byzcons.DefaultMaxDelay, // ... or after 5ms, whichever first
@@ -81,8 +80,8 @@
 // ProposeAsync returns a *Pending immediately (it never blocks on consensus
 // progress); Pending.Wait(ctx) honors cancellation and deadlines, and a
 // cancelled wait does not lose the proposal. A cycle is due once MaxValues
-// proposals are queued (capped at one full cycle, counting the cycles
-// BatchBytes fills early, so a full cycle never waits) or once the oldest
+// proposals are queued (capped at one full cycle, counting a cycle the
+// byte cap fills early, so a full cycle never waits) or once the oldest
 // has waited MaxDelay; the flusher runs cycles while one is due. With both FlushPolicy triggers disabled (negative
 // values) nothing runs until Drain — the manual batch pump, whose cycles
 // report through OnFlush like background ones.
@@ -238,8 +237,8 @@
 // delivers frames synchronously in the transport's context with one wakeup
 // per completed round. On TCP the send path is asynchronous and batched:
 // Send copies the frame into the destination peer's buffer and returns, and
-// a writer puts everything the node's instances and shards queued for that
-// peer on the socket in one write (WireStats.FramesSent / Writes is the
+// a writer puts everything the node's shards queued for that peer on the
+// socket in one write (WireStats.FramesSent / Writes is the
 // measured coalescing factor). A Session's transport mesh persists across
 // flush cycles, so the per-flush TCP connection setup cost is gone
 // (BenchmarkTransportThroughput compares fresh-mesh and reused-mesh

@@ -51,8 +51,8 @@ func main() {
 
 	// The same workload through the streaming Session: propose the commands
 	// individually and let the background flush policy coalesce them into
-	// long consensus inputs — each instance amortizes its broadcast overhead
-	// over the whole batch, and instances are pipelined over shared rounds.
+	// long consensus inputs — each flush cycle is one consensus run that
+	// amortizes its broadcast overhead over every value it carries.
 	ctx := context.Background()
 	s, err := byzcons.Open(byzcons.SessionConfig{
 		Config: byzcons.Config{N: n, T: t},
@@ -79,8 +79,8 @@ func main() {
 	}
 	first := pendings[0].Wait(ctx)
 	st := s.Stats()
-	fmt.Printf("\nstreaming session: %d commands decided in %d batches over %d pipelined rounds\n",
-		st.Decided, st.Batches, st.Rounds)
+	fmt.Printf("\nstreaming session: %d commands decided in %d cycles over %d rounds\n",
+		st.Decided, st.Cycles, st.Rounds)
 	fmt.Printf("per-client decision #0: %q\n", first.Value)
 	fmt.Printf("amortized cost: %.0f bits/command (batching shares each generation's broadcast overhead)\n",
 		float64(st.Bits)/float64(st.Decided))

@@ -41,8 +41,8 @@ func main() {
 		// Per-cycle observability: one report per flush cycle, as it
 		// commits, on the flushing goroutine.
 		OnFlush: func(rep byzcons.FlushReport) {
-			fmt.Printf("cycle %d: %d values in %d batches, %d bits (%.0f bits/value)\n",
-				rep.Cycle, rep.Values, len(rep.Batches), rep.Bits,
+			fmt.Printf("cycle %d: %d values, %d bits (%.0f bits/value)\n",
+				rep.Cycle, rep.Values, rep.Bits,
 				float64(rep.Bits)/float64(max(rep.Values, 1)))
 		},
 	})
@@ -87,7 +87,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\n%d commands decided in %d batches over %d cycles, %d pipelined rounds\n",
-		st.Decided, st.Batches, st.Cycles, st.Rounds)
+	fmt.Printf("\n%d commands decided over %d cycles, %d rounds\n",
+		st.Decided, st.Cycles, st.Rounds)
 	fmt.Printf("amortized cost: %.0f bits/command\n", float64(st.Bits)/float64(st.Decided))
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // MaxShards bounds FleetConfig.Shards: the shard id shares the frame
-// header's instance field with the per-shard instance counter, and 1024
-// shards leave over two million instances per shard before the composed id
-// would stop encoding.
+// header's instance field with the per-shard epoch counter, and 1024 shards
+// leave over two million epochs per shard before the composed id would stop
+// encoding.
 const MaxShards = wire.MaxShards
 
 // ShardOf returns the shard a key routes to among shards groups — the
@@ -159,7 +159,6 @@ func (f *Fleet) Stats() FleetStats {
 		st.Aggregate.Decided += s.Decided
 		st.Aggregate.Defaulted += s.Defaulted
 		st.Aggregate.Failed += s.Failed
-		st.Aggregate.Batches += s.Batches
 		st.Aggregate.Cycles += s.Cycles
 		st.Aggregate.Bits += s.Bits
 		st.Aggregate.Rounds += s.Rounds

@@ -120,14 +120,14 @@ func runStepBits(t *testing.T, par Params, val []byte, L int, faulty []int, adv 
 	}
 	meter := metrics.NewMeter()
 	be := &stepBits{
-		Network: sim.NewNetwork(n, -1, isFaulty, adv, meter, sim.LazyRand(seed^0x5DEECE66D)),
+		Network: sim.NewNetwork(n, isFaulty, adv, meter, sim.LazyRand(seed^0x5DEECE66D)),
 		bits:    make(map[sim.StepID]int64),
 	}
 	outs := make([]*Output, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		p := sim.NewProc(i, n, 0, isFaulty[i], sim.LazyRand(sim.ProcSeed(seed, i)), be)
+		p := sim.NewProc(i, n, isFaulty[i], sim.LazyRand(sim.ProcSeed(seed, i)), be)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -3,6 +3,7 @@ package consensus_test
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"byzcons/internal/adversary"
@@ -47,12 +48,13 @@ func summarize(t *testing.T, values []any, meter *metrics.Meter, faulty []int) r
 // TestBufferReuseAcrossConcurrentInstances exercises every buffer the
 // generation loop reuses across barriers — the two encode stripes a worker
 // alternates by generation, the simulator's inbox and Sync-result containers
-// and the oracle's alternating contributions — with four instances running
-// at once. Every instance has its own input, and each must reproduce, field
-// for field, the same instance run alone. Processors 5 and 6 are outside
+// and the oracle's alternating contributions — with four sim.Run calls in
+// concurrent goroutines. Every instance has its own input and seed, and each
+// must reproduce, field for field, the same instance run alone. Processors 5 and 6 are outside
 // every fault-free Pmatch, so they decode from their peers' stripes, up to
 // the last generation, after the members have returned. The Equivocator
-// forces diagnosis stages between the reused buffers.
+// forces diagnosis stages between the reused buffers. Concurrent runs are
+// what a Fleet's shards make in one process.
 func TestBufferReuseAcrossConcurrentInstances(t *testing.T) {
 	t.Parallel()
 	const n, tf, instances, L, seed = 7, 2, 4, 4096, 7
@@ -74,11 +76,14 @@ func TestBufferReuseAcrossConcurrentInstances(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
+			run := func(k int) *sim.RunResult {
+				return sim.Run(sim.RunConfig{N: n, Faulty: tc.faulty, Adversary: tc.adv, Seed: seed + int64(k)},
+					func(p *sim.Proc) any { return consensus.Run(p, par, input(k), L) })
+			}
 			want := make([]runSummary, instances)
 			for k := range want {
 				val := input(k)
-				res := sim.Run(sim.RunConfig{N: n, Faulty: tc.faulty, Adversary: tc.adv, Seed: sim.InstanceSeed(seed, k)},
-					func(p *sim.Proc) any { return consensus.Run(p, par, val, L) })
+				res := run(k)
 				if res.Err != nil {
 					t.Fatal(res.Err)
 				}
@@ -94,19 +99,27 @@ func TestBufferReuseAcrossConcurrentInstances(t *testing.T) {
 				}
 			}
 			for rep := 0; rep < 3; rep++ {
-				batch := sim.RunBatch(sim.BatchConfig{N: n, Faulty: tc.faulty, Adversary: tc.adv, Seed: seed, Instances: instances},
-					func(inst int, p *sim.Proc) any { return consensus.Run(p, par, input(inst), L) })
-				if batch.Err != nil {
-					t.Fatal(batch.Err)
+				results := make([]*sim.RunResult, instances)
+				var wg sync.WaitGroup
+				for k := range results {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						results[k] = run(k)
+					}()
 				}
-				for k, ir := range batch.Instances {
-					got, alone := summarize(t, ir.Values, ir.Meter, tc.faulty), want[k]
+				wg.Wait()
+				for k, res := range results {
+					if res.Err != nil {
+						t.Fatal(res.Err)
+					}
+					got, alone := summarize(t, res.Values, res.Meter, tc.faulty), want[k]
 					if !bytes.Equal(got.value, alone.value) {
-						t.Errorf("rep %d instance %d: batched value differs from the instance run alone", rep, k)
+						t.Errorf("rep %d instance %d: concurrent value differs from the instance run alone", rep, k)
 					}
 					got.value, alone.value = nil, nil
 					if fmt.Sprint(got) != fmt.Sprint(alone) {
-						t.Errorf("rep %d instance %d: batched %+v, alone %+v", rep, k, got, alone)
+						t.Errorf("rep %d instance %d: concurrent %+v, alone %+v", rep, k, got, alone)
 					}
 				}
 			}

@@ -76,9 +76,10 @@ type Params struct {
 	// record the same wall-clock n times). The four phases partition a
 	// generation's duration without overlap: Broadcast and RS are the time
 	// inside Broadcast_Single_Bit and Reed-Solomon kernel calls, Match and
-	// Diagnosis the stage-1/2 and stage-3 residuals. The instances of a
-	// batch invoke it concurrently. Instrumentation only: it must not
-	// influence behaviour.
+	// Diagnosis the stage-1/2 and stage-3 residuals. It is called only from
+	// processor 0's goroutine, so sequentially within a run, and the run's
+	// return orders those calls before the caller's reads. Instrumentation
+	// only: it must not influence behaviour.
 	PhaseTimer func(procID, gen int, ph Phase, d time.Duration)
 }
 
@@ -185,6 +186,21 @@ func (par Params) normalized(L int) (Params, error) {
 		return par, fmt.Errorf("consensus: Lanes must be >= 1, got %d", par.Lanes)
 	}
 	return par, nil
+}
+
+// LanesFor returns the interleaving depth for an L-bit value: Lanes when
+// set, else the OptimalLanes choice at the resolved symbol width and
+// broadcaster cost, and in both cases at most the lanes L fills, so a
+// generation never pads past one row of symbols (Run itself pads a set
+// Lanes to a full generation). Invalid parameters return Lanes unchanged;
+// Run reports them.
+func (par Params) LanesFor(L int) int {
+	p, err := par.normalized(L)
+	if err != nil {
+		return par.Lanes
+	}
+	unit := p.K() * int(p.SymBits)
+	return min(p.Lanes, (L+unit-1)/unit)
 }
 
 // bsbCost returns the per-bit broadcast cost B used for D* tuning and for

@@ -6,14 +6,14 @@ import (
 )
 
 // Batch framing: a batch of client values is coalesced into one long blob
-// that a single consensus instance agrees on, amortizing the per-generation
+// that a single consensus run agrees on, amortizing the per-generation
 // Broadcast_Single_Bit overhead over all values of the batch (the paper's
 // large-L regime). The frame is byte-aligned:
 //
 //	uvarint   value count
 //	per value uvarint byte length, then the raw bytes
 //
-// After the instance decides, the same frame is unpacked to recover the
+// After the run decides, the same frame is unpacked to recover the
 // per-client decisions.
 
 // packValues serializes a batch of values into one consensus input.

@@ -1,10 +1,9 @@
 // Package engine is the streaming consensus engine behind the public Session
-// API: it coalesces pending client values into one long L-bit input per
-// consensus instance — amortizing the per-generation Broadcast_Single_Bit
-// overhead exactly as the paper's O(nL) result intends — and pipelines up to
-// Config.Instances concurrent instances over the deployment backend,
-// demultiplexing the decided batches back into per-client decisions with
-// per-instance and per-batch metrics.
+// API: it coalesces pending client values into one long L-bit input per flush
+// cycle — amortizing the per-generation Broadcast_Single_Bit overhead exactly
+// as the paper's O(nL) result intends — runs that input as one consensus run
+// over the deployment backend, and demultiplexes the decision back into
+// per-client decisions with per-cycle metrics.
 //
 // Flushing is driven by a background Policy (a full cycle or a delay bound) so
 // callers submit from any number of goroutines and decisions stream back;
@@ -25,9 +24,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"byzcons/internal/consensus"
@@ -41,23 +40,23 @@ import (
 // never blocks on a closed engine.
 var ErrClosed = errors.New("engine: closed")
 
-// Runner abstracts the deployment backend that executes one flush cycle of
-// batched consensus instances: the in-memory simulator (sim.RunBatch, the
-// default) or a networked cluster (internal/node) that runs the same
-// instances over encoded messages on a transport mesh dialed once and reused
-// across cycles — per-cycle instance demux rides an epoch tag in the frames,
-// not fresh connections. Both return the simulator's result types, so
-// batching, metrics and decision demux are backend-agnostic. The engine
-// serializes RunBatch calls: at most one cycle is in flight at a time.
+// Runner abstracts the deployment backend that executes one flush cycle's
+// consensus run: the in-memory simulator (sim.Run, the default) or a
+// networked cluster (internal/node) that runs the same protocol over encoded
+// messages on a transport mesh dialed once and reused across cycles — the
+// cycles are told apart by an epoch tag in the frames, not by fresh
+// connections. Both return the simulator's result type, so batching, metrics
+// and decision demux are backend-agnostic. The engine serializes Run calls:
+// at most one cycle is in flight at a time.
 type Runner interface {
-	RunBatch(cfg sim.BatchConfig, body func(inst int, p *sim.Proc) any) *sim.BatchResult
+	Run(cfg sim.RunConfig, body func(p *sim.Proc) any) *sim.RunResult
 }
 
 // simRunner is the default Runner: the single-host simulator.
 type simRunner struct{}
 
-func (simRunner) RunBatch(cfg sim.BatchConfig, body func(inst int, p *sim.Proc) any) *sim.BatchResult {
-	return sim.RunBatch(cfg, body)
+func (simRunner) Run(cfg sim.RunConfig, body func(p *sim.Proc) any) *sim.RunResult {
+	return sim.Run(cfg, body)
 }
 
 // Policy drives background flushing. A background cycle is due while the
@@ -68,10 +67,10 @@ func (simRunner) RunBatch(cfg sim.BatchConfig, body func(inst int, p *sim.Proc) 
 type Policy struct {
 	// MaxValues makes a cycle due once this many values are queued. A value
 	// above one cycle's capacity (BatchValues × Instances) acts as that
-	// capacity. While MaxValues is set, a queue head that already fills
-	// Instances batches is due too, so a cycle that BatchBytes fills before
-	// that many values never waits either. What is left after the full
-	// cycles, short of one, waits for the next trigger.
+	// capacity. While MaxValues is set, a queue head that already fills a
+	// cycle is due too, so a cycle that the byte cap (BatchBytes × Instances)
+	// fills before that many values never waits either. What is left after
+	// the full cycles, short of one, waits for the next trigger.
 	MaxValues int
 	// MaxDelay makes a cycle due once the oldest queued value has waited
 	// this long, so a trickle of submissions never waits indefinitely for a
@@ -84,24 +83,27 @@ type Config struct {
 	// Consensus carries the protocol parameters shared by every processor
 	// (n, t, symbol width, lanes, broadcast substrate, default value).
 	Consensus consensus.Params
-	// Runner executes each cycle's batched instances; nil selects the
-	// in-memory simulator.
+	// Runner executes each cycle's consensus run; nil selects the in-memory
+	// simulator.
 	Runner Runner
-	// Seed drives all randomness deterministically; each flush cycle and
-	// instance derives its own sub-seed.
+	// Seed drives all randomness deterministically; each flush cycle derives
+	// its own sub-seed.
 	Seed int64
 	// Faulty lists the adversary-controlled processor ids (at most T).
 	Faulty []int
 	// Adversary injects Byzantine deviations; nil means fail-free execution.
 	Adversary sim.Adversary
-	// BatchValues caps how many client values are coalesced into one
-	// consensus instance (0 = 64).
+	// BatchValues is the size of one batch of client values (0 = 64).
 	BatchValues int
-	// BatchBytes caps the packed payload bytes per instance (0 = 1 MiB).
-	// A single oversized value still forms its own batch.
+	// BatchBytes caps the packed payload bytes of one batch (0 = 1 MiB).
 	BatchBytes int
-	// Instances is the number of consensus instances pipelined concurrently
-	// over the deployment per flush cycle (0 = 4).
+	// Instances is how many batches a cycle carries (0 = 4): a cycle holds
+	// at most BatchValues × Instances values and BatchBytes × Instances
+	// packed bytes, and runs them as one consensus input, so the
+	// per-generation cost is paid once for the whole cycle. A single
+	// oversized value still forms its own cycle. The generation size scales
+	// with it too: a full cycle runs the generations of one batch, each
+	// Instances times as long (see runCycle).
 	Instances int
 	// Policy drives background flushing; the zero value keeps the engine
 	// fully manual (Drain/Close only).
@@ -134,14 +136,15 @@ type Decision struct {
 	// submitted value whenever the honest processors agree on the batch
 	// (always, under the error-free guarantee).
 	Value []byte
-	// Batch is the global sequence number of the batch the value rode in
-	// (-1 when the value never reached a batch, e.g. failed by Close).
+	// Batch is the sequence number of the batch the value rode in, equal to
+	// its flush cycle's id (-1 when the value never reached a batch, e.g.
+	// failed by Close).
 	Batch int
-	// Defaulted reports that the batch's instance decided the default value
+	// Defaulted reports that the batch's run decided the default value
 	// (honest inputs provably differed), so Value is nil.
 	Defaulted bool
-	// Err is set when the batch's instance failed outright, or when the
-	// engine was closed before the value flushed (ErrClosed).
+	// Err is set when the batch's run failed outright, or when the engine
+	// was closed before the value flushed (ErrClosed).
 	Err error
 }
 
@@ -186,16 +189,16 @@ func (p *Pending) Wait(ctx context.Context) Decision {
 // multiplexing pendings in their own select loops.
 func (p *Pending) Done() <-chan struct{} { return p.done }
 
-// BatchStats describes one consensus instance (= one batch of values).
+// BatchStats describes one flush cycle's consensus run (= one batch of
+// values).
 type BatchStats struct {
-	Batch      int // global batch sequence number
+	Batch      int // batch sequence number (= Cycle)
 	Cycle      int // flush cycle the batch ran in
-	Instance   int // instance slot within its cycle
 	Values     int // client values coalesced into the batch
 	PackedBits int // L of the packed input
 	Bits       int64
 	Rounds     int64
-	// PipelinedRounds is the instance's sequential round count as its honest
+	// PipelinedRounds is the run's sequential round count as its honest
 	// processors report it (consensus.Output.Rounds): the sum of its
 	// generations' rounds. The name dates from the retired generation
 	// pipeline; the benchmark harness reads it.
@@ -218,16 +221,15 @@ type Report struct {
 	Cycle int
 	// Shard is the consensus group that ran the cycle. The engine leaves it
 	// 0; a sharded deployment stamps it on each per-cycle report.
-	Shard   int
+	Shard int
+	// Batches holds the cycle's one batch row.
 	Batches []BatchStats
 	Values  int
 	Bits    int64
-	// Rounds is the pipelined round count: the maximum per-instance rounds
-	// within the cycle.
-	Rounds int64
+	Rounds  int64
 	// PeersDown lists (sorted, deduplicated) the processors charged with the
 	// channels observed down during the cycle (see
-	// sim.BatchResult.PeersDown). A peer listed for one cycle and absent
+	// sim.RunResult.PeersDown). A peer listed for one cycle and absent
 	// from the next recovered and rejoined at the epoch boundary; always
 	// empty on the simulator backend.
 	PeersDown []int
@@ -240,7 +242,7 @@ type Report struct {
 	// percentiles for the values the cycle resolved. Zeroed when the
 	// engine's metrics are disabled.
 	Timing Timing
-	// Err is the cycle's first instance failure, if any.
+	// Err is the cycle's run failure, if any.
 	Err error
 }
 
@@ -251,9 +253,7 @@ type Timing struct {
 	Cycle time.Duration
 	// Match, Broadcast, RS and Diagnosis partition the per-generation
 	// protocol wall-clock measured at processor 0 (consensus.Phase), summed
-	// over the cycle's instances and generations. Instances run
-	// concurrently, so the four phases' sum can exceed Cycle — it reads as
-	// aggregate protocol work, while Cycle is elapsed wall-clock.
+	// over the cycle's generations.
 	Match, Broadcast, RS, Diagnosis time.Duration
 	// DecisionP50/P90/P99/Max are exact (sorted, not histogram-estimated)
 	// percentiles of the enqueue-to-decision latency of the values this
@@ -268,13 +268,12 @@ type Stats struct {
 	Submitted int
 	Decided   int
 	Defaulted int
-	// Failed counts submissions resolved with an error: their batch's
-	// instance failed, or the engine closed before they flushed.
-	Failed  int
-	Batches int
-	Cycles  int
-	Bits    int64
-	Rounds  int64 // pipelined rounds, summed over all cycles
+	// Failed counts submissions resolved with an error: their batch's run
+	// failed, or the engine closed before they flushed.
+	Failed int
+	Cycles int
+	Bits   int64
+	Rounds int64 // summed over all cycles
 }
 
 type submission struct {
@@ -290,7 +289,7 @@ func (s submission) packedSize() int {
 	return uvarintLen(uint64(len(s.value))) + len(s.value)
 }
 
-// Engine batches submissions and drives pipelined consensus instances.
+// Engine batches submissions and runs one consensus run per flush cycle.
 // All methods are safe for concurrent use. Cycle execution serializes on an
 // internal lock, but the submission queue stays open while a cycle runs, so
 // Submit never blocks behind consensus progress.
@@ -302,10 +301,12 @@ type Engine struct {
 	mu        sync.Mutex
 	queue     []submission
 	stats     Stats
-	nextBatch int
 	nextCycle int
 	closed    bool
 
+	// cycleValues and cycleBytes are one cycle's capacity: BatchValues and
+	// BatchBytes times Instances.
+	cycleValues, cycleBytes int
 	// full is the queue length that makes a background cycle due: MaxValues
 	// capped at one cycle's capacity (0 = no size trigger).
 	full int
@@ -356,7 +357,6 @@ func (e *Engine) registerMetrics() {
 		{"engine_decided", func(s Stats) int64 { return int64(s.Decided) }},
 		{"engine_defaulted", func(s Stats) int64 { return int64(s.Defaulted) }},
 		{"engine_failed", func(s Stats) int64 { return int64(s.Failed) }},
-		{"engine_batches", func(s Stats) int64 { return int64(s.Batches) }},
 		{"engine_cycles", func(s Stats) int64 { return int64(s.Cycles) }},
 	} {
 		read := sf.read
@@ -395,12 +395,15 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Runner = simRunner{}
 	}
 	e := &Engine{
-		cfg:   cfg,
-		full:  max(min(cfg.Policy.MaxValues, cfg.BatchValues*cfg.Instances), 0),
-		nudge: make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		reg:   cfg.Metrics,
+		cfg:         cfg,
+		cycleValues: cfg.BatchValues * cfg.Instances,
+		// Saturate: a BatchBytes near MaxInt means "no byte cap".
+		cycleBytes: cfg.BatchBytes * min(cfg.Instances, math.MaxInt/cfg.BatchBytes),
+		nudge:      make(chan struct{}, 1),
+		stop:       make(chan struct{}),
+		reg:        cfg.Metrics,
 	}
+	e.full = max(min(cfg.Policy.MaxValues, e.cycleValues), 0)
 	if e.reg == nil {
 		e.reg = obs.NewRegistry()
 	}
@@ -533,9 +536,9 @@ func (e *Engine) Close() error {
 }
 
 // Drain flushes everything queued and waits until those cycles committed, or
-// until ctx is done: values are coalesced into batches of at most
-// BatchValues values / BatchBytes bytes, batches run Instances at a time as
-// pipelined consensus instances, and every flushed submission's Pending
+// until ctx is done: values are coalesced into cycles of at most
+// BatchValues × Instances values and BatchBytes × Instances bytes, each
+// cycle runs as one consensus run, and every flushed submission's Pending
 // resolves with its per-client decision; each cycle's report goes to
 // OnCycle. A nil return means every value submitted before Drain was called
 // has resolved its Pending; otherwise the error is ErrClosed (the engine is
@@ -591,23 +594,19 @@ func (e *Engine) flush(due func() string) error {
 			e.mu.Unlock()
 			return firstErr
 		}
-		cycle := e.takeCycleLocked()
+		k, _ := e.cycleLen()
+		cycle := append([]submission(nil), e.queue[:k]...)
+		e.queue = e.queue[k:]
 		cycleID := e.nextCycle
 		e.nextCycle++
 		e.stats.Cycles++
-		batchIDs := make([]int, len(cycle))
-		for k := range cycle {
-			batchIDs[k] = e.nextBatch
-			e.nextBatch++
-			e.stats.Batches++
-		}
 		e.met.queueDepth.Set(int64(len(e.queue)))
 		e.mu.Unlock()
 
 		if e.cfg.Tracer.Enabled() {
 			e.cfg.Tracer.Emit(obs.Event{Cat: "flush", Name: "trigger", Cycle: cycleID, Detail: why})
 		}
-		rep := e.runCycle(cycleID, batchIDs, cycle)
+		rep := e.runCycle(cycleID, cycle)
 		if rep.Err != nil && firstErr == nil {
 			firstErr = rep.Err
 		}
@@ -617,88 +616,66 @@ func (e *Engine) flush(due func() string) error {
 	}
 }
 
-// takeCycleLocked carves up to Instances batches off the queue head.
-// Caller holds e.mu.
-func (e *Engine) takeCycleLocked() [][]submission {
-	var cycle [][]submission
-	for len(e.queue) > 0 && len(cycle) < e.cfg.Instances {
-		k, _ := e.batchLen(e.queue)
-		cycle = append(cycle, append([]submission(nil), e.queue[:k]...))
-		e.queue = e.queue[k:]
-	}
-	return cycle
-}
-
 // fullLocked is the size trigger: the queue holds full values, or its head
-// already fills a cycle because BatchBytes closed its batches early.
-// Caller holds e.mu.
+// already fills a cycle because the byte cap closed it early. Caller holds
+// e.mu.
 func (e *Engine) fullLocked() bool {
-	return e.full > 0 && (len(e.queue) >= e.full || e.headFullLocked())
-}
-
-// headFullLocked reports whether the queue head already fills a cycle:
-// Instances batches, each closed. It is the dry run of takeCycleLocked, so
-// it sees a cycle that BatchBytes fills before BatchValues × Instances
-// values. Caller holds e.mu.
-func (e *Engine) headFullLocked() bool {
-	q := e.queue
-	for range e.cfg.Instances {
-		if len(q) == 0 {
-			return false
-		}
-		k, closed := e.batchLen(q)
-		if !closed {
-			return false
-		}
-		q = q[k:]
+	if e.full == 0 {
+		return false
 	}
-	return true
+	_, closed := e.cycleLen()
+	return len(e.queue) >= e.full || closed
 }
 
-// batchLen returns how many values at the head of q form one batch — at
-// most BatchValues values and BatchBytes packed bytes, the first value
-// always — and whether that batch is closed: no further value could join
-// it.
-func (e *Engine) batchLen(q []submission) (k int, closed bool) {
-	size := 0
-	for ; k < len(q) && k < e.cfg.BatchValues; k++ {
+// cycleLen returns how many values at the queue head form the next cycle —
+// at most cycleValues values and cycleBytes packed bytes, the first value
+// always — and whether that cycle is closed: no further value could join
+// it. Caller holds e.mu.
+func (e *Engine) cycleLen() (k int, closed bool) {
+	q, size := e.queue, 0
+	for ; k < len(q) && k < e.cycleValues; k++ {
 		need := q[k].packedSize()
 		// The packed form also carries the count header; budget it so the
-		// blob never exceeds BatchBytes (see packedBits).
-		if k > 0 && uvarintLen(uint64(k+1))+size+need > e.cfg.BatchBytes {
+		// blob never exceeds cycleBytes (see packedBits).
+		if k > 0 && uvarintLen(uint64(k+1))+size+need > e.cycleBytes {
 			return k, true
 		}
 		size += need
 	}
 	// Even an empty value packs to one byte.
-	return k, k == e.cfg.BatchValues || uvarintLen(uint64(k+1))+size+1 > e.cfg.BatchBytes
+	return k, k == e.cycleValues || uvarintLen(uint64(k+1))+size+1 > e.cycleBytes
 }
 
-// runCycle runs one cycle of batches as pipelined consensus instances and
-// resolves every submission of the cycle. It holds no engine lock while the
-// instances run.
-func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Report {
+// runCycle packs one cycle into one consensus input, runs it, and resolves
+// every submission of the cycle. It holds no engine lock while the run is in
+// flight.
+func (e *Engine) runCycle(cycleID int, cycle []submission) Report {
 	cycleStart := time.Now()
-	inputs := make([][]byte, len(cycle))
-	for k, batch := range cycle {
-		values := make([][]byte, len(batch))
-		for i, s := range batch {
-			values[i] = s.value
-			e.met.queueWait.Record(int64(cycleStart.Sub(s.enq)))
-		}
-		inputs[k] = packValues(values)
+	values := make([][]byte, len(cycle))
+	for i, s := range cycle {
+		values[i] = s.value
+		e.met.queueWait.Record(int64(cycleStart.Sub(s.enq)))
 	}
+	input := packValues(values)
+	L := len(input) * 8
 
 	par := e.cfg.Consensus
-	// Phase accumulation: each instance's processor 0 reports its
-	// generation phase partition (consensus.Params.PhaseTimer); instances
-	// run concurrently, so the cycle totals accumulate atomically.
-	var phaseNS [consensus.NumPhases]atomic.Int64
+	// The generation size of Instances batches of L/Instances bits each,
+	// run side by side as one generation: a full cycle runs the generations
+	// of one batch, a partial cycle fewer. LanesFor caps each batch's lanes
+	// at what its share fills, so a small cycle is not padded to a full
+	// batch's generation.
+	k := e.cfg.Instances
+	par.Lanes = k * par.LanesFor((L+k-1)/k)
+	// Phase accumulation: processor 0 reports its generation phase
+	// partition (consensus.Params.PhaseTimer) from its own goroutine, read
+	// here once the run has returned.
+	var phaseNS [consensus.NumPhases]int64
 	if e.met.enabled {
 		prevTimer, tracer := par.PhaseTimer, e.cfg.Tracer
 		met := &e.met
 		par.PhaseTimer = func(procID, gen int, ph consensus.Phase, d time.Duration) {
-			phaseNS[ph].Add(int64(d))
+			phaseNS[ph] += int64(d)
 			met.phases[ph].Add(int64(d))
 			if tracer.Enabled() {
 				tracer.Emit(obs.Event{
@@ -711,107 +688,95 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 			}
 		}
 	}
-	res := e.cfg.Runner.RunBatch(sim.BatchConfig{
+	res := e.cfg.Runner.Run(sim.RunConfig{
 		N:         par.N,
 		Faulty:    e.cfg.Faulty,
 		Adversary: e.cfg.Adversary,
 		Seed:      e.cfg.Seed + int64(cycleID)*0x2545F4914F6CDD1D,
-		Instances: len(cycle),
 		// One budget: the runner counts Faulty against it too.
 		DegradePeers: par.T,
-	}, func(inst int, p *sim.Proc) any {
+	}, func(p *sim.Proc) any {
 		// L is the packed input's exact length, so a processor that decides
 		// its own input returns that input as its value (consensus.Output):
-		// every honest output of an instance may share inputs[inst]. That is
-		// safe because packValues builds a fresh batch per cycle and nothing
-		// writes it after this call; unpackValues copies the values out.
-		return consensus.Run(p, par, inputs[inst], len(inputs[inst])*8)
+		// every honest output may share input. That is safe because
+		// packValues builds a fresh input per cycle and nothing writes it
+		// after this call; unpackValues copies the values out.
+		return consensus.Run(p, par, input, L)
 	})
 
-	rep := Report{Cycle: cycleID, Rounds: res.Rounds, Bits: res.Bits, PeersDown: res.PeersDown,
-		DegradedPeers: res.DegradedPeers}
-	var decisionLats []time.Duration
-	if e.met.enabled {
-		decisionLats = make([]time.Duration, 0, len(batchIDs)*e.cfg.BatchValues)
+	st := BatchStats{
+		Batch:        cycleID,
+		Cycle:        cycleID,
+		Values:       len(cycle),
+		PackedBits:   L,
+		Bits:         res.Meter.TotalBits(),
+		Rounds:       res.Meter.Rounds(),
+		BitsPerValue: float64(res.Meter.TotalBits()) / float64(len(cycle)),
 	}
-	var decided, defaulted, failed int
-	for k, batch := range cycle {
-		ir := res.Instances[k]
-		st := BatchStats{
-			Batch:      batchIDs[k],
-			Cycle:      cycleID,
-			Instance:   k,
-			Values:     len(batch),
-			PackedBits: len(inputs[k]) * 8,
-			Bits:       ir.Meter.TotalBits(),
-			Rounds:     ir.Meter.Rounds(),
+	rep := Report{Cycle: cycleID, Rounds: st.Rounds, Bits: st.Bits, PeersDown: res.PeersDown,
+		DegradedPeers: res.DegradedPeers}
+	err := res.Err
+	var out *consensus.Output
+	if err == nil {
+		out, err = e.agreedOutput(res.Values)
+	}
+	var decided [][]byte
+	if err == nil && !out.Defaulted {
+		decided, err = unpackValues(out.Value)
+		if err == nil && len(decided) != len(cycle) {
+			err = fmt.Errorf("decided %d values for a %d-value batch", len(decided), len(cycle))
 		}
-		err := ir.Err
-		var out *consensus.Output
-		if err == nil {
-			out, err = e.agreedOutput(ir.Values)
-		}
-		if err != nil {
-			err = fmt.Errorf("engine: batch %d: %w", batchIDs[k], err)
-			resolveBatch(batch, Decision{Batch: batchIDs[k], Err: err})
-			failed += len(batch)
-			if rep.Err == nil {
-				rep.Err = err
-			}
-			rep.Batches = append(rep.Batches, st)
-			continue
-		}
+	}
+	// Count the cycle before resolving it, so a caller that has its
+	// decision finds it in Stats.
+	e.mu.Lock()
+	e.stats.Rounds += rep.Rounds
+	e.stats.Bits += rep.Bits
+	switch {
+	case err != nil:
+		e.stats.Failed += len(cycle)
+	case out.Defaulted:
+		e.stats.Defaulted += len(cycle)
+	default:
+		e.stats.Decided += len(cycle)
+	}
+	e.mu.Unlock()
+
+	var decisionLats []time.Duration
+	if err != nil {
+		rep.Err = fmt.Errorf("engine: batch %d: %w", cycleID, err)
+		resolveBatch(cycle, Decision{Batch: cycleID, Err: rep.Err})
+	} else {
 		st.Generations = out.Generations
 		st.DiagnosisRuns = out.DiagnosisRuns
 		st.PipelinedRounds = out.Rounds
 		st.Defaulted = out.Defaulted
-		st.BitsPerValue = float64(st.Bits) / float64(len(batch))
-		rep.Batches = append(rep.Batches, st)
-		rep.Values += len(batch)
-
-		if out.Defaulted {
-			defaulted += len(batch)
-			for _, s := range batch {
-				if e.met.enabled {
-					lat := time.Since(s.enq)
-					decisionLats = append(decisionLats, lat)
-					e.met.decision.Record(int64(lat))
-				}
-			}
-			resolveBatch(batch, Decision{Batch: batchIDs[k], Defaulted: true})
-			continue
+		rep.Values = len(cycle)
+		if e.met.enabled {
+			decisionLats = make([]time.Duration, 0, len(cycle))
 		}
-		values, err := unpackValues(out.Value)
-		if err == nil && len(values) != len(batch) {
-			err = fmt.Errorf("engine: decided %d values for a %d-value batch", len(values), len(batch))
-		}
-		if err != nil {
-			err = fmt.Errorf("engine: batch %d: %w", batchIDs[k], err)
-			resolveBatch(batch, Decision{Batch: batchIDs[k], Err: err})
-			failed += len(batch)
-			if rep.Err == nil {
-				rep.Err = err
-			}
-			continue
-		}
-		for i, s := range batch {
-			decided++
+		for i, s := range cycle {
 			if e.met.enabled {
 				lat := time.Since(s.enq)
 				decisionLats = append(decisionLats, lat)
 				e.met.decision.Record(int64(lat))
 			}
-			s.pending.resolve(Decision{Value: values[i], Batch: batchIDs[k]})
+			d := Decision{Batch: cycleID, Defaulted: out.Defaulted}
+			if decided != nil {
+				d.Value = decided[i]
+			}
+			s.pending.resolve(d)
 		}
 	}
+	rep.Batches = []BatchStats{st}
 
 	if e.met.enabled {
 		rep.Timing = Timing{
 			Cycle:     time.Since(cycleStart),
-			Match:     time.Duration(phaseNS[consensus.PhaseMatch].Load()),
-			Broadcast: time.Duration(phaseNS[consensus.PhaseBroadcast].Load()),
-			RS:        time.Duration(phaseNS[consensus.PhaseRS].Load()),
-			Diagnosis: time.Duration(phaseNS[consensus.PhaseDiagnosis].Load()),
+			Match:     time.Duration(phaseNS[consensus.PhaseMatch]),
+			Broadcast: time.Duration(phaseNS[consensus.PhaseBroadcast]),
+			RS:        time.Duration(phaseNS[consensus.PhaseRS]),
+			Diagnosis: time.Duration(phaseNS[consensus.PhaseDiagnosis]),
 		}
 		rep.Timing.DecisionP50, rep.Timing.DecisionP90, rep.Timing.DecisionP99, rep.Timing.DecisionMax =
 			latencyPercentiles(decisionLats)
@@ -819,23 +784,16 @@ func (e *Engine) runCycle(cycleID int, batchIDs []int, cycle [][]submission) Rep
 		e.met.cycleDur.Record(int64(rep.Timing.Cycle))
 		if e.cfg.Tracer.Enabled() {
 			e.cfg.Tracer.Span(cycleStart, obs.Event{Cat: "cycle", Name: "flush", Cycle: cycleID,
-				Detail: fmt.Sprintf("values=%d batches=%d", rep.Values, len(rep.Batches))})
+				Detail: fmt.Sprintf("values=%d", rep.Values)})
 		}
 	}
 
-	e.mu.Lock()
-	e.stats.Rounds += rep.Rounds
-	e.stats.Bits += rep.Bits
-	e.stats.Decided += decided
-	e.stats.Defaulted += defaulted
-	e.stats.Failed += failed
-	e.mu.Unlock()
 	return rep
 }
 
 // latencyPercentiles returns exact p50/p90/p99/max over lats (sorted in
 // place). Exactness is affordable here: a cycle resolves at most
-// BatchValues*Instances values.
+// BatchValues × Instances values.
 func latencyPercentiles(lats []time.Duration) (p50, p90, p99, max time.Duration) {
 	if len(lats) == 0 {
 		return 0, 0, 0, 0
@@ -855,8 +813,8 @@ func latencyPercentiles(lats []time.Duration) (p50, p90, p99, max time.Duration)
 // or the private one created at New).
 func (e *Engine) Metrics() *obs.Registry { return e.reg }
 
-// agreedOutput cross-checks the honest processors' outputs of one instance
-// and returns their common output. Any divergence means the error-free
+// agreedOutput cross-checks the honest processors' outputs of one run and
+// returns their common output. Any divergence means the error-free
 // guarantee was broken and is reported as an error.
 //
 // Honest outputs may be missing — on a networked runner, nodes whose runs

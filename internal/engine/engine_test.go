@@ -85,34 +85,31 @@ func TestEngineBatchesAndDecides(t *testing.T) {
 		t.Fatalf("PendingCount = %d", got)
 	}
 	reps := drainReports(t, e, reports)
-	// 10 values at 4/batch -> batches of 4, 4, 2 over cycles of 2+1 instances.
+	// 10 values at 4 × 2 per cycle -> cycles of 8 and 2, one row each.
 	if len(reps) != 2 {
 		t.Fatalf("got %d cycle reports, want 2: %+v", len(reps), reps)
 	}
-	batches := slices.Concat(reps[0].Batches, reps[1].Batches)
-	if len(batches) != 3 {
-		t.Fatalf("got %d batches, want 3: %+v", len(batches), batches)
-	}
-	wantSizes := []int{4, 4, 2}
-	for i, st := range batches {
-		if st.Values != wantSizes[i] {
-			t.Errorf("batch %d carried %d values, want %d", i, st.Values, wantSizes[i])
+	wantSizes := []int{8, 2}
+	for c, rep := range reps {
+		if len(rep.Batches) != 1 {
+			t.Fatalf("cycle %d has %d rows, want 1: %+v", c, len(rep.Batches), rep.Batches)
 		}
-		if st.Batch != i {
-			t.Errorf("batch sequence = %d, want %d", st.Batch, i)
+		st := rep.Batches[0]
+		if st.Values != wantSizes[c] || rep.Values != wantSizes[c] {
+			t.Errorf("cycle %d carried %d values (report %d), want %d", c, st.Values, rep.Values, wantSizes[c])
+		}
+		if st.Batch != c || st.Cycle != c || rep.Cycle != c {
+			t.Errorf("cycle %d: batch %d, row cycle %d, report cycle %d", c, st.Batch, st.Cycle, rep.Cycle)
 		}
 		if st.Bits <= 0 || st.Rounds <= 0 || st.PackedBits <= 0 {
-			t.Errorf("batch %d has empty accounting: %+v", i, st)
+			t.Errorf("cycle %d has empty accounting: %+v", c, st)
+		}
+		if st.Bits != rep.Bits || st.Rounds != rep.Rounds {
+			t.Errorf("cycle %d: row accounting %d bits, %d rounds; report %d, %d", c, st.Bits, st.Rounds, rep.Bits, rep.Rounds)
 		}
 		if st.BitsPerValue != float64(st.Bits)/float64(st.Values) {
-			t.Errorf("batch %d BitsPerValue inconsistent", i)
+			t.Errorf("cycle %d BitsPerValue inconsistent", c)
 		}
-	}
-	if batches[0].Cycle != 0 || batches[1].Cycle != 0 || batches[2].Cycle != 1 {
-		t.Errorf("cycle assignment wrong: %+v", batches)
-	}
-	if batches[1].Instance != 1 {
-		t.Errorf("instance slot = %d, want 1", batches[1].Instance)
 	}
 	for i, p := range pendings {
 		d := p.Wait(context.Background())
@@ -125,9 +122,12 @@ func TestEngineBatchesAndDecides(t *testing.T) {
 		if d.Defaulted {
 			t.Fatalf("value %d unexpectedly defaulted", i)
 		}
+		if want := i / 8; d.Batch != want {
+			t.Errorf("value %d rode in batch %d, want %d", i, d.Batch, want)
+		}
 	}
 	st := e.Stats()
-	if st.Submitted != 10 || st.Decided != 10 || st.Batches != 3 || st.Cycles != 2 {
+	if st.Submitted != 10 || st.Decided != 10 || st.Cycles != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 	if rounds, bits := reps[0].Rounds+reps[1].Rounds, reps[0].Bits+reps[1].Bits; st.Rounds != rounds || st.Bits != bits {
@@ -138,31 +138,58 @@ func TestEngineBatchesAndDecides(t *testing.T) {
 	}
 }
 
-func TestEnginePipelinedRoundsBelowSequentialSum(t *testing.T) {
-	t.Parallel()
+// cycleRow drains count values of size bytes through a fresh engine on the
+// simulator runner at the given Consensus.Lanes (0 = the Eq. 2 choice) and
+// returns the one cycle's one row.
+func cycleRow(t *testing.T, batchValues, instances, count, size, lanes int) BatchStats {
+	t.Helper()
 	cfg := testConfig()
-	cfg.BatchValues = 2
-	cfg.Instances = 4
-	reports := collectReports(&cfg, 2)
+	cfg.Consensus.Lanes = lanes
+	cfg.BatchValues = batchValues
+	cfg.Instances = instances
+	reports := collectReports(&cfg, 4)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitN(t, e, 8, 32) // 4 batches, one cycle
+	defer e.Close()
+	submitN(t, e, count, size)
 	reps := drainReports(t, e, reports)
-	if len(reps) != 1 {
-		t.Fatalf("want 1 cycle, got %d", len(reps))
+	if len(reps) != 1 || len(reps[0].Batches) != 1 || reps[0].Err != nil {
+		t.Fatalf("%d values at %d × %d: want one cycle with one row, got %+v", count, batchValues, instances, reps)
 	}
-	report := reps[0]
-	var sum int64
-	for _, st := range report.Batches {
-		sum += st.Rounds
+	return reps[0].Batches[0]
+}
+
+// TestEngineCycleIsOneRun: a cycle of Instances full batches is one
+// consensus run. It runs the rounds of one batch — its generations are
+// Instances times as long, not Instances times as many — and pays the
+// per-generation cost once instead of once per batch, so it costs fewer
+// bits than Instances single-batch cycles. A partial cycle runs fewer
+// rounds than a full one, and a cycle of at most one batch costs no more
+// rounds or bits than the same values as a lone batch, also when Lanes is
+// set and a batch's generation would be longer than the cycle's input.
+func TestEngineCycleIsOneRun(t *testing.T) {
+	t.Parallel()
+	one := cycleRow(t, 16, 1, 16, 64, 0)
+	full := cycleRow(t, 16, 4, 64, 64, 0)
+	if full.Rounds != one.Rounds {
+		t.Errorf("64-value cycle at Instances 4 ran %d rounds, want the %d of a 16-value cycle", full.Rounds, one.Rounds)
 	}
-	if len(report.Batches) != 4 {
-		t.Fatalf("want 4 batches, got %d", len(report.Batches))
+	if full.Bits >= 4*one.Bits {
+		t.Errorf("64-value cycle cost %d bits, want below 4 × %d of four 16-value cycles", full.Bits, one.Bits)
 	}
-	if report.Rounds >= sum {
-		t.Errorf("pipelined rounds %d not below sequential sum %d", report.Rounds, sum)
+	partial := cycleRow(t, 16, 4, 20, 64, 0)
+	if partial.Rounds >= full.Rounds {
+		t.Errorf("20-value cycle ran %d rounds, want fewer than the full cycle's %d", partial.Rounds, full.Rounds)
+	}
+	for _, c := range []struct{ lanes, count, size int }{{0, 10, 64}, {0, 1, 8}, {8, 10, 64}, {8, 1, 8}} {
+		small := cycleRow(t, 16, 4, c.count, c.size, c.lanes)
+		lone := cycleRow(t, 16, 1, c.count, c.size, c.lanes)
+		if small.Rounds > lone.Rounds || small.Bits > lone.Bits {
+			t.Errorf("%d × %d bytes at Lanes %d: Instances 4 ran %d rounds / %d bits, want at most the %d / %d of Instances 1",
+				c.count, c.size, c.lanes, small.Rounds, small.Bits, lone.Rounds, lone.Bits)
+		}
 	}
 }
 
@@ -170,25 +197,23 @@ func TestEngineBatchBytesCap(t *testing.T) {
 	t.Parallel()
 	cfg := testConfig()
 	cfg.BatchValues = 64
-	cfg.BatchBytes = 40 // two 16-byte values (+1 header byte each) fit; three don't
-	cfg.Instances = 8
-	reports := collectReports(&cfg, 2)
+	// A cycle holds 2 × 40 = 80 bytes: four 16-byte values (+1 header byte
+	// each, +1 count header) fit; five don't.
+	cfg.BatchBytes = 40
+	cfg.Instances = 2
+	reports := collectReports(&cfg, 4)
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, pendings := submitN(t, e, 6, 16)
 	reps := drainReports(t, e, reports)
-	if len(reps) != 1 {
-		t.Fatalf("want 1 cycle, got %d", len(reps))
+	if len(reps) != 2 {
+		t.Fatalf("byte cap ignored: %d cycles, want 2", len(reps))
 	}
-	report := reps[0]
-	if len(report.Batches) != 3 {
-		t.Fatalf("byte cap ignored: %d batches, want 3", len(report.Batches))
-	}
-	for _, st := range report.Batches {
-		if st.Values != 2 {
-			t.Errorf("batch carried %d values, want 2", st.Values)
+	for c, want := range []int{4, 2} {
+		if rows := reps[c].Batches; len(rows) != 1 || rows[0].Values != want {
+			t.Errorf("cycle %d rows = %+v, want one of %d values", c, rows, want)
 		}
 	}
 	for _, p := range pendings {
@@ -251,8 +276,8 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 
 // TestEngineAdversaryGalleryAgreement is the acceptance-criteria test: under
 // every bundled attack, every per-client decision must equal the submitted
-// value (honest inputs are equal, so validity pins the decision), across
-// pipelined instances, with the race detector enabled in CI.
+// value (honest inputs are equal, so validity pins the decision), with the
+// race detector enabled in CI.
 func TestEngineAdversaryGalleryAgreement(t *testing.T) {
 	t.Parallel()
 	const n, tf = 7, 2
@@ -320,7 +345,7 @@ func TestEngineAmortizedBitsDecrease(t *testing.T) {
 	for i, batch := range []int{1, 2, 4, 8, 16, 32} {
 		cfg := testConfig()
 		cfg.BatchValues = batch
-		cfg.Instances = 4
+		cfg.Instances = 1 // the batch is the run
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -394,15 +419,21 @@ func TestEnginePolicyMaxValues(t *testing.T) {
 		batchBytes int // 0 = the engine default
 		maxValues  int
 		submitted  int
-		cycles     []int // values per expected cycle
+		cycles     []int // values per expected background cycle
+		stranded   int   // values left queued after them, sent only by Drain
 	}{
-		{"one cycle", 0, 0, 4, 4, []int{4}},
-		{"above one cycle", 1, 0, 8, 8, []int{4, 4}},
-		{"full cycle below MaxValues", 1, 0, 8, 4, []int{4}},
-		// 19 bytes hold two 8-byte values (1-byte count header, 9 bytes
-		// each) and leave no room for a third, so a cycle of 2 instances
-		// carries 4 values, not BatchValues × Instances = 8.
-		{"BatchBytes splits the cycles", 2, 19, 8, 12, []int{4, 4, 4}},
+		{"one cycle", 0, 0, 4, 4, []int{4}, 0},
+		{"above one cycle", 1, 0, 8, 8, []int{4, 4}, 0},
+		{"full cycle below MaxValues", 1, 0, 8, 4, []int{4}, 0},
+		// 2 × 14 = 28 bytes hold three 8-byte values (1-byte count header,
+		// 9 bytes each) and leave no room for another, not even an empty
+		// one, so a cycle carries 3 values, not BatchValues × Instances = 8.
+		{"BatchBytes splits the cycles", 2, 14, 8, 12, []int{3, 3, 3, 3}, 0},
+		// 2 × 19 = 38 bytes hold four 8-byte values (37 bytes) and still
+		// room for an empty one, so a 4-value head is not closed: once the
+		// queue is below MaxValues, the last 4 wait for the next trigger,
+		// here Drain.
+		{"BatchBytes leaves a head short of closed", 2, 19, 8, 12, []int{4, 4}, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -414,7 +445,7 @@ func TestEnginePolicyMaxValues(t *testing.T) {
 			// OnCycle runs after the cycle's pendings resolved, so the
 			// reports are awaited on the hook itself, not inferred from the
 			// Waits.
-			reports := make(chan Report, len(tc.cycles))
+			reports := make(chan Report, len(tc.cycles)+1)
 			cfg.OnCycle = func(rep Report) { reports <- rep }
 			e, err := New(cfg)
 			if err != nil {
@@ -424,14 +455,32 @@ func TestEnginePolicyMaxValues(t *testing.T) {
 			values, pendings := submitN(t, e, tc.submitted, 8)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			for i, p := range pendings {
-				if d := p.Wait(ctx); d.Err != nil || !bytes.Equal(d.Value, values[i]) {
-					t.Fatalf("auto-flushed value %d: %+v", i, d)
+			next := func(c, want int) {
+				select {
+				case rep := <-reports:
+					if rep.Values != want || rep.Cycle != c {
+						t.Errorf("per-cycle report %d = %+v, want %d values", c, rep, want)
+					}
+				case <-ctx.Done():
+					t.Fatalf("no report for cycle %d", c)
 				}
 			}
 			for c, want := range tc.cycles {
-				if rep := <-reports; rep.Values != want || rep.Cycle != c {
-					t.Errorf("per-cycle report %d = %+v, want %d values", c, rep, want)
+				next(c, want)
+			}
+			if tc.stranded > 0 {
+				time.Sleep(50 * time.Millisecond)
+				if got := e.PendingCount(); got != tc.stranded {
+					t.Fatalf("%d values queued after the background cycles, want %d", got, tc.stranded)
+				}
+				if err := e.Drain(ctx); err != nil {
+					t.Fatal(err)
+				}
+				next(len(tc.cycles), tc.stranded)
+			}
+			for i, p := range pendings {
+				if d := p.Wait(ctx); d.Err != nil || !bytes.Equal(d.Value, values[i]) {
+					t.Fatalf("auto-flushed value %d: %+v", i, d)
 				}
 			}
 		})
@@ -445,12 +494,12 @@ type gateRunner struct {
 	first            *sync.Once
 }
 
-func (g gateRunner) RunBatch(cfg sim.BatchConfig, body func(int, *sim.Proc) any) *sim.BatchResult {
+func (g gateRunner) Run(cfg sim.RunConfig, body func(*sim.Proc) any) *sim.RunResult {
 	g.first.Do(func() {
 		close(g.entered)
 		<-g.release
 	})
-	return simRunner{}.RunBatch(cfg, body)
+	return simRunner{}.Run(cfg, body)
 }
 
 // TestEnginePolicyRefillWaitsForTrigger: values queued while a cycle runs
@@ -693,8 +742,8 @@ func ExampleEngine() {
 // report, standing in for a networked backend with broken peer channels.
 type downRunner struct{ peers []int }
 
-func (d downRunner) RunBatch(cfg sim.BatchConfig, body func(int, *sim.Proc) any) *sim.BatchResult {
-	res := simRunner{}.RunBatch(cfg, body)
+func (d downRunner) Run(cfg sim.RunConfig, body func(*sim.Proc) any) *sim.RunResult {
+	res := simRunner{}.Run(cfg, body)
 	res.PeersDown = append([]int(nil), d.peers...)
 	return res
 }
@@ -712,14 +761,14 @@ func TestEngineReportsPeersDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	submitN(t, e, 4, 8) // two batches -> two cycles, each reporting {2, 5}
+	submitN(t, e, 4, 8) // two cycles, each reporting {2, 5}
 	reps := drainReports(t, e, reports)
 	if len(reps) != 2 {
 		t.Fatalf("got %d cycle reports, want 2", len(reps))
 	}
 	for _, rep := range reps {
 		if want := []int{2, 5}; len(rep.Batches) != 1 || !slices.Equal(rep.PeersDown, want) {
-			t.Errorf("cycle %d: %d batches, PeersDown = %v, want 1 batch and %v", rep.Cycle, len(rep.Batches), rep.PeersDown, want)
+			t.Errorf("cycle %d: %d rows, PeersDown = %v, want 1 row and %v", rep.Cycle, len(rep.Batches), rep.PeersDown, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -141,9 +142,9 @@ func poolDropsItems() bool {
 }
 
 // cycleAllocs returns the heap allocations of one flush cycle of an engine on
-// the simulator runner — values values of size bytes in one instance, one
-// RS lane so the instance runs many generations — averaged over several
-// cycles, along with the generations per instance.
+// the simulator runner — values values of size bytes in one run, one RS
+// lane so the run has many generations — averaged over several cycles,
+// along with the generations per run.
 func cycleAllocs(t *testing.T, disable bool, values, size int) (allocs float64, gens int) {
 	t.Helper()
 	cfg := testConfig()
@@ -174,7 +175,7 @@ func cycleAllocs(t *testing.T, disable bool, values, size int) (allocs float64, 
 // TestMetricsOverheadGuard is the observability overhead guard, in the one
 // currency that is deterministic: with the tracer off, a cycle with metrics
 // on may allocate only a small constant more than its DisableMetrics twin,
-// however many generations its instances run. (Time is left to bench/.) The
+// however many generations its run has. (Time is left to bench/.) The
 // budget is per cycle — the decision-latency slice, the phase-timer
 // closure — and the long cycle runs well over a hundred generations, so a
 // single allocation per timed generation overshoots it several times over.
@@ -193,5 +194,52 @@ func TestMetricsOverheadGuard(t *testing.T) {
 		if tc.values == 16 && gens < 2*budget {
 			t.Errorf("long cycle ran %d generations, too few for the budget %d to expose a per-generation allocation", gens, budget)
 		}
+	}
+}
+
+// holdSink is a trace sink that blocks the write of any event containing
+// match until release is closed.
+type holdSink struct {
+	match   []byte
+	release chan struct{}
+}
+
+func (h holdSink) Write(p []byte) (int, error) {
+	if bytes.Contains(p, h.match) {
+		<-h.release
+	}
+	return len(p), nil
+}
+
+// TestEngineStatsCountACycleBeforeItResolves: a caller that holds its
+// decision finds it in Stats, with the cycle's bits. The sink holds the
+// cycle's closing span, which the engine writes after resolving the cycle,
+// until the caller has read Stats.
+func TestEngineStatsCountACycleBeforeItResolves(t *testing.T) {
+	t.Parallel()
+	sink := holdSink{match: []byte(`"cat":"cycle"`), release: make(chan struct{})}
+	cfg := testConfig()
+	cfg.Tracer = obs.NewTracer(0, sink)
+	cfg.Tracer.SetEnabled(true)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	_, pendings := submitN(t, e, 3, 8)
+	drained := make(chan error, 1)
+	go func() { drained <- e.Drain(context.Background()) }()
+	for _, p := range pendings {
+		if d := p.Wait(context.Background()); d.Err != nil {
+			t.Fatal(d.Err)
+		}
+	}
+	st := e.Stats()
+	close(sink.release)
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if st.Decided != 3 || st.Bits == 0 || st.Bits != e.Stats().Bits {
+		t.Errorf("Stats after every decision resolved = %+v, want Decided 3 and the cycle's %d bits", st, e.Stats().Bits)
 	}
 }

@@ -14,11 +14,11 @@ import (
 	"byzcons/internal/transport"
 )
 
-// degradedBatch runs one single-instance consensus cycle with graceful
+// degradedRun runs one consensus cycle with graceful
 // degradation enabled at the model bound (up to par.T peers defaulted).
-func degradedBatch(par consensus.Params, inputs [][]byte, L int, seed int64, c *Cluster) *sim.BatchResult {
-	return c.RunBatch(sim.BatchConfig{N: par.N, Seed: seed, Instances: 1, DegradePeers: par.T},
-		func(_ int, p *sim.Proc) any {
+func degradedRun(par consensus.Params, inputs [][]byte, L int, seed int64, c *Cluster) *sim.RunResult {
+	return c.Run(sim.RunConfig{N: par.N, Seed: seed, DegradePeers: par.T},
+		func(p *sim.Proc) any {
 			return consensus.Run(p, par, inputs[p.ID], L)
 		})
 }
@@ -26,10 +26,10 @@ func degradedBatch(par consensus.Params, inputs [][]byte, L int, seed int64, c *
 // requireLiveAgreement asserts that every node outside skip produced an
 // output and that those outputs agree bit for bit — the degraded-cycle
 // contract: decisions or attributed defaults, never divergence.
-func requireLiveAgreement(t *testing.T, label string, res *sim.BatchResult, skip int) {
+func requireLiveAgreement(t *testing.T, label string, res *sim.RunResult, skip int) {
 	t.Helper()
 	var ref *consensus.Output
-	for i, v := range res.Instances[0].Values {
+	for i, v := range res.Values {
 		if i == skip {
 			continue
 		}
@@ -73,8 +73,8 @@ func TestClusterPartitionMinorityDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	simRes := consensusBatch(par, inputs, L, 61, sim.RunBatch)
-	netRes := consensusBatch(par, inputs, L, 61, c.RunBatch)
+	simRes := consensusRun(par, inputs, L, 61, sim.Run)
+	netRes := consensusRun(par, inputs, L, 61, c.Run)
 	requireCycleMatchesSim(t, "pre-partition cycle", simRes, netRes)
 
 	// Isolate node 3: the unlisted remainder {0,1,2} keeps quorum.
@@ -82,7 +82,7 @@ func TestClusterPartitionMinorityDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	degRes := degradedBatch(par, inputs, L, 62, c)
+	degRes := degradedRun(par, inputs, L, 62, c)
 	elapsed := time.Since(start)
 	if degRes.Err != nil {
 		t.Fatalf("partitioned cycle failed instead of degrading: %v", degRes.Err)
@@ -102,7 +102,7 @@ func TestClusterPartitionMinorityDegrades(t *testing.T) {
 	requireLiveAgreement(t, "partitioned cycle", degRes, 3)
 	// The isolated node cannot resolve its rounds (3 silent peers exceed its
 	// degrade bound of 1): its value goes missing rather than diverging.
-	if v := degRes.Instances[0].Values[3]; v != nil {
+	if v := degRes.Values[3]; v != nil {
 		t.Errorf("isolated node produced a value (%v), want a missing output", v)
 	}
 
@@ -110,8 +110,8 @@ func TestClusterPartitionMinorityDegrades(t *testing.T) {
 	waitRoutersHealthy(t, c)
 	for r := 0; r < 2; r++ {
 		seed := int64(70 + r)
-		simRes := consensusBatch(par, inputs, L, seed, sim.RunBatch)
-		netRes := consensusBatch(par, inputs, L, seed, c.RunBatch)
+		simRes := consensusRun(par, inputs, L, seed, sim.Run)
+		netRes := consensusRun(par, inputs, L, seed, c.Run)
 		if netRes.Err != nil {
 			t.Fatalf("cycle %d after heal: %v", r, netRes.Err)
 		}
@@ -170,8 +170,8 @@ func TestClusterCrashRestartRejoins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	simRes := consensusBatch(par, inputs, L, 81, sim.RunBatch)
-	netRes := consensusBatch(par, inputs, L, 81, c.RunBatch)
+	simRes := consensusRun(par, inputs, L, 81, sim.Run)
+	netRes := consensusRun(par, inputs, L, 81, c.Run)
 	requireCycleMatchesSim(t, "pre-crash cycle", simRes, netRes)
 
 	if err := c.Kill(2); err != nil {
@@ -181,7 +181,7 @@ func TestClusterCrashRestartRejoins(t *testing.T) {
 		t.Errorf("second Kill = %v, want an already-dead error", err)
 	}
 
-	degRes := degradedBatch(par, inputs, L, 82, c)
+	degRes := degradedRun(par, inputs, L, 82, c)
 	if degRes.Err != nil {
 		t.Fatalf("cycle with a crashed node failed instead of degrading: %v", degRes.Err)
 	}
@@ -189,7 +189,7 @@ func TestClusterCrashRestartRejoins(t *testing.T) {
 		t.Errorf("DegradedPeers = %v, want the crashed node 2", degRes.DegradedPeers)
 	}
 	requireLiveAgreement(t, "crashed cycle", degRes, 2)
-	if v := degRes.Instances[0].Values[2]; v != nil {
+	if v := degRes.Values[2]; v != nil {
 		t.Errorf("dead node produced a value (%v), want no body run at all", v)
 	}
 
@@ -203,8 +203,8 @@ func TestClusterCrashRestartRejoins(t *testing.T) {
 
 	for r := 0; r < 2; r++ {
 		seed := int64(90 + r)
-		simRes := consensusBatch(par, inputs, L, seed, sim.RunBatch)
-		netRes := consensusBatch(par, inputs, L, seed, c.RunBatch)
+		simRes := consensusRun(par, inputs, L, seed, sim.Run)
+		netRes := consensusRun(par, inputs, L, seed, c.Run)
 		if netRes.Err != nil {
 			t.Fatalf("cycle %d after restart: %v", r, netRes.Err)
 		}
@@ -232,10 +232,10 @@ func TestClusterKillMidCycle(t *testing.T) {
 	// Gate every body until the kill lands, so the crash is observably
 	// mid-epoch: the routers hold attached runtimes when Kill fires.
 	gate := make(chan struct{})
-	done := make(chan *sim.BatchResult, 1)
+	done := make(chan *sim.RunResult, 1)
 	go func() {
-		done <- c.RunBatch(sim.BatchConfig{N: 4, Seed: 5, Instances: 1, DegradePeers: 1},
-			func(_ int, p *sim.Proc) any {
+		done <- c.Run(sim.RunConfig{N: 4, Seed: 5, DegradePeers: 1},
+			func(p *sim.Proc) any {
 				<-gate
 				p.Exchange("r1", nil, nil)
 				return "done"
@@ -256,7 +256,7 @@ func TestClusterKillMidCycle(t *testing.T) {
 	if !slices.Contains(res.DegradedPeers, 2) {
 		t.Errorf("DegradedPeers = %v, want the killed node 2", res.DegradedPeers)
 	}
-	for i, v := range res.Instances[0].Values {
+	for i, v := range res.Values {
 		want := any("done")
 		if i == 2 {
 			want = nil

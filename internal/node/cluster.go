@@ -17,23 +17,22 @@ import (
 )
 
 // Cluster runs protocol deployments over a transport. It is the networked
-// counterpart of sim.Run/sim.RunBatch with the same signatures and result
-// types, so the consensus engine selects its backend by picking a runner,
-// and everything downstream (batching, metrics, decision demux) is untouched.
+// counterpart of sim.Run with the same signature and result type, so the
+// consensus engine selects its backend by picking a runner, and everything
+// downstream (batching, metrics, decision demux) is untouched.
 //
 // The transport mesh is persistent: it is dialed once — eagerly via Connect,
 // or lazily by the first run — and reused by every subsequent run until
-// Close. Cycles are demultiplexed by a monotone global instance id carried in
-// every frame header (the epoch tag): each run claims the next contiguous id
-// range, per-node routers attach the run's runtimes for exactly those ids,
-// and a frame whose id predates the current range is a stale leftover of an
-// earlier (possibly aborted) cycle and is dropped by tag instead of being
-// fenced off by a mesh teardown.
+// Close. Runs are demultiplexed by a monotone epoch id carried in every
+// frame header (wire.Frame.Instance): each run claims the next id, per-node
+// routers attach the run's runtimes for exactly that id, and a frame whose
+// id predates it is a stale leftover of an earlier (possibly aborted) run
+// and is dropped by tag instead of being fenced off by a mesh teardown.
 //
 // Sharding generalizes the epoch tag to (shard, epoch): a cluster configured
-// with Shards > 1 partitions its instance-id space into per-shard lanes
+// with Shards > 1 partitions its id space into per-shard lanes
 // (wire.ComposeInstance packs the shard into the id's low bits), each shard
-// has its own run serialization, epoch pointer, instance high-water mark and
+// has its own run serialization, epoch pointer, epoch high-water mark and
 // observed-down set, and ShardRunner(k) is shard k's runner handle. Runs
 // serialize per shard — one epoch per shard owns that shard's id lane at a
 // time — while different shards' epochs run concurrently over the one mesh.
@@ -52,8 +51,8 @@ type Cluster struct {
 	// epoch if its channel is healthy.
 	StallTimeout time.Duration
 	// Obs, if non-nil, is the registry the cluster's runtimes record into:
-	// round-sync wait histograms and inbox depth, tallied once per instance
-	// (the countRounds runtime). Set before the first run.
+	// round-sync wait histograms and inbox depth, tallied once per run (the
+	// countRounds runtime). Set before the first run.
 	Obs *obs.Registry
 	// Tracer, if non-nil and enabled, receives peer lifecycle trace events
 	// (down, up, stall) from the per-node routers. Set before Connect.
@@ -73,11 +72,11 @@ type Cluster struct {
 }
 
 // shardRun is one shard's run state: runs within a shard serialize on mu
-// (one epoch per shard owns the shard's id lane at a time), and nextInst is
-// the shard-local instance-id high-water mark the next epoch claims from.
+// (one epoch per shard owns the shard's id lane at a time), and nextEpoch is
+// the shard-local id the next run claims.
 type shardRun struct {
-	mu       sync.Mutex
-	nextInst int
+	mu        sync.Mutex
+	nextEpoch int
 }
 
 // NewCluster returns a Cluster building its mesh from the given factory.
@@ -177,9 +176,7 @@ func (c *Cluster) Kill(node int) error {
 	fault := &peerFault{fmt.Errorf("node %d killed (crash injection)", node)}
 	for s := range router.epochs {
 		if ep := router.epochs[s].Load(); ep != nil {
-			for _, rt := range ep.rts {
-				rt.Fail(fault)
-			}
+			ep.rt.Fail(fault)
 		}
 	}
 	return nil
@@ -279,21 +276,12 @@ func (c *Cluster) WireStats() transport.Stats {
 	return st
 }
 
-// Run executes body at each of cfg.N processors over the persistent mesh,
-// one networked node per processor — the Cluster analogue of sim.Run.
+// Run executes body at each of cfg.N processors as one epoch of shard 0
+// over the persistent mesh, one networked node per processor — the Cluster
+// analogue of sim.Run and the engine's Runner entry point for an unsharded
+// deployment.
 func (c *Cluster) Run(cfg sim.RunConfig, body func(p *sim.Proc) any) *sim.RunResult {
-	br := c.runBatch(0, sim.BatchConfig{
-		N: cfg.N, Faulty: cfg.Faulty, Adversary: cfg.Adversary, Seed: cfg.Seed, Instances: 1,
-	}, false, func(_ int, p *sim.Proc) any { return body(p) })
-	ir := br.Instances[0]
-	return &sim.RunResult{Values: ir.Values, Meter: ir.Meter, Err: ir.Err}
-}
-
-// RunBatch executes cfg.Instances pipelined instances as one epoch of shard
-// 0 over the persistent mesh — the Cluster analogue of sim.RunBatch and the
-// engine's Runner entry point for an unsharded deployment.
-func (c *Cluster) RunBatch(cfg sim.BatchConfig, body func(inst int, p *sim.Proc) any) *sim.BatchResult {
-	return c.runBatch(0, cfg, true, body)
+	return c.run(0, cfg, body)
 }
 
 // ShardRunner is one shard's runner handle: an engine drives its cycles
@@ -310,40 +298,29 @@ func (c *Cluster) ShardRunner(k int) *ShardRunner {
 	return &ShardRunner{c: c, shard: k}
 }
 
-// RunBatch executes one epoch on the handle's shard.
-func (r *ShardRunner) RunBatch(cfg sim.BatchConfig, body func(inst int, p *sim.Proc) any) *sim.BatchResult {
-	return r.c.runBatch(r.shard, cfg, true, body)
+// Run executes one epoch on the handle's shard.
+func (r *ShardRunner) Run(cfg sim.RunConfig, body func(p *sim.Proc) any) *sim.RunResult {
+	return r.c.run(r.shard, cfg, body)
 }
 
-func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body func(inst int, p *sim.Proc) any) *sim.BatchResult {
-	b := cfg.Instances
-	if b < 1 {
-		b = 1
-	}
-	res := &sim.BatchResult{Instances: make([]sim.InstanceResult, b)}
-	for k := range res.Instances {
-		res.Instances[k].Meter = metrics.NewMeter()
-		res.Instances[k].Values = make([]any, cfg.N)
-	}
-	failAll := func(err error) *sim.BatchResult {
+func (c *Cluster) run(shard int, cfg sim.RunConfig, body func(p *sim.Proc) any) *sim.RunResult {
+	res := &sim.RunResult{Meter: metrics.NewMeter(), Values: make([]any, cfg.N)}
+	fail := func(err error) *sim.RunResult {
 		res.Err = err
-		for k := range res.Instances {
-			res.Instances[k].Err = err
-		}
 		return res
 	}
 
 	faulty := make([]bool, cfg.N)
 	for _, f := range cfg.Faulty {
 		if f < 0 || f >= cfg.N {
-			return failAll(fmt.Errorf("node: faulty id %d out of range [0,%d)", f, cfg.N))
+			return fail(fmt.Errorf("node: faulty id %d out of range [0,%d)", f, cfg.N))
 		}
 		faulty[f] = true
 	}
-	// One adversary is shared by all nodes and instances, serialized like in
-	// sim.RunBatch. Under the cluster each faulty node applies it to its own
-	// traffic, so a stateful adversary observes per-node call streams rather
-	// than the simulator's global one; the bundled gallery is stateless.
+	// One adversary is shared by all nodes, serialized. Under the cluster
+	// each faulty node applies it to its own traffic, so a stateful
+	// adversary observes per-node call streams rather than the simulator's
+	// global one; the bundled gallery is stateless.
 	var adv sim.Adversary
 	if cfg.Adversary != nil {
 		adv = sim.LockAdversary(cfg.Adversary)
@@ -358,11 +335,11 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 	c.mu.Lock()
 	if err := c.connectLocked(cfg.N); err != nil {
 		c.mu.Unlock()
-		return failAll(err)
+		return fail(err)
 	}
 	if shard < 0 || shard >= c.shards {
 		c.mu.Unlock()
-		return failAll(fmt.Errorf("node: shard %d out of range [0,%d)", shard, c.shards))
+		return fail(fmt.Errorf("node: shard %d out of range [0,%d)", shard, c.shards))
 	}
 	sr := &c.runs[shard]
 	shardBits := c.shardBits
@@ -376,122 +353,102 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return failAll(errors.New("node: cluster closed"))
+		return fail(errors.New("node: cluster closed"))
 	}
-	base := sr.nextInst
-	sr.nextInst += b
+	epoch := sr.nextEpoch
+	sr.nextEpoch++
 	eps, routers := c.eps, c.routers
 	dead := append([]bool(nil), c.dead...)
 	c.mu.Unlock()
 
-	// One runtime per (instance, node); the persistent endpoint and router of
-	// each node are shared by the node's instances and by every cycle.
+	// One runtime per node; the persistent endpoint and router of each node
+	// are shared by every run.
 	var roundWait *obs.Histogram
 	var inboxDepth *obs.Gauge
 	if c.Obs != nil {
 		roundWait = c.Obs.Histogram("node_round_wait_ns")
 		inboxDepth = c.Obs.Gauge("node_inbox_depth")
 	}
-	runtimes := make([][]*runtime, b) // [instance][node]
-	for k := 0; k < b; k++ {
-		instSeed := sim.InstanceSeed(cfg.Seed, k)
-		instTag := -1
-		if tagged {
-			instTag = k
-		}
-		runtimes[k] = make([]*runtime, cfg.N)
-		for i := 0; i < cfg.N; i++ {
-			router := routers[i]
-			runtimes[k][i] = newRuntime(options{
-				id: i, n: cfg.N, instTag: instTag,
-				wireInst: wire.ComposeInstance(base+k, shard, shardBits),
-				faulty:   faulty, adv: adv,
-				procRand:     sim.LazyRand(sim.ProcSeed(instSeed, i)),
-				advRand:      sim.LazyRand(sim.ProcSeed(instSeed^0x5DEECE66D, i)),
-				meter:        res.Instances[k].Meter,
-				countRounds:  i == 0,
-				stallTimeout: c.StallTimeout,
-				// Stalls are attributed to the shard whose cycle observed them.
-				onStall:         func(peer int) { router.observeStall(shard, peer) },
-				degrade:         degrade,
-				send:            eps[i].Send,
-				recycleSendBufs: !eps[i].Retains(),
-				roundWait:       roundWait,
-				inboxDepth:      inboxDepth,
-			})
-		}
-	}
-
-	// failInstance propagates one node's failure to the instance's other
-	// nodes: the in-process analogue of the simulator's shared run failure.
-	// (Over TCP a crashed node is also detected via its broken connections;
-	// the latch just reports the original error instead of a generic EOF.)
-	failInstance := func(k int, err error) {
-		for _, rt := range runtimes[k] {
-			rt.Fail(err)
-		}
+	runtimes := make([]*runtime, cfg.N)
+	for i := range runtimes {
+		router := routers[i]
+		runtimes[i] = newRuntime(options{
+			id: i, n: cfg.N,
+			wireInst: wire.ComposeInstance(epoch, shard, shardBits),
+			faulty:   faulty, adv: adv,
+			procRand:     sim.LazyRand(sim.ProcSeed(cfg.Seed, i)),
+			advRand:      sim.LazyRand(sim.ProcSeed(cfg.Seed^0x5DEECE66D, i)),
+			meter:        res.Meter,
+			countRounds:  i == 0,
+			stallTimeout: c.StallTimeout,
+			// Stalls are attributed to the shard whose cycle observed them.
+			onStall:         func(peer int) { router.observeStall(shard, peer) },
+			degrade:         degrade,
+			send:            eps[i].Send,
+			recycleSendBufs: !eps[i].Retains(),
+			roundWait:       roundWait,
+			inboxDepth:      inboxDepth,
+		})
 	}
 
 	// Attach this epoch to the persistent routers: incoming frames for the
-	// claimed id range route to the fresh runtimes, frames of earlier epochs
-	// are discarded by tag, and peer channels already known broken replay
-	// into the new inboxes.
-	for i := 0; i < cfg.N; i++ {
-		rts := make([]*runtime, b)
-		for k := 0; k < b; k++ {
-			rts[k] = runtimes[k][i]
-		}
-		routers[i].begin(shard, base, rts)
+	// claimed id route to the fresh runtimes, frames of earlier epochs are
+	// discarded by tag, and peer channels already known broken replay into
+	// the new inboxes.
+	for i, rt := range runtimes {
+		routers[i].begin(shard, epoch, rt)
 	}
 
-	var instErrs = make([]error, b)
-	// spent marks the processors the cycle charges to its fault budget
+	// spent marks the processors the run charges to its fault budget
 	// whatever else degraded: the Byzantine ones, and — filled in below —
 	// killed nodes and nodes whose run ended on a tolerated peer fault.
 	spent := slices.Clone(faulty)
-	var instMu sync.Mutex
+	var errMu sync.Mutex
 	var bodies sync.WaitGroup
-	for k := 0; k < b; k++ {
-		for i := 0; i < cfg.N; i++ {
-			if dead[i] {
-				// A hard-killed node runs nothing: its value stays missing and
-				// the surviving nodes resolve the cycle against its silence.
-				continue
-			}
-			bodies.Add(1)
-			k, i := k, i
-			go func() {
-				defer bodies.Done()
-				v, err := runtimes[k][i].run(func(p *sim.Proc) any { return body(k, p) })
-				res.Instances[k].Values[i] = v
-				if err != nil {
-					if degrade > 0 && isPeerFault(err) {
-						// The node's run failed on a broken peer channel (or
-						// the node itself was killed): under graceful
-						// degradation its value goes missing instead of
-						// latching the failure instance-wide.
-						instMu.Lock()
-						spent[i] = true
-						instMu.Unlock()
-						return
-					}
-					instMu.Lock()
-					if instErrs[k] == nil {
-						instErrs[k] = err
-					}
-					instMu.Unlock()
-					failInstance(k, err)
-				}
-			}()
+	for i, rt := range runtimes {
+		if dead[i] {
+			// A hard-killed node runs nothing: its value stays missing and
+			// the surviving nodes resolve the run against its silence.
+			continue
 		}
+		bodies.Add(1)
+		go func() {
+			defer bodies.Done()
+			v, err := rt.run(body)
+			res.Values[i] = v
+			if err == nil {
+				return
+			}
+			errMu.Lock()
+			defer errMu.Unlock()
+			if degrade > 0 && isPeerFault(err) {
+				// The node's run failed on a broken peer channel (or the
+				// node itself was killed): under graceful degradation its
+				// value goes missing instead of latching the failure
+				// run-wide.
+				spent[i] = true
+				return
+			}
+			if res.Err == nil {
+				res.Err = err
+			}
+			// Propagate the failure to the other nodes: the in-process
+			// analogue of the simulator's shared run failure. (Over TCP a
+			// crashed node is also detected via its broken connections; the
+			// latch just reports the original error instead of a generic
+			// EOF.)
+			for _, other := range runtimes {
+				other.Fail(err)
+			}
+		}()
 	}
 	bodies.Wait()
 	// Detach the epoch. Honest traffic is fully consumed once every body
 	// returned (one frame per peer per step, every step awaited); whatever a
-	// failed run left in flight is dropped by the next epoch's base check.
-	// Each router also reports which peers it observed down during the cycle,
-	// as (observer, down peer) pairs: the cycle's membership gap.
-	// Nodes killed during the cycle are excluded as observers: a dead node's
+	// failed run left in flight is dropped by the next epoch's id check.
+	// Each router also reports which peers it observed down during the run,
+	// as (observer, down peer) pairs: the run's membership gap.
+	// Nodes killed during the run are excluded as observers: a dead node's
 	// router saw every channel sever at once, which says nothing about the
 	// surviving membership.
 	c.mu.Lock()
@@ -500,9 +457,9 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 	downSet := make([]bool, cfg.N)
 	degradedSet := make([]bool, cfg.N)
 	var downPairs [][2]int // (observer, down peer)
-	var pairs [][2]int     // (observer, degraded peer), each once
-	for i := range routers {
-		down := routers[i].end(shard)
+	var pairs [][2]int     // (observer, degraded peer)
+	for i, router := range routers {
+		down := router.end(shard)
 		if dead[i] || deadNow[i] {
 			spent[i] = true
 			continue
@@ -511,24 +468,14 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 			downSet[peer] = true
 			downPairs = append(downPairs, [2]int{i, peer})
 		}
-		seen := make([]bool, cfg.N)
-		for k := 0; k < b; k++ {
-			for _, peer := range runtimes[k][i].inbox.degradedPeers() {
-				degradedSet[peer] = true
-				if !seen[peer] {
-					seen[peer] = true
-					pairs = append(pairs, [2]int{i, peer})
-				}
-			}
+		for _, peer := range runtimes[i].inbox.degradedPeers() {
+			degradedSet[peer] = true
+			pairs = append(pairs, [2]int{i, peer})
 		}
 	}
 	if degrade > 0 {
-		if err := checkFaultBudget(spent, pairs, degrade); err != nil {
-			for k := range instErrs {
-				if instErrs[k] == nil {
-					instErrs[k] = err
-				}
-			}
+		if err := checkFaultBudget(spent, pairs, degrade); err != nil && res.Err == nil {
+			res.Err = err
 		}
 		// Charge down channels as degraded ones are charged; past the
 		// budget the raw union of observed-down peers stands.
@@ -546,21 +493,6 @@ func (c *Cluster) runBatch(shard int, cfg sim.BatchConfig, tagged bool, body fun
 	for peer, d := range degradedSet {
 		if d {
 			res.DegradedPeers = append(res.DegradedPeers, peer)
-		}
-	}
-
-	for k := range res.Instances {
-		ir := &res.Instances[k]
-		ir.Err = instErrs[k]
-		if ir.Err != nil && tagged {
-			ir.Err = fmt.Errorf("inst %d: %w", k, ir.Err)
-		}
-		res.Bits += ir.Meter.TotalBits()
-		if r := ir.Meter.Rounds(); r > res.Rounds {
-			res.Rounds = r
-		}
-		if ir.Err != nil && res.Err == nil {
-			res.Err = ir.Err
 		}
 	}
 	return res
@@ -652,17 +584,17 @@ func coverLeaves(in []bool, pairs [][2]int, k int, union []bool) bool {
 }
 
 // routerEpoch is one run's attachment to a node's persistent router: the
-// run's claimed global instance id range and the node's runtime per instance.
+// run's epoch id and the node's runtime.
 type routerEpoch struct {
-	base int
-	rts  []*runtime
+	id int
+	rt *runtime
 }
 
 // peerState is one peer channel's failure state at a router: the current
 // failure (nil = healthy) and whether it is permanent. Transient losses —
 // dropped connections, injected faults — are cleared by the transport's
 // PeerUp once the channel recovers; protocol-level violations (undecodable
-// frame headers, unknown instance ids, transports'
+// frame headers, unknown epoch ids, transports'
 // permanent demotions) never are.
 type peerState struct {
 	err       error
@@ -670,15 +602,14 @@ type peerState struct {
 }
 
 // nodeRouter is one node's persistent receive routing: it decodes incoming
-// frames and routes them to the owning instance runtime of the current
-// epoch. It implements transport.Sink (and transport.RecoverySink), so the
+// frames and routes them to the runtime of the current epoch. It implements transport.Sink (and transport.RecoverySink), so the
 // transport invokes it directly from its delivery context. Frames
 // whose payloads do not decode degrade to payload-free frames (⊥ messages —
-// a legal Byzantine payload); frames whose headers do not decode, instance
-// ids beyond the current epoch's range, and broken connections are
+// a legal Byzantine payload); frames whose headers do not decode, epoch ids
+// beyond the current epoch, and broken connections are
 // channel-level violations scoped to the offending peer: a round that
 // already holds that peer's frames still completes, and only a round
-// genuinely missing one fails. Frames whose instance id predates the current
+// genuinely missing one fails. Frames whose epoch id predates the current
 // epoch are stale leftovers of an earlier cycle and are dropped silently.
 //
 // Failure scoping: a peer-channel failure is replayed into the inboxes of
@@ -686,13 +617,13 @@ type peerState struct {
 // cleared by the transport's recovery (PeerUp) leaves the next epoch clean;
 // only protocol violations latch forever. Recovery is resynchronized at the
 // epoch boundary: a PeerUp never touches the current epoch's inboxes, so a
-// rejoining peer participates only from the next instance-id base — there is
-// no mid-generation rejoin, preserving the synchronous-round model within
+// rejoining peer participates only from the next epoch — there is no
+// mid-generation rejoin, preserving the synchronous-round model within
 // each epoch.
 //
 // Shard scoping: epoch attachment, the observed-down set and the stale-frame
-// base check are per shard — shard k's epoch routes only frames whose
-// composed instance id names shard k, and a fault observed while only shard
+// id check are per shard — shard k's epoch routes only frames whose
+// composed id names shard k, and a fault observed while only shard
 // k has a cycle in flight appears in shard k's report alone. The peer
 // failure state itself is physical (one channel per peer, shared by every
 // shard riding the mesh), so a standing failure replays into whichever
@@ -725,8 +656,8 @@ func newNodeRouter(node, n, shards int, shardBits uint) *nodeRouter {
 	return r
 }
 
-// begin attaches a run's runtimes to one shard of the router and replays the
-// currently standing failure state into their fresh inboxes. The epoch is
+// begin attaches a run's runtime to one shard of the router and replays the
+// currently standing failure state into its fresh inbox. The epoch is
 // published before the failure state is snapshotted: a PeerDown racing begin
 // then either lands in the snapshot (replayed below) or sees the stored
 // epoch and delivers live — possibly both, which inbox.peerDown's
@@ -734,8 +665,8 @@ func newNodeRouter(node, n, shards int, shardBits uint) *nodeRouter {
 // arriving in between to neither path. The shard's per-epoch observation set
 // starts as exactly the replayed failures: a peer healed before the epoch
 // began is a clean member of this cycle.
-func (r *nodeRouter) begin(shard, base int, rts []*runtime) {
-	r.epochs[shard].Store(&routerEpoch{base: base, rts: rts})
+func (r *nodeRouter) begin(shard, id int, rt *runtime) {
+	r.epochs[shard].Store(&routerEpoch{id: id, rt: rt})
 	r.mu.Lock()
 	down := make([]error, r.n)
 	for peer := range r.peers {
@@ -744,10 +675,7 @@ func (r *nodeRouter) begin(shard, base int, rts []*runtime) {
 	}
 	r.mu.Unlock()
 	for peer, err := range down {
-		if err == nil {
-			continue
-		}
-		for _, rt := range rts {
+		if err != nil {
 			rt.inbox.peerDown(peer, err)
 		}
 	}
@@ -822,9 +750,7 @@ func (r *nodeRouter) PeerDown(peer int, err error) {
 	}
 	for s := range r.epochs {
 		if ep := r.epochs[s].Load(); ep != nil {
-			for _, rt := range ep.rts {
-				rt.inbox.peerDown(peer, err)
-			}
+			ep.rt.inbox.peerDown(peer, err)
 		}
 	}
 }
@@ -833,7 +759,7 @@ func (r *nodeRouter) PeerDown(peer int, err error) {
 // cleared, so the next epoch begins with the peer as a clean member. The
 // current epoch's inboxes are deliberately left untouched — the rejoining
 // peer missed rounds this cycle already depends on, so it participates only
-// from the next instance-id base (the resync-at-epoch-boundary rule).
+// from the next epoch (the resync-at-epoch-boundary rule).
 func (r *nodeRouter) PeerUp(peer int) {
 	if peer < 0 || peer >= r.n {
 		return
@@ -887,16 +813,16 @@ func (r *nodeRouter) Deliver(fr transport.Frame) {
 		f = hdr
 	}
 	transport.PutBuf(fr.Data)
-	inst, shard := wire.SplitInstance(f.Instance, r.shardBits)
+	id, shard := wire.SplitInstance(f.Instance, r.shardBits)
 	if shard >= len(r.epochs) {
 		// The shard field decodes but names no configured shard: a protocol
-		// violation by the sender, convicted like an unknown instance id.
+		// violation by the sender, convicted like an unknown epoch id.
 		wire.PutFrame(f)
 		r.PeerDown(fr.From, fmt.Errorf("frame from node %d for unknown shard %d", fr.From, shard))
 		return
 	}
 	ep := r.epochs[shard].Load()
-	if ep == nil || inst < ep.base {
+	if ep == nil || id < ep.id {
 		// Stale: the frame belongs to an earlier epoch of its shard (an
 		// aborted run's leftovers, or delivery racing a cycle's teardown).
 		// The persistent mesh replaces the old fresh-mesh-per-run fence with
@@ -904,11 +830,10 @@ func (r *nodeRouter) Deliver(fr transport.Frame) {
 		wire.PutFrame(f)
 		return
 	}
-	k := inst - ep.base
-	if k >= len(ep.rts) {
+	if id > ep.id {
 		wire.PutFrame(f)
 		r.PeerDown(fr.From, fmt.Errorf("frame from node %d for unknown instance %d (shard %d)", fr.From, f.Instance, shard))
 		return
 	}
-	ep.rts[k].inbox.push(fr.From, f)
+	ep.rt.inbox.push(fr.From, f)
 }

@@ -39,11 +39,10 @@ func fastRetry() transport.RetryPolicy {
 	}
 }
 
-// consensusBatch runs one single-instance consensus cycle over the given
-// batch runner.
-func consensusBatch(par consensus.Params, inputs [][]byte, L int, seed int64,
-	run func(sim.BatchConfig, func(int, *sim.Proc) any) *sim.BatchResult) *sim.BatchResult {
-	return run(sim.BatchConfig{N: par.N, Seed: seed, Instances: 1}, func(_ int, p *sim.Proc) any {
+// consensusRun runs one consensus cycle over the given runner.
+func consensusRun(par consensus.Params, inputs [][]byte, L int, seed int64,
+	run func(sim.RunConfig, func(*sim.Proc) any) *sim.RunResult) *sim.RunResult {
+	return run(sim.RunConfig{N: par.N, Seed: seed}, func(p *sim.Proc) any {
 		return consensus.Run(p, par, inputs[p.ID], L)
 	})
 }
@@ -51,12 +50,12 @@ func consensusBatch(par consensus.Params, inputs [][]byte, L int, seed int64,
 // requireCycleMatchesSim asserts a networked cycle reproduced the simulator
 // bit for bit: decisions, generation counts, diagnosis graphs, metered
 // traffic and round count.
-func requireCycleMatchesSim(t *testing.T, label string, simRes, netRes *sim.BatchResult) {
+func requireCycleMatchesSim(t *testing.T, label string, simRes, netRes *sim.RunResult) {
 	t.Helper()
 	if simRes.Err != nil || netRes.Err != nil {
 		t.Fatalf("%s: sim err %v, cluster err %v", label, simRes.Err, netRes.Err)
 	}
-	sv, nv := simRes.Instances[0].Values, netRes.Instances[0].Values
+	sv, nv := simRes.Values, netRes.Values
 	for i := range sv {
 		so := sv[i].(*consensus.Output)
 		no := nv[i].(*consensus.Output)
@@ -72,11 +71,11 @@ func requireCycleMatchesSim(t *testing.T, label string, simRes, netRes *sim.Batc
 			t.Errorf("%s: node %d diagnosis graphs diverge", label, i)
 		}
 	}
-	if simRes.Bits != netRes.Bits {
-		t.Errorf("%s: metered bits diverge: cluster %d, sim %d", label, netRes.Bits, simRes.Bits)
+	if sb, nb := simRes.Meter.TotalBits(), netRes.Meter.TotalBits(); sb != nb {
+		t.Errorf("%s: metered bits diverge: cluster %d, sim %d", label, nb, sb)
 	}
-	if simRes.Rounds != netRes.Rounds {
-		t.Errorf("%s: rounds diverge: cluster %d, sim %d", label, netRes.Rounds, simRes.Rounds)
+	if sr, nr := simRes.Meter.Rounds(), netRes.Meter.Rounds(); sr != nr {
+		t.Errorf("%s: rounds diverge: cluster %d, sim %d", label, nr, sr)
 	}
 }
 
@@ -132,7 +131,7 @@ func TestClusterEpochScopedFailureRecovery(t *testing.T) {
 	}
 
 	ff.CutPair(1, 3)
-	res := consensusBatch(par, inputs, L, 11, c.RunBatch)
+	res := consensusRun(par, inputs, L, 11, c.Run)
 	if res.Err == nil {
 		t.Fatal("cycle with a cut peer channel decided")
 	}
@@ -143,8 +142,8 @@ func TestClusterEpochScopedFailureRecovery(t *testing.T) {
 	ff.HealPair(1, 3)
 	for r := 0; r < 2; r++ {
 		seed := int64(20 + r)
-		simRes := consensusBatch(par, inputs, L, seed, sim.RunBatch)
-		netRes := consensusBatch(par, inputs, L, seed, c.RunBatch)
+		simRes := consensusRun(par, inputs, L, seed, sim.Run)
+		netRes := consensusRun(par, inputs, L, seed, c.Run)
 		if netRes.Err != nil {
 			t.Fatalf("cycle %d after heal: %v", r+2, netRes.Err)
 		}
@@ -181,8 +180,8 @@ func TestClusterPeerReconnectResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	simRes := consensusBatch(par, inputs, L, 31, sim.RunBatch)
-	netRes := consensusBatch(par, inputs, L, 31, c.RunBatch)
+	simRes := consensusRun(par, inputs, L, 31, sim.Run)
+	netRes := consensusRun(par, inputs, L, 31, c.Run)
 	requireCycleMatchesSim(t, "pre-drop cycle", simRes, netRes)
 
 	// Kill every connection node 2 participates in — the mid-session analogue
@@ -218,8 +217,8 @@ func TestClusterPeerReconnectResync(t *testing.T) {
 
 	for r := 0; r < 2; r++ {
 		seed := int64(40 + r)
-		simRes := consensusBatch(par, inputs, L, seed, sim.RunBatch)
-		netRes := consensusBatch(par, inputs, L, seed, c.RunBatch)
+		simRes := consensusRun(par, inputs, L, seed, sim.Run)
+		netRes := consensusRun(par, inputs, L, seed, c.Run)
 		if netRes.Err != nil {
 			t.Fatalf("cycle %d after reconnect: %v", r+2, netRes.Err)
 		}
@@ -270,8 +269,8 @@ func TestClusterFaultInjectionPerCycle(t *testing.T) {
 	pairs := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}}
 	for r := 0; r < cycles; r++ {
 		seed := int64(50 + r)
-		simRes := consensusBatch(par, inputs, L, seed, sim.RunBatch)
-		netRes := consensusBatch(par, inputs, L, seed, c.RunBatch)
+		simRes := consensusRun(par, inputs, L, seed, sim.Run)
+		netRes := consensusRun(par, inputs, L, seed, c.Run)
 		if netRes.Err != nil {
 			t.Fatalf("cycle %d: %v", r, netRes.Err)
 		}
@@ -299,7 +298,7 @@ func TestClusterStallDetectorIsolatesSilentPeer(t *testing.T) {
 	defer c.Close()
 	c.StallTimeout = 300 * time.Millisecond
 	start := time.Now()
-	res := c.RunBatch(sim.BatchConfig{N: 3, Seed: 1, Instances: 1}, func(_ int, p *sim.Proc) any {
+	res := c.Run(sim.RunConfig{N: 3, Seed: 1}, func(p *sim.Proc) any {
 		if p.ID == 2 {
 			return "silent" // never joins the round: no frames, no progress
 		}

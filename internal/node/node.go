@@ -11,7 +11,7 @@
 // push delivery (transport.Sink) — decoded and routed in the sender's or
 // connection reader's context, with one wakeup per completed round — so the
 // lock-step hot path crosses no receive queue and no dispatcher goroutine.
-// Each instance's frames are demultiplexed into one FIFO per peer: per-peer
+// Each run's frames are demultiplexed into one FIFO per peer: per-peer
 // FIFO order — guaranteed by every transport — makes the arrival ordinal the
 // round identity; the frame header's step checksum cross-checks it, and a
 // mismatch aborts the run exactly like the simulator's step-misalignment
@@ -62,19 +62,18 @@ import (
 // compute-bound honest peer on a loaded host is not convicted.
 const DefaultStallTimeout = 20 * time.Second
 
-// options configures one processor runtime of one protocol instance.
+// options configures one processor runtime of one run.
 type options struct {
 	id       int
 	n        int
-	instTag  int // instance for error tagging; -1 = untagged single run
-	wireInst int // instance id carried in frames (>= 0)
+	wireInst int // epoch id carried in frames (>= 0)
 	faulty   []bool
 	adv      sim.Adversary // applied locally when faulty[id]; may be nil
 	procRand *rand.Rand    // protocol randomness (matches the simulator's derivation)
 	advRand  *rand.Rand    // local adversary randomness
 	meter    *metrics.Meter
-	// countRounds marks the one runtime per instance that tallies rounds
-	// into the shared meter (every node executes the same barriers, so
+	// countRounds marks the one runtime per run that tallies rounds into
+	// the shared meter (every node executes the same barriers, so
 	// counting at each would multiply the round count by n).
 	countRounds bool
 	// stallTimeout is the stall detector's park bound (0 = default);
@@ -106,7 +105,7 @@ type options struct {
 	inboxDepth *obs.Gauge
 }
 
-// runtime drives one processor of one protocol instance over a transport.
+// runtime drives one processor of one run over a transport.
 // It implements sim.Backend; the body's goroutine calls Exchange/Sync while
 // the transport's delivery context feeds the inbox.
 type runtime struct {
@@ -133,12 +132,11 @@ func newRuntime(opts options) *runtime {
 
 // run executes the protocol body at this runtime's processor.
 func (rt *runtime) run(body func(*sim.Proc) any) (any, error) {
-	p := sim.NewProc(rt.opts.id, rt.opts.n, max(rt.opts.instTag, 0), rt.opts.faulty[rt.opts.id], rt.opts.procRand, rt)
+	p := sim.NewProc(rt.opts.id, rt.opts.n, rt.opts.faulty[rt.opts.id], rt.opts.procRand, rt)
 	return sim.Invoke(p, body)
 }
 
-// errf tags a runtime error with the node; instance attribution is added
-// once, by the cluster, when it collects the per-instance errors.
+// errf tags a runtime error with the node.
 func (rt *runtime) errf(format string, args ...any) error {
 	return fmt.Errorf("node %d: %w", rt.opts.id, fmt.Errorf(format, args...))
 }
@@ -151,8 +149,8 @@ func (rt *runtime) abortf(format string, args ...any) {
 }
 
 // Fail implements sim.Backend: it records the failure and unblocks parked
-// round synchronizers (the failure may come from another node of the
-// instance, via the cluster's failure latch).
+// round synchronizers (the failure may come from another node of the run,
+// via the cluster's failure latch).
 func (rt *runtime) Fail(err error) {
 	rt.mu.Lock()
 	if rt.failed == nil {
@@ -180,8 +178,7 @@ func (rt *runtime) Exchange(p int, step sim.StepID, out []sim.Message, meta any)
 		outs := make([][]sim.Message, o.n)
 		outs[o.id] = out
 		o.adv.ReworkExchange(&sim.ExchangeCtx{
-			Step: step, Instance: max(o.instTag, 0), N: o.n, Faulty: o.faulty,
-			Out: outs, Meta: meta, Rand: o.advRand,
+			Step: step, N: o.n, Faulty: o.faulty, Out: outs, Meta: meta, Rand: o.advRand,
 		})
 		out = outs[o.id]
 	}
@@ -265,8 +262,7 @@ func (rt *runtime) Sync(p int, step sim.StepID, val any, bits int64, tag string,
 		vals := make([]any, o.n)
 		vals[o.id] = val
 		o.adv.ReworkSync(&sim.SyncCtx{
-			Step: step, Instance: max(o.instTag, 0), N: o.n, Faulty: o.faulty,
-			Vals: vals, Meta: meta, Rand: o.advRand,
+			Step: step, N: o.n, Faulty: o.faulty, Vals: vals, Meta: meta, Rand: o.advRand,
 		})
 		val = vals[o.id]
 	}
@@ -391,8 +387,8 @@ func (rt *runtime) await(step sim.StepID, kind wire.StepKind, sum uint16) []*wir
 // than to this node's own protocol execution — a round that could not
 // complete because a peer went down, a degrade bound exceeded, a node killed
 // by chaos injection. Under graceful degradation the cluster tolerates
-// peer-attributed failures (the node's value goes missing; the instance's
-// other nodes keep running) instead of latching them instance-wide.
+// peer-attributed failures (the node's value goes missing; the run's other
+// nodes keep running) instead of latching them run-wide.
 type peerFault struct{ err error }
 
 func (e *peerFault) Error() string { return e.err.Error() }

@@ -180,74 +180,6 @@ func TestClusterMatchesSimulatorPerTagMeters(t *testing.T) {
 	}
 }
 
-func TestClusterRunBatchPipelinesInstances(t *testing.T) {
-	t.Parallel()
-	const n, instances = 4, 3
-	par := consensus.Params{N: n, T: 1}
-	inputs := make([][]byte, instances)
-	for k := range inputs {
-		inputs[k] = bytes.Repeat([]byte{byte(0x10 + k)}, 32)
-	}
-	c := NewCluster(transport.BusFactory{})
-	defer c.Close()
-	res := c.RunBatch(sim.BatchConfig{N: n, Faulty: []int{3}, Adversary: adversary.Equivocator{}, Seed: 5, Instances: instances},
-		func(inst int, p *sim.Proc) any {
-			return consensus.Run(p, par, inputs[inst], len(inputs[inst])*8)
-		})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	for k := 0; k < instances; k++ {
-		ir := res.Instances[k]
-		for i := 0; i < n; i++ {
-			if i == 3 {
-				continue
-			}
-			out := ir.Values[i].(*consensus.Output)
-			if !bytes.Equal(out.Value, inputs[k]) {
-				t.Errorf("inst %d node %d decided %x, want %x", k, i, out.Value, inputs[k])
-			}
-		}
-		if ir.Meter.TotalBits() == 0 || ir.Meter.Rounds() == 0 {
-			t.Errorf("inst %d has empty meter", k)
-		}
-	}
-	// Pipelined rounds: the max, not the sum.
-	if res.Rounds != res.Instances[0].Meter.Rounds() {
-		t.Errorf("batch rounds = %d, want per-instance max %d", res.Rounds, res.Instances[0].Meter.Rounds())
-	}
-}
-
-func TestClusterBodyErrorFailsOnlyItsInstance(t *testing.T) {
-	t.Parallel()
-	c := NewCluster(transport.BusFactory{})
-	defer c.Close()
-	c.StallTimeout = 5 * time.Second
-	res := c.RunBatch(sim.BatchConfig{N: 3, Seed: 5, Instances: 3}, func(inst int, p *sim.Proc) any {
-		if inst == 0 && p.ID == 1 {
-			panic("boom")
-		}
-		p.Sync("s", int64(p.ID), 1, "g", nil)
-		return int64(p.ID)
-	})
-	if res.Err == nil {
-		t.Fatal("expected batch error from failing instance")
-	}
-	if res.Instances[1].Err != nil || res.Instances[2].Err != nil {
-		t.Errorf("healthy instances failed: %v / %v", res.Instances[1].Err, res.Instances[2].Err)
-	}
-	if err := res.Instances[0].Err; err == nil || !strings.Contains(err.Error(), "inst 0") {
-		t.Errorf("failing instance error not tagged: %v", err)
-	}
-	for k := 1; k < 3; k++ {
-		for id, v := range res.Instances[k].Values {
-			if v != int64(id) {
-				t.Errorf("inst %d lost values: %v", k, res.Instances[k].Values)
-			}
-		}
-	}
-}
-
 func TestClusterDivergentNodeFailsRun(t *testing.T) {
 	t.Parallel()
 	for kind, f := range factories() {
@@ -374,8 +306,8 @@ func TestClusterReservedKindBitsConvictSender(t *testing.T) {
 				t.Fatal(err)
 			}
 			tagged[0] |= 1 << 2
-			res := c.RunBatch(sim.BatchConfig{N: n, Seed: 9, Instances: 1, DegradePeers: par.T},
-				func(_ int, p *sim.Proc) any {
+			res := c.Run(sim.RunConfig{N: n, Seed: 9, DegradePeers: par.T},
+				func(p *sim.Proc) any {
 					if p.ID != 2 {
 						return consensus.Run(p, par, input, L)
 					}
@@ -398,7 +330,7 @@ func TestClusterReservedKindBitsConvictSender(t *testing.T) {
 				t.Errorf("DegradedPeers = %v, want [2]", res.DegradedPeers)
 			}
 			requireLiveAgreement(t, kind, res, 2)
-			if o := res.Instances[0].Values[0].(*consensus.Output); !bytes.Equal(o.Value, input) {
+			if o := res.Values[0].(*consensus.Output); !bytes.Equal(o.Value, input) {
 				t.Errorf("decided %x, want the common input", o.Value)
 			}
 		})
@@ -407,7 +339,7 @@ func TestClusterReservedKindBitsConvictSender(t *testing.T) {
 
 // TestClusterMeshPersistsAcrossRuns pins the persistent-mesh contract: any
 // number of runs over one cluster cost exactly one mesh dial, successive
-// cycles are demultiplexed by the global instance id, and the connection
+// cycles are demultiplexed by the epoch id, and the connection
 // counter stays flat — no re-dial between cycles.
 func TestClusterMeshPersistsAcrossRuns(t *testing.T) {
 	t.Parallel()
@@ -423,16 +355,13 @@ func TestClusterMeshPersistsAcrossRuns(t *testing.T) {
 			}
 			connsAtDial := c.WireStats().Conns
 			for r := 0; r < runs; r++ {
-				res := c.RunBatch(sim.BatchConfig{N: n, Seed: int64(r + 1), Instances: 2},
-					func(inst int, p *sim.Proc) any { return gatherBody(p) })
+				res := c.Run(sim.RunConfig{N: n, Seed: int64(r + 1)}, gatherBody)
 				if res.Err != nil {
 					t.Fatalf("run %d: %v", r, res.Err)
 				}
-				for k := range res.Instances {
-					for i, v := range res.Instances[k].Values {
-						if v != int64(24) {
-							t.Errorf("run %d inst %d node %d = %v, want 24", r, k, i, v)
-						}
+				for i, v := range res.Values {
+					if v != int64(24) {
+						t.Errorf("run %d node %d = %v, want 24", r, i, v)
 					}
 				}
 				if conns := c.WireStats().Conns; conns != connsAtDial {

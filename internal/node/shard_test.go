@@ -29,8 +29,8 @@ func TestClusterShardsRunConcurrently(t *testing.T) {
 
 	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 	var once [2]sync.Once
-	body := func(shard int) func(int, *sim.Proc) any {
-		return func(_ int, p *sim.Proc) any {
+	body := func(shard int) func(*sim.Proc) any {
+		return func(p *sim.Proc) any {
 			once[shard].Do(func() { close(started[shard]) })
 			select {
 			case <-started[1-shard]:
@@ -42,13 +42,12 @@ func TestClusterShardsRunConcurrently(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	results := make([]*sim.BatchResult, 2)
+	results := make([]*sim.RunResult, 2)
 	for s := 0; s < 2; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			results[s] = c.ShardRunner(s).RunBatch(
-				sim.BatchConfig{N: n, Seed: int64(100 + s), Instances: 2}, body(s))
+			results[s] = c.ShardRunner(s).Run(sim.RunConfig{N: n, Seed: int64(100 + s)}, body(s))
 		}(s)
 	}
 	wg.Wait()
@@ -57,16 +56,14 @@ func TestClusterShardsRunConcurrently(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("shard %d: %v", s, res.Err)
 		}
-		for k, ir := range res.Instances {
-			for i, v := range ir.Values {
-				if err, ok := v.(error); ok {
-					t.Fatalf("shard %d inst %d node %d: %v", s, k, i, err)
-				}
-				// gatherBody at n=3: every node's exchange sum is 0+1+2,
-				// the sync total 3*3.
-				if v != int64(9) {
-					t.Errorf("shard %d inst %d node %d = %v, want 9", s, k, i, v)
-				}
+		for i, v := range res.Values {
+			if err, ok := v.(error); ok {
+				t.Fatalf("shard %d node %d: %v", s, i, err)
+			}
+			// gatherBody at n=3: every node's exchange sum is 0+1+2, the
+			// sync total 3*3.
+			if v != int64(9) {
+				t.Errorf("shard %d node %d = %v, want 9", s, i, v)
 			}
 		}
 	}
@@ -82,8 +79,7 @@ func TestClusterShardRunnerOutOfRange(t *testing.T) {
 	c := NewCluster(transport.BusFactory{})
 	c.Shards = 2
 	defer c.Close()
-	res := c.ShardRunner(2).RunBatch(sim.BatchConfig{N: 3, Seed: 1, Instances: 1},
-		func(_ int, p *sim.Proc) any { return gatherBody(p) })
+	res := c.ShardRunner(2).Run(sim.RunConfig{N: 3, Seed: 1}, gatherBody)
 	if res.Err == nil {
 		t.Fatal("out-of-range shard runner must fail the run")
 	}
@@ -91,7 +87,7 @@ func TestClusterShardRunnerOutOfRange(t *testing.T) {
 
 // TestClusterShardedEpochsMatchUnsharded pins that a shard's consecutive
 // epochs behave exactly like an unsharded cluster's: same results run after
-// run, with per-shard instance ids advancing independently.
+// run, with per-shard epoch ids advancing independently.
 func TestClusterShardedEpochsMatchUnsharded(t *testing.T) {
 	t.Parallel()
 	const n = 4
@@ -100,12 +96,11 @@ func TestClusterShardedEpochsMatchUnsharded(t *testing.T) {
 	defer c.Close()
 	for cycle := 0; cycle < 3; cycle++ {
 		for s := 0; s < 3; s++ {
-			res := c.ShardRunner(s).RunBatch(sim.BatchConfig{N: n, Seed: 7, Instances: 1},
-				func(_ int, p *sim.Proc) any { return gatherBody(p) })
+			res := c.ShardRunner(s).Run(sim.RunConfig{N: n, Seed: 7}, gatherBody)
 			if res.Err != nil {
 				t.Fatalf("cycle %d shard %d: %v", cycle, s, res.Err)
 			}
-			for i, v := range res.Instances[0].Values {
+			for i, v := range res.Values {
 				if v != int64(24) {
 					t.Errorf("cycle %d shard %d node %d = %v, want 24", cycle, s, i, v)
 				}

@@ -13,7 +13,7 @@ import (
 // compact JSONL and survive round-trips without timezone churn.
 //
 // Cat groups events by subsystem ("cycle", "phase", "flush", "peer", "chaos");
-// Name is the specific event within the category. Cycle/Inst/Gen/Node are
+// Name is the specific event within the category. Cycle/Gen/Node are
 // -1 when not applicable so that zero-valued ids stay distinguishable.
 type Event struct {
 	TS     int64  `json:"ts"`               // unix nanos
@@ -21,7 +21,6 @@ type Event struct {
 	Cat    string `json:"cat"`              // subsystem
 	Name   string `json:"name"`             // event name
 	Cycle  int    `json:"cycle,omitempty"`  // flush cycle id, -1 if n/a
-	Inst   int    `json:"inst,omitempty"`   // instance within cycle, -1 if n/a
 	Gen    int    `json:"gen,omitempty"`    // generation, -1 if n/a
 	Node   int    `json:"node,omitempty"`   // node/processor id, -1 if n/a
 	Detail string `json:"detail,omitempty"` // free-form annotation

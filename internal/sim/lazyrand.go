@@ -5,8 +5,8 @@ import "math/rand"
 // lazySource defers the expensive rngSource seeding (607 feedback steps in
 // math/rand) until the first draw. Protocol code draws from Proc.Rand only
 // on rare paths (the probabilistic broadcaster, Fitzi-Hirt keys), yet every
-// processor of every instance carries its own deterministic Rand — eagerly
-// seeding them all was a measurable slice of the batched hot path. The draw sequence is bit-identical to
+// processor of every run carries its own deterministic Rand — eagerly
+// seeding them all was a measurable slice of the hot path. The draw sequence is bit-identical to
 // rand.New(rand.NewSource(seed)).
 type lazySource struct {
 	seed int64

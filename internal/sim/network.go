@@ -16,12 +16,11 @@ const (
 // Network implements the synchronous barrier rounds shared by all processor
 // goroutines of one run.
 type Network struct {
-	n        int
-	instance int // instance id when multiplexed by RunBatch; -1 for single runs
-	faulty   []bool
-	adv      Adversary
-	meter    *metrics.Meter
-	rand     *rand.Rand
+	n      int
+	faulty []bool
+	adv    Adversary
+	meter  *metrics.Meter
+	rand   *rand.Rand
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -49,25 +48,22 @@ type Network struct {
 // NewNetwork creates a network for n processors. faulty marks the
 // adversary-controlled processors; adv rewrites their traffic (Passive for
 // fail-free runs). rng drives adversary randomness deterministically.
-// instance tags the network's steps and errors when several instances are
-// multiplexed over one deployment (-1 for single-instance runs).
-func NewNetwork(n, instance int, faulty []bool, adv Adversary, meter *metrics.Meter, rng *rand.Rand) *Network {
+func NewNetwork(n int, faulty []bool, adv Adversary, meter *metrics.Meter, rng *rand.Rand) *Network {
 	if adv == nil {
 		adv = Passive{}
 	}
 	net := &Network{
-		n:        n,
-		instance: instance,
-		faulty:   faulty,
-		adv:      adv,
-		meter:    meter,
-		rand:     rng,
-		outs:     make([][]Message, n),
-		vals:     make([]any, n),
-		bits:     make([]int64, n),
-		tags:     make([]string, n),
-		inboxes:  make([][]Message, n),
-		synced:   make([]any, n),
+		n:       n,
+		faulty:  faulty,
+		adv:     adv,
+		meter:   meter,
+		rand:    rng,
+		outs:    make([][]Message, n),
+		vals:    make([]any, n),
+		bits:    make([]int64, n),
+		tags:    make([]string, n),
+		inboxes: make([][]Message, n),
+		synced:  make([]any, n),
 	}
 	net.cond = sync.NewCond(&net.mu)
 	return net
@@ -101,16 +97,6 @@ func (net *Network) FirstHonest() int {
 	return -1
 }
 
-// errf builds a run-level error tagged with the network's instance when it is
-// part of a multiplexed batch, so failures are attributable to one instance.
-func (net *Network) errf(format string, args ...any) error {
-	err := fmt.Errorf(format, args...)
-	if net.instance >= 0 {
-		err = fmt.Errorf("inst %d: %w", net.instance, err)
-	}
-	return err
-}
-
 // procDone records that one processor's body returned. If other processors
 // are parked at a barrier that can now never be completed, the run is failed
 // rather than deadlocked.
@@ -118,7 +104,7 @@ func (net *Network) procDone() {
 	net.mu.Lock()
 	net.done++
 	if net.arrived > 0 && net.arrived+net.done >= net.n && net.failed == nil {
-		net.failed = net.errf("sim: %d processor(s) exited while others wait at step %q", net.done, net.step)
+		net.failed = fmt.Errorf("sim: %d processor(s) exited while others wait at step %q", net.done, net.step)
 		net.cond.Broadcast()
 	}
 	net.mu.Unlock()
@@ -152,7 +138,7 @@ func (net *Network) rendezvous(p int, step StepID, kind int, out []Message, val 
 		net.kind = kind
 		net.meta = nil
 	} else if net.step != step || net.kind != kind {
-		err := net.errf("sim: step mismatch: processor %d at %q (kind %d), barrier at %q (kind %d)",
+		err := fmt.Errorf("sim: step mismatch: processor %d at %q (kind %d), barrier at %q (kind %d)",
 			p, step, kind, net.step, net.kind)
 		net.failed = err
 		net.cond.Broadcast()
@@ -169,7 +155,7 @@ func (net *Network) rendezvous(p int, step StepID, kind int, out []Message, val 
 	net.arrived++
 	myPhase := net.phase
 	if net.done > 0 && net.arrived+net.done >= net.n {
-		err := net.errf("sim: step %q can never complete: %d processor(s) already exited", step, net.done)
+		err := fmt.Errorf("sim: step %q can never complete: %d processor(s) already exited", step, net.done)
 		net.failed = err
 		net.cond.Broadcast()
 		panic(abortError{err})
@@ -205,7 +191,7 @@ func (net *Network) rendezvous(p int, step StepID, kind int, out []Message, val 
 // finalizeExchange runs under the lock once all processors submitted.
 func (net *Network) finalizeExchange() {
 	net.xctx = ExchangeCtx{
-		Step: net.step, Instance: max(net.instance, 0), N: net.n, Faulty: net.faulty,
+		Step: net.step, N: net.n, Faulty: net.faulty,
 		Out: net.outs, Meta: net.meta, Rand: net.rand,
 	}
 	net.adv.ReworkExchange(&net.xctx)
@@ -220,11 +206,11 @@ func (net *Network) finalizeExchange() {
 		for _, m := range net.outs[from] {
 			m.From = from // senders cannot forge their identity (paper's channel model)
 			if m.To < 0 || m.To >= net.n || m.To == from {
-				net.failed = net.errf("sim: step %q: processor %d sent message with bad To=%d", net.step, from, m.To)
+				net.failed = fmt.Errorf("sim: step %q: processor %d sent message with bad To=%d", net.step, from, m.To)
 				break
 			}
 			if m.Bits < 0 {
-				net.failed = net.errf("sim: step %q: negative Bits from processor %d", net.step, from)
+				net.failed = fmt.Errorf("sim: step %q: negative Bits from processor %d", net.step, from)
 				break
 			}
 			if m.Tag != run.tag {
@@ -258,7 +244,7 @@ func (r *tagRun) flush(m *metrics.Meter, faulty bool) {
 // finalizeSync runs under the lock once all processors submitted.
 func (net *Network) finalizeSync() {
 	net.sctx = SyncCtx{
-		Step: net.step, Instance: max(net.instance, 0), N: net.n, Faulty: net.faulty,
+		Step: net.step, N: net.n, Faulty: net.faulty,
 		Vals: net.vals, Meta: net.meta, Rand: net.rand,
 	}
 	net.adv.ReworkSync(&net.sctx)

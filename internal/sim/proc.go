@@ -36,22 +36,18 @@ type Backend interface {
 // (the adversary rewrites faulty traffic at the backend layer) and over any
 // Backend (simulator barrier or networked runtime).
 type Proc struct {
-	ID int
-	N  int
-	// Instance is the protocol instance this processor handle belongs to
-	// (RunBatch multiplexes several independent instances over one
-	// deployment; Run uses instance 0 throughout).
-	Instance int
-	Faulty   bool // whether this processor is adversary-controlled
-	Rand     *rand.Rand
-	rt       Backend
-	rounds   int64
+	ID     int
+	N      int
+	Faulty bool // whether this processor is adversary-controlled
+	Rand   *rand.Rand
+	rt     Backend
+	rounds int64
 }
 
 // NewProc binds a processor handle to a backend. It exists for alternative
 // runtimes (internal/node); simulator runs construct their Procs internally.
-func NewProc(id, n, instance int, faulty bool, rng *rand.Rand, rt Backend) *Proc {
-	return &Proc{ID: id, N: n, Instance: instance, Faulty: faulty, Rand: rng, rt: rt}
+func NewProc(id, n int, faulty bool, rng *rand.Rand, rt Backend) *Proc {
+	return &Proc{ID: id, N: n, Faulty: faulty, Rand: rng, rt: rt}
 }
 
 // LocalRounds returns the number of barrier steps this handle has completed.
@@ -99,8 +95,7 @@ func AbortRun(err error) {
 // Invoke runs body at p, converting protocol aborts (Proc.Abort, AbortRun)
 // and stray panics into an error. It reports the failure to the backend so
 // the other processors of the run terminate as well. Alternative backends
-// use it as their body driver; the simulator keeps its own equivalent with
-// instance-tagged errors.
+// use it as their body driver; the simulator keeps its own equivalent.
 func Invoke(p *Proc, body func(*Proc) any) (val any, err error) {
 	defer func() {
 		if r := recover(); r != nil {

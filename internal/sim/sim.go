@@ -48,13 +48,9 @@ type Message struct {
 // ExchangeCtx is handed to the adversary at every Exchange step after all
 // processors submitted their protocol-conformant messages.
 type ExchangeCtx struct {
-	Step StepID
-	// Instance identifies the protocol instance this step belongs to when
-	// several instances are multiplexed over one deployment (RunBatch);
-	// single-instance runs use instance 0.
-	Instance int
-	N        int
-	Faulty   []bool // Faulty[i] reports whether processor i is adversary-controlled
+	Step   StepID
+	N      int
+	Faulty []bool // Faulty[i] reports whether processor i is adversary-controlled
 	// Out[i] is processor i's outbox for this step. The adversary may
 	// mutate, replace, extend or drop entries of faulty processors only.
 	Out [][]Message
@@ -66,12 +62,9 @@ type ExchangeCtx struct {
 
 // SyncCtx is handed to the adversary at every Sync step.
 type SyncCtx struct {
-	Step StepID
-	// Instance identifies the protocol instance of this step (see
-	// ExchangeCtx.Instance).
-	Instance int
-	N        int
-	Faulty   []bool
+	Step   StepID
+	N      int
+	Faulty []bool
 	// Vals[i] is processor i's contribution. The adversary may replace
 	// entries of faulty processors only.
 	Vals []any

@@ -214,7 +214,7 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Endpoint is one node's attachment to the deployment's n-processor mesh.
-// Send is safe for concurrent use (pipelined instances share one endpoint).
+// Send is safe for concurrent use (a fleet's shards share one endpoint).
 // Received frames reach the consumer either pushed to a Sink (SetSink) or
 // pulled through Recv, never both: once a sink is set, Recv returns only
 // ErrClosed at teardown.

@@ -28,17 +28,18 @@ const MaxFramePayloads = 1 << 16
 //
 // There is deliberately no sequence number: every transport guarantees
 // per-peer FIFO order and every step sends exactly one frame per peer, so
-// the arrival ordinal within a (peer, instance) queue is the round identity.
+// the arrival ordinal within a (peer, epoch) queue is the round identity.
 // The header carries only what FIFO cannot provide — the barrier kind, the
-// instance id for demux, and the step checksum that catches divergence.
+// epoch id for demux, and the step checksum that catches divergence.
 // Lock-step consensus traffic is dominated by small frames (single symbols,
 // packed bit vectors), so every header byte shows up directly in the
 // encoded-bytes-per-protocol-bit ratio.
 type Frame struct {
 	// Kind is the barrier primitive this frame belongs to.
 	Kind StepKind
-	// Instance demultiplexes pipelined protocol instances sharing one
-	// transport (the engine's batched cycles).
+	// Instance demultiplexes the runs sharing one transport: the epoch id of
+	// the run (one per engine cycle), with the shard in its low bits (see
+	// ComposeInstance).
 	Instance int
 	// StepSum is a checksum of the step label. Both ends derive the label
 	// from common state, so a mismatch proves protocol divergence (the

@@ -33,8 +33,8 @@ type FlushPolicy struct {
 	// MaxValues makes a cycle due once this many proposals are queued
 	// (0 = one full cycle: BatchValues × Instances; negative = disabled). A
 	// value above one full cycle acts as one full cycle, and while this
-	// trigger is on a queue head that BatchBytes already splits into
-	// Instances full batches is due too, so a full cycle never waits. What
+	// trigger is on a queue head that already fills the cycle's byte cap
+	// (BatchBytes × Instances) is due too, so a full cycle never waits. What
 	// is left after the full cycles, short of one, waits for the next
 	// trigger.
 	MaxValues int
@@ -75,9 +75,9 @@ type SessionConfig struct {
 	// seed, ...). Trace is ignored by the Session.
 	Config
 	// Scenario injects faults into the deployment: the same faulty set and
-	// adversary apply to every consensus instance the session runs.
+	// adversary apply to every consensus run the session makes.
 	Scenario Scenario
-	// Transport selects the deployment backend the consensus instances run
+	// Transport selects the deployment backend the consensus runs go
 	// over: TransportSim (default, shared-memory simulator), TransportBus
 	// (networked nodes over an in-process bus, full wire encoding) or
 	// TransportTCP (networked nodes over a loopback TCP mesh). Networked
@@ -98,14 +98,16 @@ type SessionConfig struct {
 	// replays one fault timeline (Session.ChaosLog returns the fired-event
 	// log). Requires a networked transport.
 	Chaos string
-	// BatchValues caps how many proposals are coalesced into one consensus
-	// instance (0 = 64). Bigger batches mean longer inputs and fewer
-	// amortized bits per value — the paper's large-L regime.
+	// BatchValues is the size of one batch of proposals (0 = 64). Bigger
+	// batches mean longer inputs and fewer amortized bits per value — the
+	// paper's large-L regime.
 	BatchValues int
-	// BatchBytes caps the packed payload bytes per instance (0 = 1 MiB).
+	// BatchBytes caps the packed payload bytes of one batch (0 = 1 MiB).
 	BatchBytes int
-	// Instances is the number of consensus instances pipelined concurrently
-	// per flush cycle (0 = 4).
+	// Instances is how many batches a flush cycle carries (0 = 4). A cycle
+	// of up to BatchValues × Instances proposals and BatchBytes × Instances
+	// bytes runs as one consensus input, with generations Instances times
+	// as long as one batch's, so a full cycle takes the rounds of one batch.
 	Instances int
 	// Policy drives background flushing (see FlushPolicy; the zero value
 	// selects the defaults).
@@ -191,7 +193,7 @@ func (cfg SessionConfig) Validate() error {
 
 // Session is the streaming consensus service: a long-lived handle over a
 // persistent deployment. Proposals from any number of goroutines are
-// coalesced into long per-instance inputs (amortizing the per-generation
+// coalesced into one long input per flush cycle (amortizing the per-generation
 // broadcast overhead, the paper's O(nL) result), flush cycles are driven by
 // the background FlushPolicy, decisions stream back per proposal, and on a
 // networked transport the whole lifetime runs over one mesh dialed at Open.
@@ -228,7 +230,7 @@ func Open(cfg SessionConfig) (*Session, error) {
 // available or ctx is done. A nil error means the value decided; otherwise
 // the error is ctx.Err() (the proposal stays in flight and will still be
 // agreed by the deployment), ErrClosed (the session closed before the value
-// flushed), or the batch's instance failure.
+// flushed), or the batch's run failure.
 func (s *Session) Propose(ctx context.Context, value []byte) (Decision, error) {
 	p, err := s.ProposeAsync(ctx, value)
 	return await(ctx, p, err)
@@ -261,7 +263,7 @@ type Decision = engine.Decision
 // Pending is a handle on a proposed value's eventual Decision.
 type Pending = engine.Pending
 
-// BatchStats is the per-batch (= per consensus instance) metric record.
+// BatchStats is the per-batch (= per flush cycle) metric record.
 type BatchStats = engine.BatchStats
 
 // FlushReport summarises one flush cycle: the OnFlush hook's argument.

@@ -97,9 +97,10 @@ func closeFailsPendingsPromptly(t *testing.T, tk byzcons.TransportKind) {
 }
 
 // TestSessionManualFlushDecides drives the fully manual policy: nothing runs
-// until Drain, one Drain coalesces ten proposals into three batches over two
-// cycles under an equivocating adversary, every proposal resolves to its own
-// value, and the cycle reports and stats account for all of it.
+// until Drain, one Drain coalesces ten proposals into two cycles (8 + 2) of
+// one batch row each under an equivocating adversary, every proposal
+// resolves to its own value, and the cycle reports and stats account for all
+// of it.
 func TestSessionManualFlushDecides(t *testing.T) {
 	t.Parallel()
 	reports := make(chan byzcons.FlushReport, 4)
@@ -134,19 +135,22 @@ func TestSessionManualFlushDecides(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(reports) // every cycle reported before Drain returned
-	var cycles, valuesIn, batches int
+	var cycles, valuesIn, rows int
 	for rep := range reports {
 		cycles++
 		valuesIn += rep.Values
-		batches += len(rep.Batches)
+		rows += len(rep.Batches)
 		for _, st := range rep.Batches {
 			if st.Bits <= 0 || st.BitsPerValue <= 0 {
 				t.Errorf("batch %d missing metrics: %+v", st.Batch, st)
 			}
 		}
 	}
-	if cycles != 2 || valuesIn != 10 || batches != 3 {
-		t.Fatalf("%d cycle reports carried %d values in %d batches, want 2, 10 and 3", cycles, valuesIn, batches)
+	if cycles != 2 || valuesIn != 10 || rows != 2 {
+		t.Fatalf("%d cycle reports carried %d values in %d rows, want 2, 10 and 2", cycles, valuesIn, rows)
+	}
+	if st := s.Stats(); st.Cycles != 2 {
+		t.Errorf("Stats().Cycles = %d, want 2", st.Cycles)
 	}
 	for i, p := range pendings {
 		d := p.Wait(ctx)
@@ -171,7 +175,7 @@ func TestSessionManualFlushDecides(t *testing.T) {
 // TestSessionAmortizedBitsPerValueDecreases is the acceptance-criteria
 // assertion at the public API: for a fixed workload at fixed n and t, the
 // amortized communication bits per proposed value strictly decrease as the
-// batch size grows.
+// batch size grows. One batch per cycle, so the batch is the run.
 func TestSessionAmortizedBitsPerValueDecreases(t *testing.T) {
 	t.Parallel()
 	const workload = 32
@@ -180,7 +184,7 @@ func TestSessionAmortizedBitsPerValueDecreases(t *testing.T) {
 		s, err := byzcons.Open(byzcons.SessionConfig{
 			Config:      byzcons.Config{N: 7, T: 2, SymBits: 8, Seed: 1},
 			BatchValues: batch,
-			Instances:   4,
+			Instances:   1,
 			Policy:      manualPolicy(),
 		})
 		if err != nil {
@@ -548,22 +552,27 @@ func TestSessionOnFlushHook(t *testing.T) {
 
 // TestSessionTCPCoalescesOnOneCore pins the batch writer where it matters
 // most: on one core a loopback write never yields, so frames coalesce only if
-// the transport defers the write until the node's other instances have queued
-// theirs. Four pipelined instances must share socket writes — at least two
-// frames per write on average — and the decisions must stay bit-identical to
-// the simulator's. Deliberately not parallel: GOMAXPROCS is process-wide.
+// the transport defers the write until other frames for the same peer have
+// been queued. A Session's decisions over TCP must stay bit-identical to the
+// simulator's. A Session sends one frame per (peer, round), so what shares
+// socket writes is concurrent consensus over one mesh: the four shards of a
+// Fleet of the same geometry must average at least two frames per write.
+// Deliberately not parallel: GOMAXPROCS is process-wide.
 func TestSessionTCPCoalescesOnOneCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const cycles, perCycle = 3, 8 * 4
-
-	run := func(tk byzcons.TransportKind) ([]byzcons.Decision, byzcons.WireStats) {
-		s, err := byzcons.Open(byzcons.SessionConfig{
+	const cycles, perCycle, shards = 3, 8 * 4, 4
+	config := func(tk byzcons.TransportKind) byzcons.SessionConfig {
+		return byzcons.SessionConfig{
 			Config:      byzcons.Config{N: 7, T: 2, Seed: 33},
 			Transport:   tk,
 			BatchValues: 8,
 			Instances:   4,
 			Policy:      byzcons.FlushPolicy{MaxValues: perCycle, MaxDelay: -1},
-		})
+		}
+	}
+
+	run := func(tk byzcons.TransportKind) []byzcons.Decision {
+		s, err := byzcons.Open(config(tk))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,20 +599,54 @@ func TestSessionTCPCoalescesOnOneCore(t *testing.T) {
 		if st := s.Stats(); st.Cycles < cycles {
 			t.Errorf("%v session ran %d cycles, want >= %d", tk, st.Cycles, cycles)
 		}
-		return decisions, s.WireStats()
+		return decisions
 	}
 
-	tcpDecisions, ws := run(byzcons.TransportTCP)
-	simDecisions, _ := run(byzcons.TransportSim)
+	tcpDecisions := run(byzcons.TransportTCP)
+	simDecisions := run(byzcons.TransportSim)
 	for i := range tcpDecisions {
 		td, sd := tcpDecisions[i], simDecisions[i]
 		if !bytes.Equal(td.Value, sd.Value) || td.Batch != sd.Batch || td.Defaulted != sd.Defaulted {
 			t.Errorf("decision %d diverges across backends: tcp %+v, sim %+v", i, td, sd)
 		}
 	}
+
+	f, err := byzcons.OpenFleet(byzcons.FleetConfig{SessionConfig: config(byzcons.TransportTCP), Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// Every shard gets exactly cycles × perCycle proposals, so each runs
+	// full cycles only.
+	var pendings []*byzcons.Pending
+	count := make([]int, shards)
+	for i := 0; len(pendings) < shards*cycles*perCycle; i++ {
+		key := []byte(fmt.Sprintf("key-%d", i))
+		if k := f.ShardFor(key); count[k] < cycles*perCycle {
+			count[k]++
+			p, err := f.ProposeAsync(ctx, key, bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 32))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pendings = append(pendings, p)
+		}
+	}
+	for i, p := range pendings {
+		if d := p.Wait(ctx); d.Err != nil {
+			t.Fatalf("fleet proposal %d: %v", i, d.Err)
+		}
+	}
+	if st := f.Stats(); st.Aggregate.Cycles != shards*cycles {
+		t.Errorf("fleet ran %d cycles, want %d", st.Aggregate.Cycles, shards*cycles)
+	}
+	ws := f.WireStats()
+	perWrite := float64(ws.FramesSent) / float64(max(ws.Writes, 1))
+	t.Logf("%d-shard fleet: %d frames in %d socket writes (%.2f frames/write)", shards, ws.FramesSent, ws.Writes, perWrite)
 	if ws.Writes == 0 || ws.FramesSent < 2*ws.Writes {
 		t.Errorf("%d frames went out in %d socket writes (%.2f frames/write), want >= 2",
-			ws.FramesSent, ws.Writes, float64(ws.FramesSent)/float64(max(ws.Writes, 1)))
+			ws.FramesSent, ws.Writes, perWrite)
 	}
 }
 
